@@ -2,7 +2,7 @@
 
 Configuration comes from an optional JSON file (--config) with sections
 "model", "train", "scoring", plus dotted per-key overrides, e.g.
-``--model.num_heads 8``. Output root defaults to --out or $PRIORAD_OUT.
+``--set model.num_heads=8``. Output root defaults to --out or $PRIORAD_OUT.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import (StandardizerStats, _read_matrix, default_synthetic_spec,
-                   load_csv_dataset, standardize, split_train_val,
-                   synth_generate, write_csv, ANOMALY_TYPES)
+                   load_csv_dataset, read_labels, standardize,
+                   split_train_val, synth_generate, write_csv, ANOMALY_TYPES)
 from .evaluation import (AblationSpec, compute_metrics, format_report_table,
                          run_ablation)
 from .model import ModelConfig
@@ -149,7 +149,7 @@ def cmd_eval(args) -> int:
     rows = np.genfromtxt(args.scores_csv, delimiter=",", names=True)
     y_hat = rows["y_hat"].astype(bool)
     if args.labels_csv:
-        labels = np.genfromtxt(args.labels_csv, delimiter=",").astype(bool)
+        labels = read_labels(args.labels_csv)
     elif "y_true" in rows.dtype.names:
         labels = rows["y_true"].astype(bool)
     else:

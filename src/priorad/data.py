@@ -100,19 +100,33 @@ def _read_matrix(path) -> tuple[np.ndarray, list]:
     return np.array(rows, dtype=np.float64), names
 
 
+def read_labels(path) -> np.ndarray:
+    """Read a single 0/1 label column (optional header) as a bool array.
+
+    Rows in error messages count data rows from 0, header excluded.
+    """
+    labels, _ = _read_matrix(path)
+    if labels.shape[1] != 1:
+        raise ParseError(
+            f"{path}: labels must be a single column, got {labels.shape[1]}"
+        )
+    labels = labels[:, 0]
+    bad = np.flatnonzero((labels != 0.0) & (labels != 1.0))
+    if bad.size:
+        r = int(bad[0])
+        raise ParseError(
+            f"{path}: label at row {r} is {labels[r]:g}, expected 0 or 1"
+        )
+    return labels == 1.0
+
+
 def load_csv_dataset(train_path, test_path, labels_path) -> RawDataset:
     """Load train/test matrices (rows = time) and a 0/1 label column."""
     train, names = _read_matrix(train_path)
     test, _ = _read_matrix(test_path)
-    labels, _ = _read_matrix(labels_path)
-    if labels.shape[1] != 1:
-        raise ParseError(
-            f"{labels_path}: labels must be a single column, "
-            f"got {labels.shape[1]}"
-        )
     if names is None:
         names = [f"ch{c}" for c in range(train.shape[1])]
-    return RawDataset(train, test, labels[:, 0].astype(bool), names)
+    return RawDataset(train, test, read_labels(labels_path), names)
 
 
 def windows(series: np.ndarray, length: int, stride: int = 1) -> np.ndarray:

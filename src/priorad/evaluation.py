@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,28 +119,23 @@ class AblationSpec:
 def apply_ablation_value(axis: str, value, model_cfg: ModelConfig,
                          train_cfg: TrainConfig):
     """Return (model_cfg, train_cfg) copies with one axis overridden."""
-    m = ModelConfig(**model_cfg.to_dict())
-    t = TrainConfig(**{k: getattr(train_cfg, k)
-                       for k in TrainConfig.__dataclass_fields__})
+    model_kw, train_kw = {}, {}
     if axis == "phase_sync":
-        m.prior_mode = value
+        model_kw["prior_mode"] = value
         if value == "no_phase":
-            t.k = 0.0  # prior pathway inert
+            train_kw["k"] = 0.0  # prior pathway inert
     elif axis == "enc_layers":
-        m.num_layers = int(value)
+        model_kw["num_layers"] = int(value)
     elif axis == "model_dim":
-        m.model_dim = int(value)
-        if m.model_dim % m.num_heads != 0:
-            raise ValueError(
-                f"model_dim {value} not divisible by {m.num_heads} heads"
-            )
+        model_kw["model_dim"] = int(value)
     elif axis == "num_heads":
-        m.num_heads = int(value)
+        model_kw["num_heads"] = int(value)
     elif axis == "batch_size":
-        t.batch_size = int(value)
+        train_kw["batch_size"] = int(value)
     elif axis == "epochs":
-        t.max_epochs = int(value)
-    return m, t
+        train_kw["max_epochs"] = int(value)
+    return (dataclasses.replace(model_cfg, **model_kw),
+            dataclasses.replace(train_cfg, **train_kw))
 
 
 def benchmark_configs(seed: int = 0, prior_mode: str = "full",

@@ -8,6 +8,7 @@ from encoder features. A linear head reconstructs the input window.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -34,7 +35,6 @@ class ModelConfig:
     num_layers: int = 2
     num_heads: int = 4
     feedforward_dim: int = 128
-    dropout: float = 0.0
     seed: int = 0
     prior_mode: str = "full"  # full | no_phase | single_head
 
@@ -44,27 +44,12 @@ class ModelConfig:
                 f"model_dim {self.model_dim} not divisible by "
                 f"num_heads {self.num_heads}"
             )
-        if not (0.0 <= self.dropout < 1.0):
-            raise ConfigError("dropout must be in [0, 1)")
         if self.prior_mode not in PRIOR_MODES:
             raise ConfigError(f"prior_mode must be one of {PRIOR_MODES}")
 
     @property
     def head_dim(self) -> int:
         return self.model_dim // self.num_heads
-
-    def to_dict(self) -> dict:
-        return {
-            "window_length": self.window_length,
-            "channels": self.channels,
-            "model_dim": self.model_dim,
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "feedforward_dim": self.feedforward_dim,
-            "dropout": self.dropout,
-            "seed": self.seed,
-            "prior_mode": self.prior_mode,
-        }
 
 
 @dataclass
@@ -73,9 +58,9 @@ class PriorFields:
 
     hurst: Tensor        # [..., L] in (0, 1)
     stiffness: Tensor    # [..., L] > 0
-    mix_weights: Tensor  # [H, 3] rows sum to 1 (fractal, gaussian, phase)
-    phase_period: Tensor  # [H] > 1
-    phase_gain: Tensor    # [H] >= 0
+    mix_weights: Tensor  # [n_ph, 3] rows sum to 1 (fractal, gaussian, phase)
+    phase_period: Tensor  # [n_ph] > 1
+    phase_gain: Tensor    # [n_ph] >= 0
 
 
 @dataclass
@@ -84,10 +69,6 @@ class AttentionStack:
 
     series: list = field(default_factory=list)
     prior: list = field(default_factory=list)
-
-    @property
-    def num_matrices(self) -> int:
-        return sum(t.shape[-3] for t in self.series)
 
 
 @dataclass
@@ -217,22 +198,16 @@ class PiModel:
         var = ad.tmean(ad.square(xc), axis=-1, keepdims=True)
         return g * (xc / ad.sqrt(var + 1e-6)) + b
 
-    def _split_heads(self, x: Tensor, batched: bool) -> Tensor:
-        L, D = self.cfg.window_length, self.cfg.model_dim
+    def _split_heads(self, x: Tensor) -> Tensor:
+        """[..., L, D] -> [..., H, L, d]."""
         H, d = self.cfg.num_heads, self.cfg.head_dim
-        if batched:
-            x = ad.reshape(x, (-1, L, H, d))
-            return ad.transpose(x, (0, 2, 1, 3))
-        x = ad.reshape(x, (L, H, d))
-        return ad.transpose(x, (1, 0, 2))
+        x = ad.reshape(x, x.shape[:-1] + (H, d))
+        return ad.transpose(x, _swap_axes(x.ndim, -3, -2))
 
-    def _merge_heads(self, x: Tensor, batched: bool) -> Tensor:
-        L, D = self.cfg.window_length, self.cfg.model_dim
-        if batched:
-            x = ad.transpose(x, (0, 2, 1, 3))
-            return ad.reshape(x, (-1, L, D))
-        x = ad.transpose(x, (1, 0, 2))
-        return ad.reshape(x, (L, D))
+    def _merge_heads(self, x: Tensor) -> Tensor:
+        """[..., H, L, d] -> [..., L, D]."""
+        x = ad.transpose(x, _swap_axes(x.ndim, -3, -2))
+        return ad.reshape(x, x.shape[:-2] + (self.cfg.model_dim,))
 
     def series_attention(self, features: Tensor, layer: int):
         """Causal multi-head scaled dot-product attention.
@@ -240,14 +215,13 @@ class PiModel:
         Returns (S, context) where S is [..., H, L, L] row-stochastic.
         """
         p = f"layer{layer}."
-        batched = features.ndim == 3
-        q = self._split_heads(ad.matmul(features, self.params[p + "Wq"]), batched)
-        k = self._split_heads(ad.matmul(features, self.params[p + "Wk"]), batched)
-        v = self._split_heads(ad.matmul(features, self.params[p + "Wv"]), batched)
+        q = self._split_heads(ad.matmul(features, self.params[p + "Wq"]))
+        k = self._split_heads(ad.matmul(features, self.params[p + "Wk"]))
+        v = self._split_heads(ad.matmul(features, self.params[p + "Wv"]))
         scale = 1.0 / np.sqrt(self.cfg.head_dim)
-        logits = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2) if batched else (0, 2, 1))) * scale
+        logits = ad.matmul(q, ad.transpose(k, _swap_axes(k.ndim, -2, -1))) * scale
         S = ad.masked_softmax_rows(logits, self.mask)
-        ctx = self._merge_heads(ad.matmul(S, v), batched)
+        ctx = self._merge_heads(ad.matmul(S, v))
         ctx = ad.matmul(ctx, self.params[p + "Wo"]) + self.params[p + "bo"]
         return S, ctx
 
@@ -274,25 +248,27 @@ class PiModel:
         gain = ad.softplus(self.params[p + "phase_gain_raw"])
         return PriorFields(hurst, stiffness, mix, period, gain)
 
-    def prior_attention(self, fields: PriorFields, batched: bool):
+    def prior_attention(self, fields: PriorFields):
         """Row-stochastic causal prior attention [..., H, L, L].
 
         Per head h and lag delta = i - j >= 0 the logit mixes
         fractal   -(2 - 2 H_i) ln(1 + delta),
         gaussian  -delta^2 / (2 tau_i^2),
         phase     kappa_h cos(2 pi delta / p_h)
-        with convex weights, then a causal row softmax.
+        with convex weights, then a causal row softmax. The per-position
+        kernels are built once as [..., 1, L, L] and broadcast against the
+        per-head parameters shaped [n_ph, 1, 1].
         """
-        cfg = self.cfg
-        L = cfg.window_length
+        L = self.cfg.window_length
         delta = Tensor(self.lags)  # [L, L]
         n_ph = fields.phase_period.shape[0]
 
-        # per-position fields index the row: [..., L] -> [..., L, 1]
+        # per-position fields index the row: [..., L] -> [..., 1, L, 1]
         def row_field(t: Tensor) -> Tensor:
-            if batched:
-                return ad.reshape(t, (-1, L, 1))
-            return ad.reshape(t, (L, 1))
+            return ad.reshape(t, t.shape[:-1] + (1, L, 1))
+
+        def per_head(t: Tensor) -> Tensor:
+            return ad.reshape(t, (n_ph, 1, 1))
 
         h_row = row_field(fields.hurst)
         tau_row = row_field(fields.stiffness)
@@ -300,26 +276,21 @@ class PiModel:
         log_lag = Tensor(np.log1p(self.lags))
         fractal = -(2.0 - 2.0 * h_row) * log_lag
         gaussian = -ad.square(delta) / (2.0 * ad.square(tau_row))
+        ph = ad.cos(delta * (2.0 * np.pi) / per_head(fields.phase_period))
+        phase = per_head(fields.phase_gain) * ph
 
-        head_logits = []
-        for h in range(n_ph):
-            ph = ad.cos(delta * (2.0 * np.pi) / fields.phase_period[h])
-            phase = fields.phase_gain[h] * ph
-            logits_h = (
-                fields.mix_weights[h, 0] * fractal
-                + fields.mix_weights[h, 1] * gaussian
-                + fields.mix_weights[h, 2] * phase
-            )
-            head_logits.append(logits_h)
-        if n_ph == 1 and cfg.num_heads > 1:
-            head_logits = head_logits * cfg.num_heads
-
-        axis = -3
-        stacked = _stack(head_logits, batched)
-        if not np.isfinite(stacked.data).all():
+        mix = fields.mix_weights
+        logits = (per_head(mix[:, 0]) * fractal
+                  + per_head(mix[:, 1]) * gaussian
+                  + per_head(mix[:, 2]) * phase)
+        if n_ph != self.cfg.num_heads:
+            # single_head: one prior head shared by every series head; the
+            # broadcast sums the head gradients before the kernel backward
+            logits = logits + Tensor(np.zeros((self.cfg.num_heads, 1, 1)))
+        if not np.isfinite(logits.data).all():
             raise ad.NumericError("non-finite prior kernel logits")
-        P = ad.masked_softmax_rows(stacked, self.mask)
-        return P, stacked
+        P = ad.masked_softmax_rows(logits, self.mask)
+        return P, logits
 
     def _uniform_prior(self, batch_shape) -> Tensor:
         L, H = self.cfg.window_length, self.cfg.num_heads
@@ -329,12 +300,10 @@ class PiModel:
 
     # full forward -----------------------------------------------------------
 
-    def forward(self, window: Tensor, rng: np.random.Generator | None = None,
-                training: bool = False) -> ReconOutput:
-        """Run the encoder stack and reconstruction head on one window
-        ([L, C]) or a batch ([B, L, C])."""
+    def forward(self, window: Tensor) -> ReconOutput:
+        """Run the encoder stack and reconstruction head on windows
+        [..., L, C]: one window [L, C] or a batch [B, L, C]."""
         cfg = self.cfg
-        batched = window.ndim == 3
         x = self.embed_window(window)
         stack = AttentionStack()
         all_fields = []
@@ -345,9 +314,6 @@ class PiModel:
                 x, self.params[p + "ln1.g"], self.params[p + "ln1.b"]
             )
             S, ctx = self.series_attention(normed, l)
-            if training and cfg.dropout > 0.0 and rng is not None:
-                keep = (rng.random(ctx.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
-                ctx = ctx * Tensor(keep)
             x = x + ctx
             normed2 = self._layer_norm(
                 x, self.params[p + "ln2.g"], self.params[p + "ln2.b"]
@@ -360,13 +326,12 @@ class PiModel:
             x = x + ff
 
             if cfg.prior_mode == "no_phase":
-                batch_shape = (window.shape[0],) if batched else ()
-                P = self._uniform_prior(batch_shape)
+                P = self._uniform_prior(window.shape[:-2])
                 fields = self.prior_fields(normed, l)
                 logits = Tensor(np.zeros(P.shape))
             else:
                 fields = self.prior_fields(normed, l)
-                P, logits = self.prior_attention(fields, batched)
+                P, logits = self.prior_attention(fields)
             stack.series.append(S)
             stack.prior.append(P)
             all_fields.append(fields)
@@ -380,7 +345,7 @@ class PiModel:
     def save(self, path, extra: dict | None = None,
              extra_arrays: dict | None = None):
         """Write config + parameters (and optional metadata) to an .npz file."""
-        meta = {"format_version": 1, "config": self.cfg.to_dict()}
+        meta = {"format_version": 1, "config": dataclasses.asdict(self.cfg)}
         if extra:
             meta["extra"] = extra
         arrays = {f"param::{k}": v.data for k, v in self.params.items()}
@@ -407,31 +372,11 @@ class PiModel:
         return model, meta, extra_arrays
 
 
-def _stack(tensors, batched: bool) -> Tensor:
-    """Stack per-head [..., L, L] tensors into [..., H, L, L] on the tape."""
-    axis = 1 if batched else 0
-    expanded = []
-    for t in tensors:
-        if batched:
-            expanded.append(ad.reshape(t, (t.shape[0], 1) + t.shape[1:]))
-        else:
-            expanded.append(ad.reshape(t, (1,) + t.shape))
-    out = expanded[0]
-    for t in expanded[1:]:
-        out = _concat_axis(out, t, axis=axis)
-    return out
-
-
-def _concat_axis(a: Tensor, b: Tensor, axis: int) -> Tensor:
-    na = a.shape[axis]
-    out = Tensor(np.concatenate([a.data, b.data], axis=axis))
-
-    def backward(g):
-        ga = np.take(g, np.arange(na), axis=axis)
-        gb = np.take(g, np.arange(na, g.shape[axis]), axis=axis)
-        return ga, gb
-
-    return ad._record(out, (a, b), backward)
+def _swap_axes(ndim: int, a: int, b: int) -> tuple:
+    """Axis permutation of ``ndim`` axes that exchanges axes ``a`` and ``b``."""
+    axes = list(range(ndim))
+    axes[a], axes[b] = axes[b], axes[a]
+    return tuple(axes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,21 @@
 """Two-pass min-max training with stop-gradient alternation.
 
-Each step runs two sequential updates: pass 1 pushes the series attention
-(with the prior frozen) through L1 = recon - k*symKL + R, pass 2 pulls the
-prior (with the series frozen) through L2 = recon + k*symKL + R. R holds
-smoothness, Hurst distillation, and a small L2 stabilizer on the raw prior
-scores.
+Each step runs two sequential passes, each a forward, one backward and one
+Adam update. A pass is a pair of coefficients (k_s, k_p) and descends
+
+    recon + k_s * symKL(S || sg P) + k_p * symKL(P || sg S) + R
+
+where sg is a stop-gradient and R holds smoothness, Hurst distillation,
+and a small L2 stabilizer on the raw prior scores. A term whose
+coefficient is zero is left out of the loss (its value is still logged).
+
+    series_ascent   pass 1 (k_s, k_p)   pass 2 (k_s, k_p)
+    on              (-k, 0)             (0, +k)
+    off             (0, 0)              (0, +k)
+
+Pass 1 pushes the series attention away from the frozen prior (or, with
+series_ascent off, is a pure reconstruction update); pass 2 pulls the
+prior towards the frozen series.
 """
 
 from __future__ import annotations
@@ -37,9 +48,7 @@ class TrainConfig:
     patience: int = 3
     clip_norm: float = 5.0
     val_fraction: float = 0.2
-    single_pass_ascent: bool = False  # descend series / ascend prior on one loss
-    kl_average: bool = False          # average symKL over layers*heads
-    series_ascent: bool = True        # keep the -k*symKL term in pass 1
+    series_ascent: bool = True   # keep the -k*symKL term in pass 1
 
     def __post_init__(self):
         if min(self.k, self.lambda_reg, self.lambda_hurst,
@@ -86,33 +95,26 @@ def loss_reconstruction(x: Tensor, recon: Tensor) -> Tensor:
     return ad.tmean(ad.square(x - recon))
 
 
-def loss_sym_kl(attn, frozen: str, average: bool = False,
-                num_heads: int | None = None) -> Tensor:
+def loss_sym_kl(attn, frozen: str) -> Tensor:
     """Symmetric series-prior KL, summed over layers, heads, and rows.
 
     ``frozen`` selects the stop-gradiented side: "prior" for the series
-    update pass, "series" for the prior update pass, "none" for the
-    single-loss variant. Batched inputs are averaged over the batch.
+    update pass, "series" for the prior update pass. Either way the value
+    is the same. Batched inputs are averaged over the batch.
     """
     total = None
-    n_mats = 0
     for S, P in zip(attn.series, attn.prior):
         if frozen == "prior":
             a, b = S, stop_gradient(P)
         elif frozen == "series":
             a, b = P, stop_gradient(S)
-        elif frozen == "none":
-            a, b = S, P
         else:
             raise ValueError(f"unknown frozen side {frozen!r}")
         per_row = ad.kl_div_rows(a, b) + ad.kl_div_rows(b, a)  # [..., H, L]
         summed = ad.tsum(per_row, axis=(-2, -1))
         if summed.ndim > 0:  # batch
             summed = ad.tmean(summed)
-        n_mats += S.shape[-3]
         total = summed if total is None else total + summed
-    if average and n_mats > 0:
-        total = total * (1.0 / n_mats)
     return total
 
 
@@ -174,72 +176,36 @@ def _check_finite(**terms):
 
 def minmax_step(batch: np.ndarray, model: PiModel, opt: OptimizerState,
                 cfg: TrainConfig, hurst_target: float) -> LossBreakdown:
-    """One two-pass update on a batch of standardized windows [B, L, C]."""
+    """One two-pass update on a batch of standardized windows [B, L, C].
+
+    The loss terms are logged from pass 1; total_L2 is pass 2's loss.
+    """
     x = Tensor(batch)
-
-    if cfg.single_pass_ascent:
-        return _single_pass_step(x, model, opt, cfg, hurst_target)
-
-    # pass 1: update series pathway towards/away from the frozen prior
-    opt.zero_grad()
-    with Tape() as tape:
-        out = model.forward(x)
-        recon = loss_reconstruction(x, out.recon)
-        sym = loss_sym_kl(out.attn, frozen="prior", average=cfg.kl_average)
-        reg, smooth, hurst, score = _regularizer(out, cfg, hurst_target)
-        # the series player maximizes the discrepancy only when asked to;
-        # with series_ascent off, pass 1 is a pure reconstruction update
-        k1 = cfg.k if cfg.series_ascent else 0.0
-        l1 = recon - k1 * sym + reg
-    _check_finite(recon=recon.item(), sym_kl=sym.item(),
-                  smooth=smooth.item(), hurst=hurst.item(),
-                  score_l2=score.item())
-    tape.backward(l1)
-    opt.step()
-
-    # pass 2: update prior pathway towards the frozen series
-    opt.zero_grad()
-    with Tape() as tape:
-        out = model.forward(x)
-        recon2 = loss_reconstruction(x, out.recon)
-        sym2 = loss_sym_kl(out.attn, frozen="series", average=cfg.kl_average)
-        reg2, smooth2, hurst2, score2 = _regularizer(out, cfg, hurst_target)
-        l2 = recon2 + cfg.k * sym2 + reg2
-    _check_finite(recon=recon2.item(), sym_kl=sym2.item(),
-                  smooth=smooth2.item(), hurst=hurst2.item(),
-                  score_l2=score2.item())
-    tape.backward(l2)
-    opt.step()
-
-    return LossBreakdown(
-        recon=recon.item(), sym_kl=sym.item(), smooth=smooth.item(),
-        hurst=hurst.item(), score_l2=score.item(),
-        total_L1=l1.item(), total_L2=l2.item(),
-    )
-
-
-def _single_pass_step(x, model, opt, cfg, hurst_target) -> LossBreakdown:
-    """Algorithm-1 variant: one loss, series descends, prior ascends."""
-    opt.zero_grad()
-    with Tape() as tape:
-        out = model.forward(x)
-        recon = loss_reconstruction(x, out.recon)
-        sym = loss_sym_kl(out.attn, frozen="none", average=cfg.kl_average)
-        reg, smooth, hurst, score = _regularizer(out, cfg, hurst_target)
-        total = recon + cfg.k * sym + reg
-    _check_finite(recon=recon.item(), sym_kl=sym.item(),
-                  smooth=smooth.item(), hurst=hurst.item(),
-                  score_l2=score.item())
-    tape.backward(total)
-    for name in model.prior_param_names():
-        p = model.params[name]
-        if p.grad is not None:
-            p.grad = -p.grad
-    opt.step()
-    t = total.item()
-    return LossBreakdown(recon=recon.item(), sym_kl=sym.item(),
-                         smooth=smooth.item(), hurst=hurst.item(),
-                         score_l2=score.item(), total_L1=t, total_L2=t)
+    passes = ((-cfg.k if cfg.series_ascent else 0.0, 0.0), (0.0, cfg.k))
+    logged, totals = None, []
+    for k_s, k_p in passes:
+        opt.zero_grad()
+        with Tape() as tape:
+            out = model.forward(x)
+            recon = loss_reconstruction(x, out.recon)
+            total, sym = recon, None
+            for coef, frozen in ((k_s, "prior"), (k_p, "series")):
+                if coef:
+                    sym = loss_sym_kl(out.attn, frozen=frozen)
+                    total = total + coef * sym
+            reg, smooth, hurst, score = _regularizer(out, cfg, hurst_target)
+            total = total + reg
+        if sym is None:  # off the tape: logged, never differentiated
+            sym = loss_sym_kl(out.attn, frozen="prior")
+        terms = dict(recon=recon.item(), sym_kl=sym.item(),
+                     smooth=smooth.item(), hurst=hurst.item(),
+                     score_l2=score.item())
+        _check_finite(**terms)
+        tape.backward(total)
+        opt.step()
+        logged = logged or terms
+        totals.append(total.item())
+    return LossBreakdown(**logged, total_L1=totals[0], total_L2=totals[1])
 
 
 def validation_recon_loss(model: PiModel, val_windows: np.ndarray,
@@ -295,8 +261,8 @@ def train(train_series: np.ndarray, model_cfg: ModelConfig,
             batch = train_w[order[i : i + cfg.batch_size]]
             bd = minmax_step(batch, model, opt, cfg, hurst_target)
             step += 1
-            log_rows.append([step, bd.recon, bd.sym_kl, bd.smooth,
-                             bd.hurst, bd.total_L1, bd.total_L2])
+            log_rows.append([step] + [getattr(bd, f)
+                                      for f in LossBreakdown.FIELDS])
         val_loss = validation_recon_loss(model, val_w)
         if val_loss < best.best_val_recon:
             best.best_val_recon = val_loss
@@ -314,8 +280,7 @@ def train(train_series: np.ndarray, model_cfg: ModelConfig,
     if log_path is not None:
         with open(log_path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["step", "recon", "sym_kl", "smooth", "hurst",
-                        "total_L1", "total_L2"])
+            w.writerow(["step", *LossBreakdown.FIELDS])
             for row in log_rows:
                 w.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
     return best

@@ -100,6 +100,15 @@ def test_load_csv_dataset_label_validation(tmp_path):
         load_csv_dataset(tmp_path / "train.csv", tmp_path / "test.csv",
                          tmp_path / "labels.csv")
 
+    for content, message in [("0\n2\n",
+                              r"labels\.csv: label at row 1 is 2, expected"),
+                             ("label\n1\n0.5\n", "label at row 1 is 0.5,"),
+                             ("0,1\n1,0\n", "single column")]:
+        (tmp_path / "labels.csv").write_text(content)
+        with pytest.raises(ParseError, match=message):
+            load_csv_dataset(tmp_path / "train.csv", tmp_path / "test.csv",
+                             tmp_path / "labels.csv")
+
 
 def test_write_csv_rereads_bitwise(tmp_path):
     rng = np.random.default_rng(1)

@@ -143,6 +143,31 @@ def test_cli_usage_exit_codes(tmp_path, capsys):
     assert main(["not-a-command"]) == 2
 
 
+@pytest.mark.parametrize("knob", ["model.dropout=0.5",
+                                  "train.kl_average=true",
+                                  "train.single_pass_ascent=true"])
+def test_cli_rejects_removed_knobs(tmp_path, knob):
+    (tmp_path / "train.csv").write_text("1,2\n3,4\n")
+    assert main(["train", "--train-csv", str(tmp_path / "train.csv"),
+                 "--set", knob, "--out", str(tmp_path)]) == 2
+
+
+def test_cli_eval_labels_header_optional(tmp_path, capsys):
+    (tmp_path / "scores.csv").write_text(
+        "t,y_hat\n0,0\n1,1\n2,0\n3,0\n4,1\n")
+    reports = []
+    for name, text in (("plain.csv", "0\n1\n1\n0\n0\n"),
+                       ("header.csv", "label\n0\n1\n1\n0\n0\n")):
+        (tmp_path / name).write_text(text)
+        out = tmp_path / name.replace(".csv", "")
+        assert main(["eval", "--scores-csv", str(tmp_path / "scores.csv"),
+                     "--labels-csv", str(tmp_path / name),
+                     "--out", str(out)]) == 0
+        reports.append(json.loads((out / "report.json").read_text()))
+    assert reports[0] == reports[1]
+    assert (reports[0]["tp"], reports[0]["fp"]) == (2, 1)
+
+
 def test_cli_synth_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):

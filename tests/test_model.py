@@ -113,7 +113,7 @@ def test_fractal_kernel_row_fixture():
     cfg = small_cfg(window_length=4)
     model = PiModel(cfg)
     fields = make_fields(4, hurst=0.5, tau=1.0, mix=[1.0, 0.0, 0.0])
-    P, _ = model.prior_attention(fields, batched=False)
+    P, _ = model.prior_attention(fields)
     raw = np.array([0.25, 1 / 3, 0.5, 1.0])
     np.testing.assert_allclose(P.data[0, 3], raw / raw.sum(), atol=1e-12)
 
@@ -123,7 +123,7 @@ def test_fractal_hurst_one_is_causal_uniform():
     cfg = small_cfg(window_length=6)
     model = PiModel(cfg)
     fields = make_fields(6, hurst=1.0, tau=1.0, mix=[1.0, 0.0, 0.0])
-    P, _ = model.prior_attention(fields, batched=False)
+    P, _ = model.prior_attention(fields)
     np.testing.assert_allclose(P.data[0, 5], np.full(6, 1 / 6), atol=1e-12)
 
 
@@ -131,12 +131,12 @@ def test_gaussian_kernel_self_focus_and_flat_limits():
     cfg = small_cfg(window_length=8)
     model = PiModel(cfg)
     tight = make_fields(8, hurst=0.5, tau=0.5, mix=[0.0, 1.0, 0.0])
-    P, _ = model.prior_attention(tight, batched=False)
+    P, _ = model.prior_attention(tight)
     assert np.all(P.data[0, np.arange(8), np.arange(8)] ==
                   P.data[0].max(axis=-1))
 
     flat = make_fields(8, hurst=0.5, tau=10.0 * 8, mix=[0.0, 1.0, 0.0])
-    Pf, _ = model.prior_attention(flat, batched=False)
+    Pf, _ = model.prior_attention(flat)
     uniform = causal_mask(8) / causal_mask(8).sum(axis=-1, keepdims=True)
     tv = 0.5 * np.abs(Pf.data[0] - uniform).sum(axis=-1).max()
     assert tv < 0.02
@@ -149,7 +149,7 @@ def test_phase_kernel_periodicity():
     model = PiModel(cfg)
     fields = make_fields(L, hurst=0.5, tau=1.0, mix=[0.0, 0.0, 1.0],
                          period=4.0, gain=3.0)
-    P, _ = model.prior_attention(fields, batched=False)
+    P, _ = model.prior_attention(fields)
     row = P.data[0, L - 1]
     on_phase = row[[L - 1, L - 5, L - 9]]  # lags 0, 4, 8
     off_phase = row[[L - 3, L - 7]]        # lags 2, 6
@@ -167,7 +167,7 @@ def test_prior_gradients_reach_fields():
 
     def loss_at(hvals, tvals):
         fields = PriorFields(Tensor(hvals), Tensor(tvals), mix, period, gain)
-        P, _ = model.prior_attention(fields, batched=False)
+        P, _ = model.prior_attention(fields)
         return float(ad.tsum(ad.square(P - Tensor(target[None]))).data)
 
     h0 = np.full(6, 0.4)
@@ -176,7 +176,7 @@ def test_prior_gradients_reach_fields():
     t = Tensor(t0.copy(), requires_grad=True)
     with Tape() as tape:
         fields = PriorFields(h, t, mix, period, gain)
-        P, _ = model.prior_attention(fields, batched=False)
+        P, _ = model.prior_attention(fields)
         loss = ad.tsum(ad.square(P - Tensor(target[None])))
     tape.backward(loss)
 
@@ -230,17 +230,6 @@ def test_forward_deterministic():
     r1 = PiModel(small_cfg()).forward(Tensor(w)).recon.data
     r2 = PiModel(small_cfg()).forward(Tensor(w)).recon.data
     assert np.array_equal(r1, r2)
-
-
-def test_dropout_only_active_in_training():
-    cfg = small_cfg(dropout=0.5)
-    model = PiModel(cfg)
-    w = Tensor(np.random.default_rng(7).normal(size=(16, 3)))
-    eval_1 = model.forward(w).recon.data
-    eval_2 = model.forward(w).recon.data
-    assert np.array_equal(eval_1, eval_2)
-    tr = model.forward(w, rng=np.random.default_rng(0), training=True)
-    assert not np.array_equal(tr.recon.data, eval_1)
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
