@@ -419,17 +419,3 @@ class OptimizerState:
             m_hat = self.m[i] / bc1
             v_hat = self.v[i] / bc2
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def state_arrays(self):
-        """Flat dict of optimizer buffers for checkpointing."""
-        out = {"step_count": np.array(float(self.step_count))}
-        for i, (m, v) in enumerate(zip(self.m, self.v)):
-            out[f"m_{i}"] = m
-            out[f"v_{i}"] = v
-        return out
-
-    def load_state_arrays(self, arrays):
-        self.step_count = int(arrays["step_count"])
-        for i in range(len(self.params)):
-            self.m[i] = np.array(arrays[f"m_{i}"], dtype=np.float64)
-            self.v[i] = np.array(arrays[f"v_{i}"], dtype=np.float64)

@@ -126,18 +126,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    model_cfg, train_cfg, score_cfg = load_run_config(
-        args.config, _split_overrides(args.set))
+    # the model config and the calibration split come from the checkpoint
+    _, _, score_cfg = load_run_config(args.config, _split_overrides(args.set))
     ckpt = load_checkpoint(args.checkpoint)
-    score_cfg.window_length = ckpt.model.cfg.window_length
+    L = ckpt.model.cfg.window_length
+    score_cfg.window_length = L
     ds = load_csv_dataset(args.train_csv, args.test_csv, args.labels_csv)
     with np.load(Path(args.checkpoint).parent / "standardizer.npz") as z:
         stats = StandardizerStats(z["mean"], z["std"])
     z_train = standardize(ds.train, stats)
     z_test = standardize(ds.test, stats)
     fit_part, thresh_part = split_train_val(
-        z_train, train_cfg.val_fraction,
-        min_length=ckpt.model.cfg.window_length)
+        z_train, ckpt.train_cfg.val_fraction, min_length=L)
     scores = detect(ckpt.model, fit_part, thresh_part, z_test, score_cfg)
     out = _out_dir(args)
     write_score_csv(out / "scores.csv", scores, y_true=ds.test_labels)

@@ -8,8 +8,6 @@ from encoder features. A linear head reconstructs the input window.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -339,37 +337,6 @@ class PiModel:
 
         recon = ad.matmul(x, self.params["head.W"]) + self.params["head.b"]
         return ReconOutput(recon, stack, all_fields, all_logits)
-
-    # persistence -------------------------------------------------------------
-
-    def save(self, path, extra: dict | None = None,
-             extra_arrays: dict | None = None):
-        """Write config + parameters (and optional metadata) to an .npz file."""
-        meta = {"format_version": 1, "config": dataclasses.asdict(self.cfg)}
-        if extra:
-            meta["extra"] = extra
-        arrays = {f"param::{k}": v.data for k, v in self.params.items()}
-        if extra_arrays:
-            arrays.update({f"extra::{k}": v for k, v in extra_arrays.items()})
-        np.savez(path, __meta__=np.frombuffer(
-            json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
-            **arrays)
-
-    @classmethod
-    def load(cls, path):
-        """Restore a model; returns (model, meta, extra_arrays)."""
-        with np.load(path) as z:
-            meta = json.loads(bytes(z["__meta__"]).decode())
-            cfg = ModelConfig(**meta["config"])
-            model = cls(cfg)
-            extra_arrays = {}
-            for key in z.files:
-                if key.startswith("param::"):
-                    name = key[len("param::"):]
-                    model.params[name].data = np.array(z[key], dtype=np.float64)
-                elif key.startswith("extra::"):
-                    extra_arrays[key[len("extra::"):]] = np.array(z[key])
-        return model, meta, extra_arrays
 
 
 def _swap_axes(ndim: int, a: int, b: int) -> tuple:

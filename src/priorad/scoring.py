@@ -204,28 +204,37 @@ def raw_streams(model: PiModel, series: np.ndarray, cfg: ScoringConfig):
     return tuple(project_to_timeline(s, n, L) for s in (r, delta, w, e))
 
 
-def fit_norm_stats(model: PiModel, calib_series: np.ndarray,
-                   cfg: ScoringConfig) -> NormStats:
-    """Median/IQR of Energy and mismatch on the calibration series."""
-    _, delta, _, e = raw_streams(model, calib_series, cfg)
+def fit_norm_stats(streams) -> NormStats:
+    """Median/IQR of Energy and mismatch from calibration raw_streams."""
+    _, delta, _, e = streams
     return NormStats.fit(e, delta)
 
 
-def score_series(model: PiModel, series: np.ndarray, cfg: ScoringConfig,
-                 stats: NormStats) -> ScoreSeries:
-    """Full scoring pipeline on one series (no thresholding)."""
-    r, delta, w, e = raw_streams(model, series, cfg)
+def normalize_streams(streams, stats: NormStats) -> ScoreSeries:
+    """Normalize and fuse one series' ``raw_streams`` (no thresholding)."""
+    r, delta, w, e = streams
     e_norm = robust_normalize(e, stats.energy_med, stats.energy_iqr)
     d_norm = robust_normalize(delta, stats.delta_med, stats.delta_iqr)
     return ScoreSeries(r, delta, w, e, e_norm, d_norm, fuse(e_norm, d_norm))
 
 
+def score_series(model: PiModel, series: np.ndarray, cfg: ScoringConfig,
+                 stats: NormStats) -> ScoreSeries:
+    """Full scoring pipeline on one series (no thresholding)."""
+    return normalize_streams(raw_streams(model, series, cfg), stats)
+
+
 def detect(model: PiModel, train_series: np.ndarray,
            thresh_series: np.ndarray, test_series: np.ndarray,
            cfg: ScoringConfig) -> ScoreSeries:
-    """Calibrate on train + threshold splits, then score and label test."""
-    stats = fit_norm_stats(model, train_series, cfg)
-    f_train = score_series(model, train_series, cfg, stats).f
+    """Calibrate on train + threshold splits, then score and label test.
+
+    Each split is forwarded once: the train split's streams give both the
+    normalization statistics and its calibration scores.
+    """
+    fit = raw_streams(model, train_series, cfg)
+    stats = fit_norm_stats(fit)
+    f_train = normalize_streams(fit, stats).f
     f_thresh = score_series(model, thresh_series, cfg, stats).f
     scores = score_series(model, test_series, cfg, stats)
     tau, y_hat = threshold_and_label(f_train, f_thresh, scores.f,

@@ -21,15 +21,19 @@ prior towards the frozen series.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, Tape, OptimizerState, stop_gradient
-from .model import PiModel, ModelConfig, ReconOutput
-from .data import windows, split_train_val, SplitError
-from .model import estimate_hurst_rs
+from .model import (ConfigError, PiModel, ModelConfig, ReconOutput,
+                    estimate_hurst_rs)
+from .data import windows, split_train_val
+
+FORMAT_VERSION = 2  # checkpoint layout written by save_checkpoint
 
 
 class DivergedError(RuntimeError):
@@ -75,7 +79,7 @@ class LossBreakdown:
 @dataclass
 class Checkpoint:
     model: PiModel
-    optimizer: OptimizerState
+    train_cfg: TrainConfig
     epoch: int
     best_val_recon: float
     hurst_target: float
@@ -100,7 +104,7 @@ def loss_sym_kl(attn, frozen: str) -> Tensor:
 
     ``frozen`` selects the stop-gradiented side: "prior" for the series
     update pass, "series" for the prior update pass. Either way the value
-    is the same. Batched inputs are averaged over the batch.
+    is the same. Leading (batch) axes are averaged.
     """
     total = None
     for S, P in zip(attn.series, attn.prior):
@@ -111,9 +115,7 @@ def loss_sym_kl(attn, frozen: str) -> Tensor:
         else:
             raise ValueError(f"unknown frozen side {frozen!r}")
         per_row = ad.kl_div_rows(a, b) + ad.kl_div_rows(b, a)  # [..., H, L]
-        summed = ad.tsum(per_row, axis=(-2, -1))
-        if summed.ndim > 0:  # batch
-            summed = ad.tmean(summed)
+        summed = ad.tmean(ad.tsum(per_row, axis=(-2, -1)))
         total = summed if total is None else total + summed
     return total
 
@@ -127,9 +129,8 @@ def loss_smoothness(fields_per_layer) -> Tensor:
             if L < 2:
                 raise ad.ContractError("smoothness needs window length >= 2")
             diff = theta[..., 1:] - theta[..., :-1]
-            term = ad.tsum(ad.square(diff), axis=-1) * (1.0 / (L - 1))
-            if term.ndim > 0:
-                term = ad.tmean(term)
+            term = ad.tmean(ad.tsum(ad.square(diff), axis=-1)
+                            * (1.0 / (L - 1)))
             total = term if total is None else total + term
     return total
 
@@ -250,7 +251,7 @@ def train(train_series: np.ndarray, model_cfg: ModelConfig,
     log_rows = []
     # patience counts epochs without improvement over the best *trained*
     # epoch; the untrained initialization is not a baseline
-    best = Checkpoint(model, opt, epoch=0, best_val_recon=np.inf,
+    best = Checkpoint(model, cfg, epoch=0, best_val_recon=np.inf,
                       hurst_target=hurst_target)
     best_params = {k: v.data.copy() for k, v in model.params.items()}
     stale = 0
@@ -287,23 +288,56 @@ def train(train_series: np.ndarray, model_cfg: ModelConfig,
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    ckpt.model.save(
-        path,
-        extra={"epoch": ckpt.epoch,
-               "best_val_recon": ckpt.best_val_recon,
-               "hurst_target": ckpt.hurst_target},
-        extra_arrays=ckpt.optimizer.state_arrays(),
-    )
+    """Write an .npz: a JSON ``__meta__`` record (format_version, the
+    "model" and "train" configs, epoch, best_val_recon, hurst_target) and
+    one ``param::<name>`` array per model parameter."""
+    meta = {"format_version": FORMAT_VERSION,
+            "model": dataclasses.asdict(ckpt.model.cfg),
+            "train": dataclasses.asdict(ckpt.train_cfg),
+            "epoch": ckpt.epoch,
+            "best_val_recon": ckpt.best_val_recon,
+            "hurst_target": ckpt.hurst_target}
+    params = {f"param::{k}": v.data for k, v in ckpt.model.params.items()}
+    np.savez(path, __meta__=np.frombuffer(
+        json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **params)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    model, meta, arrays = PiModel.load(path)
-    opt = OptimizerState(model.parameters())
-    if "step_count" in arrays:
-        opt.load_state_arrays(arrays)
-    extra = meta.get("extra", {})
-    return Checkpoint(model, opt,
-                      epoch=int(extra.get("epoch", 0)),
-                      best_val_recon=float(extra.get("best_val_recon",
-                                                     float("nan"))),
-                      hurst_target=float(extra.get("hurst_target", 0.5)))
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    Raises ConfigError naming the file if its format version is not
+    FORMAT_VERSION, a config or field is missing or invalid, or the stored
+    parameters do not match the model's names and shapes.
+    """
+    def fail(problem):
+        return ConfigError(f"checkpoint {path}: {problem}")
+
+    with np.load(path) as z:
+        try:
+            meta = json.loads(bytes(z["__meta__"]).decode())
+        except (KeyError, ValueError) as exc:
+            raise fail(f"unreadable __meta__ record: {exc!r}") from None
+        stored = {k[len("param::"):]: z[k] for k in z.files
+                  if k.startswith("param::")}
+    version = meta.get("format_version")
+    if version != FORMAT_VERSION:
+        raise fail(f"format_version {version!r} is not supported "
+                   f"(expected {FORMAT_VERSION})")
+    try:
+        model = PiModel(ModelConfig(**meta["model"]))
+        ckpt = Checkpoint(model, TrainConfig(**meta["train"]),
+                          epoch=int(meta["epoch"]),
+                          best_val_recon=float(meta["best_val_recon"]),
+                          hurst_target=float(meta["hurst_target"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise fail(f"invalid metadata: {exc!r}") from None
+    for problem, names in (("missing", set(model.params) - set(stored)),
+                           ("unknown", set(stored) - set(model.params))):
+        if names:
+            raise fail(f"{problem} parameters {sorted(names)}")
+    for name, value in stored.items():
+        if value.shape != model.params[name].shape:
+            raise fail(f"parameter {name!r} has shape {value.shape}, the "
+                       f"model expects {model.params[name].shape}")
+        model.params[name].data = np.array(value, dtype=np.float64)
+    return ckpt

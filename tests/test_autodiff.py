@@ -364,26 +364,6 @@ def test_adam_converges_on_quadratic():
     assert vals[1] < vals[0]
 
 
-def test_adam_state_roundtrip():
-    rng = np.random.default_rng(7)
-    p = Tensor(rng.normal(size=4), requires_grad=True)
-    opt = OptimizerState([p], lr=0.05)
-    for _ in range(3):
-        p.grad = rng.normal(size=4)
-        opt.step()
-    saved = {k: v.copy() for k, v in opt.state_arrays().items()}
-
-    p2 = Tensor(p.data.copy(), requires_grad=True)
-    opt2 = OptimizerState([p2], lr=0.05)
-    opt2.load_state_arrays(saved)
-    g = rng.normal(size=4)
-    p.grad = g.copy()
-    p2.grad = g.copy()
-    opt.step()
-    opt2.step()
-    np.testing.assert_array_equal(p.data, p2.data)
-
-
 def test_determinism_same_seed_bitwise():
     def run():
         rng = np.random.default_rng(11)

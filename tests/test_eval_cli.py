@@ -242,3 +242,26 @@ def test_cli_score_rescored_bitwise(tmp_path):
                      "--out", str(d)] + overrides) == 0
         texts.append((d / "scores.csv").read_text())
     assert texts[0] == texts[1]
+
+
+def test_cli_score_reads_split_from_checkpoint(tmp_path):
+    """A train override on `score` cannot move the calibration split."""
+    out = tmp_path
+    main(["synth", "--seed", "3", "--length", "500", "--channels", "2",
+          "--type", "point", "--out", str(out)])
+    model = ["--set", "model.window_length=16", "--set", "model.model_dim=16",
+             "--set", "model.num_layers=1", "--set", "model.num_heads=2",
+             "--set", "model.feedforward_dim=32"]
+    assert main(["train", "--train-csv", str(out / "train.csv"),
+                 "--set", "train.max_epochs=1", "--set", "train.k=0.0",
+                 "--out", str(out)] + model) == 0
+    texts = []
+    for sub, extra in (("plain", []),
+                       ("override", ["--set", "train.val_fraction=0.5"])):
+        assert main(["score", "--checkpoint", str(out / "checkpoint.npz"),
+                     "--train-csv", str(out / "train.csv"),
+                     "--test-csv", str(out / "test.csv"),
+                     "--labels-csv", str(out / "labels.csv"),
+                     "--out", str(out / sub)] + extra) == 0
+        texts.append((out / sub / "scores.csv").read_bytes())
+    assert texts[0] == texts[1]

@@ -7,6 +7,9 @@ from priorad.model import (
     ModelConfig, PiModel, PriorFields, ConfigError, causal_mask, lag_matrix,
     sinusoidal_encoding, estimate_hurst_rs, TAU_FLOOR,
 )
+from priorad.training import (
+    Checkpoint, TrainConfig, load_checkpoint, save_checkpoint,
+)
 
 
 def small_cfg(**kw):
@@ -235,15 +238,14 @@ def test_forward_deterministic():
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     cfg = small_cfg(num_layers=2)
     model = PiModel(cfg)
+    ckpt = Checkpoint(model=model, train_cfg=TrainConfig(), epoch=0,
+                      best_val_recon=1.5, hurst_target=0.5)
     path = tmp_path / "model.npz"
-    model.save(path, extra={"note": "fixture"},
-               extra_arrays={"stats": np.array([1.5, 2.5])})
-    loaded, meta, extra_arrays = PiModel.load(path)
+    save_checkpoint(ckpt, path)
+    loaded = load_checkpoint(path).model
     assert loaded.cfg == cfg
-    assert meta["extra"]["note"] == "fixture"
     for name, p in model.params.items():
         assert np.array_equal(loaded.params[name].data, p.data)
-    np.testing.assert_array_equal(extra_arrays["stats"], [1.5, 2.5])
     w = Tensor(np.random.default_rng(8).normal(size=(16, 3)))
     assert np.array_equal(model.forward(w).recon.data,
                           loaded.forward(w).recon.data)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import priorad.autodiff as ad
+from priorad import scoring
 from priorad.autodiff import Tensor
 from priorad.model import ModelConfig, PiModel
 from priorad.scoring import (
@@ -237,6 +238,35 @@ def test_detect_end_to_end_contracts(tiny_model):
     assert scores.threshold is not None
     np.testing.assert_array_equal(scores.y_hat, scores.f > scores.threshold)
     assert np.all(scores.f >= 0.0)
+
+
+def test_detect_forwards_each_split_once(tiny_model, monkeypatch):
+    """One window_streams call per split, with the same streams and
+    threshold as fitting the statistics on a separate forward."""
+    rng = np.random.default_rng(12)
+    train, thresh, test = (rng.normal(size=(n, 2)) for n in (60, 40, 50))
+    cfg = tiny_scfg()
+    _, delta, _, e = raw_streams(tiny_model, train, cfg)
+    stats = NormStats.fit(e, delta)
+    f_train = score_series(tiny_model, train, cfg, stats).f
+    f_thresh = score_series(tiny_model, thresh, cfg, stats).f
+    want = score_series(tiny_model, test, cfg, stats)
+    tau, y_hat = threshold_and_label(f_train, f_thresh, want.f,
+                                     cfg.anomaly_ratio)
+
+    lengths = []
+
+    def counted(model, series, cfg):
+        lengths.append(len(series))
+        return window_streams(model, series, cfg)
+
+    monkeypatch.setattr(scoring, "window_streams", counted)
+    got = detect(tiny_model, train, thresh, test, cfg)
+    assert lengths == [60, 40, 50]
+    for name in ("r", "delta", "w", "e", "e_norm", "d_norm", "f"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert np.array_equal(got.y_hat, y_hat)
+    assert got.threshold == tau
 
 
 def test_score_series_deterministic(tiny_model):

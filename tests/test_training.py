@@ -1,9 +1,13 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 import priorad.autodiff as ad
 from priorad.autodiff import Tensor, Tape, OptimizerState
-from priorad.model import ModelConfig, PiModel, PriorFields
+from priorad.cli import main
+from priorad.model import ConfigError, ModelConfig, PiModel, PriorFields
 from priorad.training import (
     Checkpoint, DivergedError, LossBreakdown, TrainConfig,
     dataset_hurst_target, load_checkpoint, loss_hurst_distill,
@@ -352,16 +356,93 @@ def test_train_rejects_empty_series():
 
 def test_checkpoint_roundtrip(tmp_path):
     series = sine_series(seed=11)
-    ck = train(series, small_cfg(), quick_tcfg(max_epochs=1))
+    tcfg = quick_tcfg(max_epochs=1)
+    ck = train(series, small_cfg(num_layers=2), tcfg)
     path = tmp_path / "ck.npz"
     save_checkpoint(ck, path)
     back = load_checkpoint(path)
+    assert back.model.cfg == ck.model.cfg
+    assert back.train_cfg == tcfg
     assert back.epoch == ck.epoch
     assert back.best_val_recon == ck.best_val_recon
     assert back.hurst_target == ck.hurst_target
     for name, p in ck.model.params.items():
         assert np.array_equal(p.data, back.model.params[name].data)
-    assert back.optimizer.step_count == ck.optimizer.step_count
+    w = Tensor(np.random.default_rng(8).normal(size=(16, 2)))
+    assert np.array_equal(ck.model.forward(w).recon.data,
+                          back.model.forward(w).recon.data)
+    # parameters and metadata only: no optimizer state
+    with np.load(path) as z:
+        assert set(z.files) == {"__meta__"} | {f"param::{n}"
+                                               for n in ck.model.params}
+
+
+def _rewrite_checkpoint(src, dst, edit):
+    """Copy an .npz checkpoint, letting ``edit(meta, arrays)`` change it."""
+    with np.load(src) as z:
+        arrays = {k: z[k] for k in z.files}
+    meta = json.loads(bytes(arrays.pop("__meta__")).decode())
+    edit(meta, arrays)
+    np.savez(dst, __meta__=np.frombuffer(json.dumps(meta).encode(),
+                                         dtype=np.uint8), **arrays)
+
+
+def _as_format_1(meta, arrays):
+    """The layout written before format 2: config, extra, Adam moments."""
+    extra = {k: meta.pop(k) for k in ("epoch", "best_val_recon",
+                                      "hurst_target")}
+    config = meta.pop("model")
+    meta.clear()
+    meta.update(format_version=1, config=config, extra=extra)
+    arrays["extra::step_count"] = np.array(3.0)
+    for i, name in enumerate(n for n in list(arrays) if n.startswith("param")):
+        arrays[f"extra::m_{i}"] = np.zeros_like(arrays[name])
+        arrays[f"extra::v_{i}"] = np.zeros_like(arrays[name])
+
+
+def _drop_param(meta, arrays):
+    del arrays["param::layer0.Wq"]
+
+
+def _reshape_param(meta, arrays):
+    arrays["param::head.b"] = np.zeros(3)
+
+
+def _unknown_param(meta, arrays):
+    arrays["param::layer9.Wq"] = np.zeros((16, 16))
+
+
+def _bad_config(meta, arrays):
+    meta["model"]["dropout"] = 0.1
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ck") / "ck.npz"
+    save_checkpoint(train(sine_series(seed=11), small_cfg(),
+                          quick_tcfg(max_epochs=0)), path)
+    return path
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (_as_format_1, "format_version 1 is not supported"),
+    (_drop_param, r"missing parameters \['layer0.Wq'\]"),
+    (_unknown_param, r"unknown parameters \['layer9.Wq'\]"),
+    (_reshape_param, r"'head.b' has shape \(3,\)"),
+    (_bad_config, "dropout"),
+], ids=["format_1", "dropped_param", "unknown_param", "reshaped_param",
+        "bad_config"])
+def test_load_checkpoint_rejects(saved_checkpoint, tmp_path, capsys, edit,
+                                 problem):
+    bad = tmp_path / "bad.npz"
+    _rewrite_checkpoint(saved_checkpoint, bad, edit)
+    with pytest.raises(ConfigError, match=re.escape(str(bad))) as err:
+        load_checkpoint(bad)
+    assert re.search(problem, str(err.value))
+    assert main(["score", "--checkpoint", str(bad), "--train-csv", "x",
+                 "--test-csv", "y", "--labels-csv", "z",
+                 "--out", str(tmp_path)]) == 1
+    assert f"checkpoint {bad}" in capsys.readouterr().err
 
 
 def test_non_collapse_after_training():
