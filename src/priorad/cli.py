@@ -8,6 +8,7 @@ Configuration comes from an optional JSON file (--config) with sections
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -95,14 +96,7 @@ def cmd_synth(args) -> int:
     write_csv(out / "test.csv", test_s)
     write_csv(out / "labels.csv", labels.astype(float))
     with open(out / "spec.json", "w") as fh:
-        json.dump({"length": spec.length, "channels": spec.channels,
-                   "noise_sigma": spec.noise_sigma,
-                   "base_period": spec.base_period, "seed": spec.seed,
-                   "segments": [{"kind": s.kind, "start": s.start,
-                                 "length": s.length,
-                                 "magnitude": s.magnitude}
-                                for s in spec.segments]},
-                  fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(spec), fh, indent=2, sort_keys=True)
     print(f"wrote synthetic dataset to {out}")
     return EXIT_OK
 
@@ -110,7 +104,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     model_cfg, train_cfg, _ = load_run_config(args.config,
                                               _split_overrides(args.set))
-    train_raw, _ = _read_matrix(args.train_csv)
+    train_raw = _read_matrix(args.train_csv)
     stats = StandardizerStats.fit(train_raw)
     z_train = standardize(train_raw, stats)
     if model_cfg.channels != z_train.shape[1]:
@@ -127,7 +121,12 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     # the model config and the calibration split come from the checkpoint
-    _, _, score_cfg = load_run_config(args.config, _split_overrides(args.set))
+    overrides = _split_overrides(args.set)
+    for dotted, _ in overrides:
+        if dotted.split(".", 1)[0] in ("model", "train"):
+            raise UsageError(f"score cannot set {dotted!r}: the checkpoint "
+                             f"holds the model and train configs")
+    _, _, score_cfg = load_run_config(args.config, overrides)
     ckpt = load_checkpoint(args.checkpoint)
     L = ckpt.model.cfg.window_length
     score_cfg.window_length = L
@@ -158,7 +157,7 @@ def cmd_eval(args) -> int:
     report = compute_metrics(adjusted, labels)
     out = _out_dir(args)
     with open(out / "report.json", "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
     print(format_report_table({"point-adjusted": report}))
     return EXIT_OK
 

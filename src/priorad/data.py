@@ -29,7 +29,6 @@ class RawDataset:
     train: np.ndarray            # [N_train, C]
     test: np.ndarray             # [N_test, C]
     test_labels: np.ndarray      # bool [N_test]
-    channel_names: list
 
     def __post_init__(self):
         if len(self.test_labels) != len(self.test):
@@ -61,34 +60,31 @@ def standardize(data: np.ndarray, stats: StandardizerStats) -> np.ndarray:
     return (data - stats.mean) / stats.std
 
 
-def destandardize(data: np.ndarray, stats: StandardizerStats) -> np.ndarray:
-    return data * stats.std + stats.mean
+def _read_matrix(path) -> np.ndarray:
+    """Read a CSV of finite numbers as a [rows, columns] float64 matrix.
 
-
-def _read_matrix(path) -> tuple[np.ndarray, list]:
+    A first line that does not parse as numbers is a header and is skipped.
+    Rows in error messages count data rows from 0, header and blank lines
+    excluded.
+    """
     rows = []
-    names = None
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for r, row in enumerate(reader):
+        for line, row in enumerate(csv.reader(fh)):
             if not row:
                 continue
-            if r == 0:
-                try:
-                    [float(c) for c in row]
-                except ValueError:
-                    names = [c.strip() for c in row]
-                    continue
             vals = []
             for c, cell in enumerate(row):
                 try:
                     vals.append(float(cell))
                 except ValueError:
+                    if line == 0:
+                        break  # header
                     raise ParseError(
-                        f"{path}: non-numeric cell at row {r}, column {c}: "
-                        f"{cell!r}"
+                        f"{path}: non-numeric cell at row {len(rows)}, "
+                        f"column {c}: {cell!r}"
                     ) from None
-            rows.append(vals)
+            else:
+                rows.append(vals)
     if not rows:
         raise ParseError(f"{path}: no data rows")
     width = len(rows[0])
@@ -97,7 +93,14 @@ def _read_matrix(path) -> tuple[np.ndarray, list]:
             raise ParseError(
                 f"{path}: ragged row {r}: {len(row)} cells, expected {width}"
             )
-    return np.array(rows, dtype=np.float64), names
+    matrix = np.array(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if len(bad):
+        r, c = bad[0]
+        raise ParseError(
+            f"{path}: non-finite cell at row {r}, column {c}: {matrix[r, c]}"
+        )
+    return matrix
 
 
 def read_labels(path) -> np.ndarray:
@@ -105,7 +108,7 @@ def read_labels(path) -> np.ndarray:
 
     Rows in error messages count data rows from 0, header excluded.
     """
-    labels, _ = _read_matrix(path)
+    labels = _read_matrix(path)
     if labels.shape[1] != 1:
         raise ParseError(
             f"{path}: labels must be a single column, got {labels.shape[1]}"
@@ -122,20 +125,16 @@ def read_labels(path) -> np.ndarray:
 
 def load_csv_dataset(train_path, test_path, labels_path) -> RawDataset:
     """Load train/test matrices (rows = time) and a 0/1 label column."""
-    train, names = _read_matrix(train_path)
-    test, _ = _read_matrix(test_path)
-    if names is None:
-        names = [f"ch{c}" for c in range(train.shape[1])]
-    return RawDataset(train, test, read_labels(labels_path), names)
+    return RawDataset(_read_matrix(train_path), _read_matrix(test_path),
+                      read_labels(labels_path))
 
 
-def windows(series: np.ndarray, length: int, stride: int = 1) -> np.ndarray:
+def windows(series: np.ndarray, length: int) -> np.ndarray:
     """All overlapping windows as a view-copy of shape [K, L, C]."""
     n = len(series)
     if n < length:
         raise SplitError(f"series length {n} < window length {length}")
-    idx = np.arange(0, n - length + 1, stride)
-    return np.stack([series[i : i + length] for i in idx])
+    return np.stack([series[i : i + length] for i in range(n - length + 1)])
 
 
 def split_train_val(series: np.ndarray, val_fraction: float,

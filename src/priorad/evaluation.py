@@ -1,4 +1,4 @@
-"""Point-adjusted metrics, channel contribution analysis, ablation runner."""
+"""Point-adjusted metrics, ablation runner, report formatting."""
 
 from __future__ import annotations
 
@@ -9,15 +9,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import (SyntheticSpec, StandardizerStats, default_synthetic_spec,
-                   standardize, split_train_val, synth_generate)
-from .model import ModelConfig
+from .data import (SyntheticSpec, StandardizerStats, standardize,
+                   split_train_val, synth_generate)
+from .model import PRIOR_MODES, ModelConfig
 from .scoring import ScoringConfig, detect, point_adjust
 from .training import TrainConfig, train
 
 ABLATION_AXES = ("phase_sync", "enc_layers", "model_dim", "num_heads",
                  "batch_size", "epochs")
-PHASE_SYNC_VALUES = ("full", "no_phase", "single_head")
 
 
 @dataclass
@@ -33,16 +32,6 @@ class EvalReport:
     threshold: float | None = None
     config_fingerprint: str = ""
     flagged: bool = False  # set when precision degenerated to 0/0
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy, "precision": self.precision,
-            "recall": self.recall, "f1": self.f1,
-            "tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn,
-            "threshold": self.threshold,
-            "config_fingerprint": self.config_fingerprint,
-            "flagged": self.flagged,
-        }
 
 
 def f1_from_pr(precision: float, recall: float) -> float:
@@ -74,27 +63,6 @@ def compute_metrics(y_hat, y_true, threshold=None,
                       tp, fp, tn, fn, threshold, fingerprint, flagged)
 
 
-def channel_contributions(window: np.ndarray, recon: np.ndarray, top_k=None):
-    """Per-channel mean and variance of squared error, plus a ranking.
-
-    Returns (mean[C], var[C], ranking) with channels ordered by mean error,
-    largest first; ranking truncated to ``top_k`` when given.
-    """
-    window = np.asarray(window, dtype=np.float64)
-    recon = np.asarray(recon, dtype=np.float64)
-    if window.shape != recon.shape:
-        raise ad.ShapeError(
-            f"shape mismatch: window {window.shape}, recon {recon.shape}"
-        )
-    err = (window - recon) ** 2
-    mean = err.mean(axis=0)
-    var = err.var(axis=0)
-    ranking = list(np.argsort(-mean, kind="stable"))
-    if top_k is not None:
-        ranking = ranking[:top_k]
-    return mean, var, ranking
-
-
 # ---------------------------------------------------------------------------
 # Ablation runner
 # ---------------------------------------------------------------------------
@@ -111,7 +79,7 @@ class AblationSpec:
         if not self.values:
             raise ValueError("ablation values must be non-empty")
         if self.axis == "phase_sync":
-            bad = [v for v in self.values if v not in PHASE_SYNC_VALUES]
+            bad = [v for v in self.values if v not in PRIOR_MODES]
             if bad:
                 raise ValueError(f"invalid phase_sync values: {bad}")
 
@@ -146,15 +114,15 @@ def benchmark_configs(seed: int = 0, prior_mode: str = "full",
     (series_ascent off): the ascent term destabilizes at this scale and
     starves the reconstruction signal.
     """
-    model_cfg = ModelConfig(window_length=25, channels=3, model_dim=32,
-                            num_layers=1, num_heads=2, feedforward_dim=64,
-                            seed=seed, prior_mode=prior_mode)
-    train_cfg = TrainConfig(k=0.0 if prior_mode == "no_phase" else 3.0,
-                            series_ascent=False, max_epochs=epochs,
-                            patience=epochs, batch_size=128,
-                            learning_rate=3e-3)
+    model_cfg, train_cfg = apply_ablation_value(
+        "phase_sync", prior_mode,
+        ModelConfig(window_length=25, channels=3, model_dim=32, num_layers=1,
+                    num_heads=2, feedforward_dim=64, seed=seed),
+        TrainConfig(k=3.0, series_ascent=False, max_epochs=epochs,
+                    patience=epochs, batch_size=128, learning_rate=3e-3))
     score_cfg = ScoringConfig(temperature=10.0, anomaly_ratio=0.25,
-                              window_length=25, batch_size=128)
+                              window_length=model_cfg.window_length,
+                              batch_size=128)
     return model_cfg, train_cfg, score_cfg
 
 

@@ -22,6 +22,8 @@ class ConfigError(ValueError):
 
 TAU_FLOOR = 0.5
 
+# full: one prior head per series head; single_head: one shared by all heads;
+# no_phase: the uniform causal prior, trained with k = 0 (apply_ablation_value)
 PRIOR_MODES = ("full", "no_phase", "single_head")
 
 
@@ -34,7 +36,7 @@ class ModelConfig:
     num_heads: int = 4
     feedforward_dim: int = 128
     seed: int = 0
-    prior_mode: str = "full"  # full | no_phase | single_head
+    prior_mode: str = "full"  # one of PRIOR_MODES
 
     def __post_init__(self):
         if self.model_dim % self.num_heads != 0:
@@ -238,10 +240,7 @@ class PiModel:
         raw = ad.matmul(h1, self.params[p + "field.W2"]) + self.params[p + "field.b2"]
         hurst = ad.sigmoid(raw[..., 0])
         stiffness = ad.softplus(raw[..., 1]) + TAU_FLOOR
-        mix = ad.masked_softmax_rows(
-            self.params[p + "mix_logits"],
-            np.ones_like(self.params[p + "mix_logits"].data, dtype=bool),
-        )
+        mix = ad.masked_softmax_rows(self.params[p + "mix_logits"], True)
         period = ad.softplus(self.params[p + "phase_period_raw"]) + 1.0
         gain = ad.softplus(self.params[p + "phase_gain_raw"])
         return PriorFields(hurst, stiffness, mix, period, gain)
@@ -256,8 +255,13 @@ class PiModel:
         with convex weights, then a causal row softmax. The per-position
         kernels are built once as [..., 1, L, L] and broadcast against the
         per-head parameters shaped [n_ph, 1, 1].
+
+        In ``no_phase`` mode the logits are zeros: P is uniform over j <= i.
         """
-        L = self.cfg.window_length
+        L, H = self.cfg.window_length, self.cfg.num_heads
+        if self.cfg.prior_mode == "no_phase":
+            logits = Tensor(np.zeros(fields.hurst.shape[:-1] + (H, L, L)))
+            return ad.masked_softmax_rows(logits, self.mask), logits
         delta = Tensor(self.lags)  # [L, L]
         n_ph = fields.phase_period.shape[0]
 
@@ -281,20 +285,14 @@ class PiModel:
         logits = (per_head(mix[:, 0]) * fractal
                   + per_head(mix[:, 1]) * gaussian
                   + per_head(mix[:, 2]) * phase)
-        if n_ph != self.cfg.num_heads:
+        if n_ph != H:
             # single_head: one prior head shared by every series head; the
             # broadcast sums the head gradients before the kernel backward
-            logits = logits + Tensor(np.zeros((self.cfg.num_heads, 1, 1)))
+            logits = logits + Tensor(np.zeros((H, 1, 1)))
         if not np.isfinite(logits.data).all():
             raise ad.NumericError("non-finite prior kernel logits")
         P = ad.masked_softmax_rows(logits, self.mask)
         return P, logits
-
-    def _uniform_prior(self, batch_shape) -> Tensor:
-        L, H = self.cfg.window_length, self.cfg.num_heads
-        row = self.mask / self.mask.sum(axis=-1, keepdims=True)
-        full = np.broadcast_to(row, batch_shape + (H, L, L)).copy()
-        return Tensor(full)
 
     # full forward -----------------------------------------------------------
 
@@ -323,13 +321,8 @@ class PiModel:
             ) + self.params[p + "ff.b2"]
             x = x + ff
 
-            if cfg.prior_mode == "no_phase":
-                P = self._uniform_prior(window.shape[:-2])
-                fields = self.prior_fields(normed, l)
-                logits = Tensor(np.zeros(P.shape))
-            else:
-                fields = self.prior_fields(normed, l)
-                P, logits = self.prior_attention(fields)
+            fields = self.prior_fields(normed, l)
+            P, logits = self.prior_attention(fields)
             stack.series.append(S)
             stack.prior.append(P)
             all_fields.append(fields)

@@ -245,19 +245,19 @@ def detect(model: PiModel, train_series: np.ndarray,
 
 
 def write_score_csv(path, scores: ScoreSeries, y_true=None):
-    """One row per global index: t,r,delta,w,e,e_norm,d_norm,f,y_hat[,y_true]."""
-    cols = ["t", "r", "delta", "w", "e", "e_norm", "d_norm", "f", "y_hat"]
+    """One row per global index: t, the seven streams, y_hat[, y_true]."""
+    names = ("r", "delta", "w", "e", "e_norm", "d_norm", "f")
+    cols = ["t", *names, "y_hat"]
     if y_true is not None:
         cols.append("y_true")
+    streams = [getattr(scores, name) for name in names]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
         n = len(scores.f)
         y_hat = scores.y_hat if scores.y_hat is not None else np.zeros(n, bool)
         for t in range(n):
-            row = [t] + [repr(float(v[t])) for v in
-                         (scores.r, scores.delta, scores.w, scores.e,
-                          scores.e_norm, scores.d_norm, scores.f)]
+            row = [t] + [repr(float(v[t])) for v in streams]
             row.append(int(y_hat[t]))
             if y_true is not None:
                 row.append(int(y_true[t]))

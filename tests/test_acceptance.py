@@ -256,6 +256,7 @@ def full_suite_runs():
     return runs, time.time() - start
 
 
+@pytest.mark.slow
 def test_criterion_06_synthetic_end_to_end(full_suite_runs):
     runs, elapsed = full_suite_runs
     ok = elapsed < 600
@@ -269,6 +270,7 @@ def test_criterion_06_synthetic_end_to_end(full_suite_runs):
     report(6, "synthetic end-to-end", ok, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_07_mechanism_checks():
     L = 25
     spec, scores, labels, _ = detection_run(0, kinds=("seasonal",))
@@ -292,6 +294,7 @@ def test_criterion_07_mechanism_checks():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_08_ablation_direction():
     ok = True
     details = []

@@ -5,14 +5,15 @@ import pytest
 
 import priorad.autodiff as ad
 from priorad.cli import UsageError, load_run_config, main
-from priorad.data import default_synthetic_spec
+from priorad.data import (StandardizerStats, default_synthetic_spec,
+                          load_csv_dataset, split_train_val, standardize)
 from priorad.evaluation import (
-    AblationSpec, EvalReport, apply_ablation_value, channel_contributions,
-    compute_metrics, f1_from_pr, format_report_table, run_ablation,
+    AblationSpec, EvalReport, apply_ablation_value, compute_metrics,
+    f1_from_pr, format_report_table, run_ablation,
 )
 from priorad.model import ModelConfig
-from priorad.training import TrainConfig
-from priorad.scoring import ScoringConfig
+from priorad.training import TrainConfig, load_checkpoint
+from priorad.scoring import ScoringConfig, detect, write_score_csv
 
 
 def test_f1_published_fixtures():
@@ -45,20 +46,6 @@ def test_compute_metrics_flags_no_positives():
 def test_compute_metrics_shape_mismatch():
     with pytest.raises(ad.ContractError):
         compute_metrics(np.zeros(3, bool), np.zeros(4, bool))
-
-
-def test_channel_contributions_ranking():
-    rng = np.random.default_rng(0)
-    window = rng.normal(size=(50, 3))
-    recon = window.copy()
-    recon[:, 2] += 2.0   # worst channel
-    recon[:, 0] += 1.0   # second
-    mean, var, ranking = channel_contributions(window, recon)
-    assert ranking == [2, 0, 1]
-    np.testing.assert_allclose(mean[2], 4.0)
-    assert channel_contributions(window, recon, top_k=1)[2] == [2]
-    with pytest.raises(ad.ShapeError):
-        channel_contributions(window, recon[:, :2])
 
 
 def test_ablation_spec_validation():
@@ -202,7 +189,7 @@ def test_cli_full_pipeline_smoke(tmp_path, capsys):
                  "--train-csv", str(out / "train.csv"),
                  "--test-csv", str(out / "test.csv"),
                  "--labels-csv", str(out / "labels.csv"),
-                 "--out", str(out)] + overrides) == 0
+                 "--out", str(out)]) == 0
     assert (out / "scores.csv").exists()
 
     assert main(["eval", "--scores-csv", str(out / "scores.csv"),
@@ -239,13 +226,14 @@ def test_cli_score_rescored_bitwise(tmp_path):
                      "--train-csv", str(out / "train.csv"),
                      "--test-csv", str(out / "test.csv"),
                      "--labels-csv", str(out / "labels.csv"),
-                     "--out", str(d)] + overrides) == 0
+                     "--out", str(d)]) == 0
         texts.append((d / "scores.csv").read_text())
     assert texts[0] == texts[1]
 
 
-def test_cli_score_reads_split_from_checkpoint(tmp_path):
-    """A train override on `score` cannot move the calibration split."""
+def test_cli_score_reads_split_from_checkpoint(tmp_path, capsys):
+    """`score` calibrates on the checkpoint's split and refuses settings
+    that the checkpoint holds."""
     out = tmp_path
     main(["synth", "--seed", "3", "--length", "500", "--channels", "2",
           "--type", "point", "--out", str(out)])
@@ -254,14 +242,55 @@ def test_cli_score_reads_split_from_checkpoint(tmp_path):
              "--set", "model.feedforward_dim=32"]
     assert main(["train", "--train-csv", str(out / "train.csv"),
                  "--set", "train.max_epochs=1", "--set", "train.k=0.0",
+                 "--set", "train.val_fraction=0.5",
                  "--out", str(out)] + model) == 0
-    texts = []
-    for sub, extra in (("plain", []),
-                       ("override", ["--set", "train.val_fraction=0.5"])):
-        assert main(["score", "--checkpoint", str(out / "checkpoint.npz"),
-                     "--train-csv", str(out / "train.csv"),
-                     "--test-csv", str(out / "test.csv"),
-                     "--labels-csv", str(out / "labels.csv"),
-                     "--out", str(out / sub)] + extra) == 0
-        texts.append((out / sub / "scores.csv").read_bytes())
-    assert texts[0] == texts[1]
+    score = ["score", "--checkpoint", str(out / "checkpoint.npz"),
+             "--train-csv", str(out / "train.csv"),
+             "--test-csv", str(out / "test.csv"),
+             "--labels-csv", str(out / "labels.csv")]
+    for key in ("train.val_fraction=0.2", "model.num_heads=4"):
+        capsys.readouterr()
+        assert main(score + ["--set", key, "--out", str(out / "x")]) == 2
+        err = capsys.readouterr().err
+        assert key.split("=")[0] in err and "checkpoint" in err
+        assert not (out / "x" / "scores.csv").exists()
+    assert main(score + ["--out", str(out / "plain")]) == 0
+
+    # the same scores from the API with the checkpoint's 0.5 split
+    ckpt = load_checkpoint(out / "checkpoint.npz")
+    assert ckpt.train_cfg.val_fraction == 0.5
+    ds = load_csv_dataset(out / "train.csv", out / "test.csv",
+                          out / "labels.csv")
+    with np.load(out / "standardizer.npz") as z:
+        stats = StandardizerStats(z["mean"], z["std"])
+    fit, thresh = split_train_val(standardize(ds.train, stats), 0.5,
+                                  min_length=16)
+    scores = detect(ckpt.model, fit, thresh, standardize(ds.test, stats),
+                    ScoringConfig(window_length=16))
+    write_score_csv(out / "api.csv", scores, y_true=ds.test_labels)
+    assert (out / "plain" / "scores.csv").read_bytes() == \
+        (out / "api.csv").read_bytes()
+
+
+def test_cli_score_rejects_non_finite_test_cell(tmp_path, capsys):
+    out = tmp_path
+    main(["synth", "--seed", "4", "--length", "300", "--channels", "2",
+          "--type", "point", "--out", str(out)])
+    assert main(["train", "--train-csv", str(out / "train.csv"),
+                 "--set", "model.window_length=16",
+                 "--set", "model.model_dim=16", "--set", "model.num_layers=1",
+                 "--set", "model.num_heads=2",
+                 "--set", "model.feedforward_dim=32",
+                 "--set", "train.max_epochs=1", "--set", "train.k=0.0",
+                 "--out", str(out)]) == 0
+    lines = (out / "test.csv").read_text().splitlines()
+    lines[7] = lines[7].split(",")[0] + ",nan"
+    (out / "test.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["score", "--checkpoint", str(out / "checkpoint.npz"),
+                 "--train-csv", str(out / "train.csv"),
+                 "--test-csv", str(out / "test.csv"),
+                 "--labels-csv", str(out / "labels.csv"),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "test.csv" in err and "non-finite cell at row 7, column 1" in err

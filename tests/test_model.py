@@ -211,11 +211,12 @@ def test_no_phase_mode_uses_uniform_prior():
     cfg = small_cfg(prior_mode="no_phase")
     model = PiModel(cfg)
     rng = np.random.default_rng(4)
-    out = model.forward(Tensor(rng.normal(size=(16, 3))))
     uniform = causal_mask(16) / causal_mask(16).sum(axis=-1, keepdims=True)
-    for P in out.attn.prior:
-        np.testing.assert_allclose(P.data, np.broadcast_to(uniform, P.shape),
-                                   atol=1e-12)
+    for shape in ((16, 3), (4, 16, 3)):
+        out = model.forward(Tensor(rng.normal(size=shape)))
+        for P in out.attn.prior:
+            assert P.shape == shape[:-2] + (2, 16, 16)
+            assert np.array_equal(P.data, np.broadcast_to(uniform, P.shape))
 
 
 def test_single_head_mode_shares_prior_across_heads():
