@@ -3,6 +3,13 @@
 Reverse-mode differentiation over 64-bit numpy arrays with an explicit
 operation tape. Single-threaded per tape; tensors created outside a tape
 are plain immutable values.
+
+Gradient ownership: a gradient array may be shared (``add`` hands the same
+array to both inputs, and a C-contiguous gradient is stored without a
+copy), so no gradient is ever modified in place. A tape is consumed by its
+one backward pass, which frees each intermediate gradient and node as it
+goes; only the gradients of leaves (tensors created outside the tape, such
+as parameters) survive it.
 """
 
 from __future__ import annotations
@@ -47,10 +54,16 @@ class Tape:
         with Tape() as tape:
             loss = ...
         tape.backward(loss)
+
+    ``backward`` consumes the tape: it pops the nodes as it walks them and
+    a second call raises ContractError. Gradients are accumulated
+    out-of-place (``t.grad + g``, never ``+=``), because a gradient array
+    may be shared between inputs and with the tensors that received it.
     """
 
     def __init__(self):
         self.nodes = []  # list of (output, inputs, backward_fn)
+        self.consumed = False
 
     def __enter__(self):
         global _ACTIVE_TAPE
@@ -68,23 +81,35 @@ class Tape:
         self.nodes.append((out, inputs, backward_fn))
 
     def backward(self, loss: "Tensor"):
-        """Accumulate d(loss)/d(x) into ``x.grad`` for every recorded tensor."""
+        """Accumulate d(loss)/d(x) into ``x.grad`` for every leaf tensor.
+
+        Intermediate gradients are dropped once their node has run, so
+        afterwards only leaves hold a ``grad``.
+        """
+        if self.consumed:
+            raise ContractError("tape already consumed")
         if loss.data.ndim != 0 and loss.data.size != 1:
             raise ContractError(
                 f"backward requires a scalar loss, got shape {loss.shape}"
             )
+        self.consumed = True
         loss.grad = np.ones_like(loss.data)
-        # Reverse execution order; each node visited exactly once.
-        for out, inputs, backward_fn in reversed(self.nodes):
+        # Reverse execution order; each node visited exactly once, and no
+        # node visited later can add to the output of one already run.
+        while self.nodes:
+            out, inputs, backward_fn = self.nodes.pop()
             if out.grad is None:
                 continue
             grads = backward_fn(out.grad)
+            out.grad = None
             for t, g in zip(inputs, grads):
-                if g is None or not t.requires_grad:
+                if g is None:
                     continue
                 g = _unbroadcast(g, t.data.shape)
                 if t.grad is None:
-                    t.grad = g.copy()
+                    # a view is copied: its memory layout would change
+                    # how later sums round
+                    t.grad = g if g.flags.c_contiguous else g.copy()
                 else:
                     t.grad = t.grad + g
 
@@ -179,26 +204,48 @@ def _record(out: Tensor, inputs, backward_fn):
 # ---------------------------------------------------------------------------
 
 
+# Binary backward functions return None for an input that needs no
+# gradient (a constant or a stop-gradient side) instead of computing it.
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
-    return _record(out, (a, b), lambda g: (g, g))
+
+    def backward(g):
+        return (g if a.requires_grad else None,
+                g if b.requires_grad else None)
+
+    return _record(out, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
-    return _record(out, (a, b), lambda g: (g, -g))
+
+    def backward(g):
+        return (g if a.requires_grad else None,
+                -g if b.requires_grad else None)
+
+    return _record(out, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
-    return _record(out, (a, b), lambda g: (g * b.data, g * a.data))
+
+    def backward(g):
+        return (g * b.data if a.requires_grad else None,
+                g * a.data if b.requires_grad else None)
+
+    return _record(out, (a, b), backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data / b.data)
-    return _record(
-        out, (a, b), lambda g: (g / b.data, -g * a.data / (b.data * b.data))
-    )
+
+    def backward(g):
+        return (g / b.data if a.requires_grad else None,
+                -g * a.data / (b.data * b.data) if b.requires_grad else None)
+
+    return _record(out, (a, b), backward)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -215,8 +262,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(np.matmul(a.data, b.data))
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2)) \
+            if a.requires_grad else None
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g) \
+            if b.requires_grad else None
         return ga, gb
 
     return _record(out, (a, b), backward)
@@ -304,19 +353,27 @@ def sigmoid(a: Tensor) -> Tensor:
 def softplus(a: Tensor) -> Tensor:
     # log(1 + e^x), computed stably for large |x|
     out = Tensor(np.logaddexp(0.0, a.data))
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    return _record(out, (a,), lambda g: (g * sig,))
+
+    def backward(g):
+        sig = 1.0 / (1.0 + np.exp(-a.data))
+        return (g * sig,)
+
+    return _record(out, (a,), backward)
 
 
 def clip(a: Tensor, lo=None, hi=None) -> Tensor:
     """Clamp values; gradient passes through only inside the clamp range."""
     out = Tensor(np.clip(a.data, lo, hi))
-    inside = np.ones_like(a.data, dtype=bool)
-    if lo is not None:
-        inside &= a.data >= lo
-    if hi is not None:
-        inside &= a.data <= hi
-    return _record(out, (a,), lambda g: (g * inside,))
+
+    def backward(g):
+        inside = np.ones_like(a.data, dtype=bool)
+        if lo is not None:
+            inside &= a.data >= lo
+        if hi is not None:
+            inside &= a.data <= hi
+        return (g * inside,)
+
+    return _record(out, (a,), backward)
 
 
 def stop_gradient(a: Tensor) -> Tensor:

@@ -169,10 +169,16 @@ def cmd_ablate(args) -> int:
     spec = AblationSpec(args.axis, values)
     synth_spec = default_synthetic_spec(seed=args.seed, length=args.length,
                                         channels=args.channels)
+    model_cfg.channels = synth_spec.channels
     out = _out_dir(args)
     results = run_ablation(spec, synth_spec, model_cfg, train_cfg, score_cfg,
                            csv_path=out / "ablation.csv")
     print(format_report_table(results))
+    failed = [v for v, rep in results.items() if isinstance(rep, str)]
+    if failed:
+        print(f"error: ablation cells failed: {failed}; see "
+              f"{out}/ablation.csv", file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 

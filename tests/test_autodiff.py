@@ -7,6 +7,8 @@ from priorad.autodiff import (
     ShapeError, OptimizerState, clip_global_norm, masked_softmax_rows,
     kl_div_rows, stop_gradient,
 )
+from priorad.model import PRIOR_MODES, ModelConfig, PiModel
+from priorad.training import TrainConfig, minmax_step
 
 
 def causal_mask(n):
@@ -212,6 +214,118 @@ def test_grad_accumulates_across_reuse():
         y = x * x + x
     tape.backward(y)
     np.testing.assert_allclose(x.grad, 5.0)
+
+
+def test_tape_is_consumed_by_one_backward():
+    x = Tensor(np.array(2.0), requires_grad=True)
+    with Tape() as tape:
+        y = x * x
+    tape.backward(y)
+    with pytest.raises(ContractError, match="tape already consumed"):
+        tape.backward(y)
+    assert x.grad == 4.0  # not counted twice
+
+
+# ---------------------------------------------------------------------------
+# backward walk: skipped constant gradients, freed tape, leaf ownership
+# ---------------------------------------------------------------------------
+
+
+def tiny_model(prior_mode="full"):
+    return PiModel(ModelConfig(window_length=10, channels=2, model_dim=8,
+                               num_layers=2, num_heads=2, feedforward_dim=16,
+                               seed=0, prior_mode=prior_mode))
+
+
+def run_one_step(model):
+    """One minmax_step with series ascent on, so both KL sides are used."""
+    batch = np.random.default_rng(5).normal(size=(4, 10, 2))
+    opt = OptimizerState(model.parameters(), lr=1e-3, clip_norm=5.0)
+    minmax_step(batch, model, opt, TrainConfig(series_ascent=True), 0.6)
+
+
+def reference_backward(nodes, loss):
+    """The backward loop before gradients were skipped and freed: every node
+    in reverse, nothing released, a copy of every first gradient."""
+    loss.grad = np.ones_like(loss.data)
+    for out, inputs, backward_fn in reversed(nodes):
+        if out.grad is None:
+            continue
+        grads = backward_fn(out.grad)
+        for t, g in zip(inputs, grads):
+            if g is None or not t.requires_grad:
+                continue
+            g = ad._unbroadcast(g, t.data.shape)
+            if t.grad is None:
+                t.grad = g.copy()
+            else:
+                t.grad = t.grad + g
+
+
+@pytest.mark.parametrize("prior_mode", PRIOR_MODES)
+def test_backward_matches_reference_loop_bitwise(prior_mode, monkeypatch):
+    model = tiny_model(prior_mode)
+    params = model.parameters()
+    backward = Tape.backward
+    reached = []
+
+    def checked(tape, loss):
+        # the reference walks the same nodes first, then every gradient is
+        # cleared and the real backward runs on the untouched tape
+        outs = [out for out, _, _ in tape.nodes]
+        reference_backward(tape.nodes, loss)
+        want = [p.grad for p in params]
+        for t in outs + params:
+            t.grad = None
+        backward(tape, loss)
+        for p, w in zip(params, want):
+            assert (p.grad is None) == (w is None)
+            assert w is None or np.array_equal(p.grad, w)
+        reached.append(sum(w is not None for w in want))
+
+    monkeypatch.setattr(Tape, "backward", checked)
+    run_one_step(model)
+    assert len(reached) == 2 and min(reached) > 0
+
+
+def test_backward_frees_intermediates_and_owns_leaf_grads():
+    model = tiny_model()
+    scale = Tensor(np.array(0.5), requires_grad=True)  # a 0-d leaf
+    shift = Tensor(np.zeros((2, 10)), requires_grad=True)  # gets a view
+    x = Tensor(np.random.default_rng(6).normal(size=(3, 10, 2)))
+    with Tape() as tape:
+        out = model.forward(x + ad.transpose(shift, (1, 0)))
+        loss = ad.tmean(ad.square(out.recon - x)) * scale
+    outs = [o for o, _, _ in tape.nodes]
+    tape.backward(loss)
+    assert tape.nodes == []
+    assert all(o.grad is None for o in outs)
+    leaves = model.parameters() + [scale, shift]
+    reached = [p for p in leaves if p.grad is not None]
+    assert scale in reached and shift in reached and len(reached) > 10
+    for p in reached:
+        assert p.grad.flags.c_contiguous and np.shape(p.grad) == p.shape
+    assert x.grad is None
+
+
+def test_no_gradient_computed_for_constant_inputs(monkeypatch):
+    # a spy on Tape.record, as the benchmark tracer wraps it
+    sides = {"constant": 0, "computed": 0}
+    record = Tape.record
+
+    def spy(tape, out, inputs, backward_fn):
+        def counted(g):
+            grads = backward_fn(g)
+            for t, gr in zip(inputs, grads):
+                if not t.requires_grad:
+                    sides["constant"] += 1
+                    sides["computed"] += gr is not None
+            return grads
+        record(tape, out, inputs, counted)
+
+    monkeypatch.setattr(Tape, "record", spy)
+    run_one_step(tiny_model())
+    assert sides["constant"] > 0 and sides["computed"] == 0
 
 
 # ---------------------------------------------------------------------------

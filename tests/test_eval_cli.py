@@ -294,3 +294,28 @@ def test_cli_score_rejects_non_finite_test_cell(tmp_path, capsys):
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "test.csv" in err and "non-finite cell at row 7, column 1" in err
+
+
+def test_cli_ablate_takes_channels_and_fails_on_error_cells(tmp_path, capsys):
+    """`ablate` builds its model for the synthetic series' channels and exits
+    1, after writing every cell, when one of them failed."""
+    tiny = ["--length", "1000", "--channels", "3",
+            "--set", "model.window_length=12", "--set", "model.model_dim=8",
+            "--set", "model.num_layers=1", "--set", "model.num_heads=2",
+            "--set", "model.feedforward_dim=16", "--set", "train.max_epochs=1",
+            "--set", "train.batch_size=64"]
+    assert main(["ablate", "--axis", "phase_sync", "--values", "full",
+                 "no_phase", "single_head", "--out", str(tmp_path / "ok")]
+                + tiny) == 0
+    rows = (tmp_path / "ok" / "ablation.csv").read_text().splitlines()
+    assert [r.split(",")[1] for r in rows[1:]] == ["full", "no_phase",
+                                                   "single_head"]
+    assert all(r.endswith(",ok") for r in rows[1:])
+
+    capsys.readouterr()
+    assert main(["ablate", "--axis", "model_dim", "--values", "8", "7",
+                 "--out", str(tmp_path / "bad")] + tiny) == 1
+    rows = (tmp_path / "bad" / "ablation.csv").read_text().splitlines()
+    assert rows[1].endswith(",ok")
+    assert "error: model_dim 7 not divisible by num_heads 2" in rows[2]
+    assert "[7]" in capsys.readouterr().err
