@@ -315,16 +315,6 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / float(n))
 
 
-def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data))
-    return _record(out, (a,), lambda g: (g * out.data,))
-
-
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
-    return _record(out, (a,), lambda g: (g / a.data,))
-
-
 def sqrt(a: Tensor) -> Tensor:
     out = Tensor(np.sqrt(a.data))
     return _record(out, (a,), lambda g: (g * 0.5 / out.data,))
@@ -333,11 +323,6 @@ def sqrt(a: Tensor) -> Tensor:
 def square(a: Tensor) -> Tensor:
     out = Tensor(a.data * a.data)
     return _record(out, (a,), lambda g: (g * 2.0 * a.data,))
-
-
-def cos(a: Tensor) -> Tensor:
-    out = Tensor(np.cos(a.data))
-    return _record(out, (a,), lambda g: (-g * np.sin(a.data),))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -361,21 +346,6 @@ def softplus(a: Tensor) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def clip(a: Tensor, lo=None, hi=None) -> Tensor:
-    """Clamp values; gradient passes through only inside the clamp range."""
-    out = Tensor(np.clip(a.data, lo, hi))
-
-    def backward(g):
-        inside = np.ones_like(a.data, dtype=bool)
-        if lo is not None:
-            inside &= a.data >= lo
-        if hi is not None:
-            inside &= a.data <= hi
-        return (g * inside,)
-
-    return _record(out, (a,), backward)
-
-
 def stop_gradient(a: Tensor) -> Tensor:
     """Identity forward; blocks all gradient flow into ``a``."""
     return Tensor(a.data)
@@ -387,12 +357,13 @@ def masked_softmax_rows(logits: Tensor, mask: np.ndarray) -> Tensor:
     Masked entries come out exactly 0. Stabilized by per-row max subtraction
     over permitted entries.
     """
-    m = np.broadcast_to(np.asarray(mask, dtype=bool), logits.data.shape)
-    if not m.any(axis=-1).all():
+    mask = np.asarray(mask, dtype=bool)
+    # each row of the broadcast mask is a row of mask, so checking it suffices
+    if not np.atleast_1d(mask).any(axis=-1).all():
         raise DegenerateRowError("softmax row with no permitted entries")
-    z = np.where(m, logits.data, -np.inf)
+    z = np.where(mask, logits.data, -np.inf)
     z = z - z.max(axis=-1, keepdims=True)
-    e = np.where(m, np.exp(z), 0.0)
+    e = np.exp(z)  # exp(-inf) is +0.0: masked entries come out exactly 0
     s = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(s)
 
@@ -404,22 +375,44 @@ def masked_softmax_rows(logits: Tensor, mask: np.ndarray) -> Tensor:
     return _record(out, (logits,), backward)
 
 
-def kl_div_rows(p: Tensor, q: Tensor, tol: float = 1e-6) -> Tensor:
-    """Per-row KL(p_i || q_i) over the last axis.
+def sym_kl_rows(a: Tensor, b: Tensor, tol: float = 1e-6) -> Tensor:
+    """Per-row symmetric KL(a_i || b_i) + KL(b_i || a_i) over the last axis.
 
     Entries are floored at EPS_PROB before the log, so exact zeros shared by
-    both rows contribute nothing. Rows must sum to 1 within ``tol``.
+    both rows contribute nothing and a floored entry of ``a`` gets no
+    gradient. Rows must sum to 1 within ``tol``. ``b`` is held constant
+    (pass it through ``stop_gradient``); the gradient flows into ``a`` only.
+
+    One tape node in place of the chain ``clip``, ``log``, ``sub``, ``mul``,
+    ``tsum`` per direction: the forward takes each log once, and the backward
+    evaluates that chain's expressions in its order, so values and gradients
+    are bitwise equal to it.
     """
-    for name, t in (("p", p), ("q", q)):
+    if b.requires_grad:
+        raise ContractError("sym_kl_rows holds b constant, but b needs a "
+                            "gradient; pass it through stop_gradient")
+    for name, t in (("a", a), ("b", b)):
         sums = t.data.sum(axis=-1)
         worst = np.abs(sums - 1.0).max()
         if worst > tol:
             raise NormalizationError(
                 f"{name} rows not normalized: max |sum-1| = {worst:.3e}"
             )
-    pc = clip(p, lo=EPS_PROB)
-    qc = clip(q, lo=EPS_PROB)
-    return tsum(mul(pc, sub(log(pc), log(qc))), axis=-1)
+    pc = np.clip(a.data, EPS_PROB, None)
+    qc = np.clip(b.data, EPS_PROB, None)
+    d = np.log(pc) - np.log(qc)
+    # KL(b||a) sums qc * (log qc - log pc) = -(qc * d) exactly
+    out = Tensor((pc * d).sum(axis=-1) - (qc * d).sum(axis=-1))
+
+    def backward(g):
+        G = g[..., None]
+        inside = a.data >= EPS_PROB
+        # KL(b||a)'s chain runs first, then KL(a||b)'s, whose pc gets
+        # G*d from the product before (G*pc)/pc from the log
+        return (((-(G * qc)) / pc) * inside
+                + (G * d + (G * pc) / pc) * inside,)
+
+    return _record(out, (a,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -252,9 +252,9 @@ class PiModel:
         fractal   -(2 - 2 H_i) ln(1 + delta),
         gaussian  -delta^2 / (2 tau_i^2),
         phase     kappa_h cos(2 pi delta / p_h)
-        with convex weights, then a causal row softmax. The per-position
-        kernels are built once as [..., 1, L, L] and broadcast against the
-        per-head parameters shaped [n_ph, 1, 1].
+        with convex weights, then a causal row softmax. The logits come
+        from ``prior_logits``, one tape node; in ``single_head`` mode its
+        [..., 1, L, L] output is broadcast over the H series heads.
 
         In ``no_phase`` mode the logits are zeros: P is uniform over j <= i.
         """
@@ -262,30 +262,8 @@ class PiModel:
         if self.cfg.prior_mode == "no_phase":
             logits = Tensor(np.zeros(fields.hurst.shape[:-1] + (H, L, L)))
             return ad.masked_softmax_rows(logits, self.mask), logits
-        delta = Tensor(self.lags)  # [L, L]
-        n_ph = fields.phase_period.shape[0]
-
-        # per-position fields index the row: [..., L] -> [..., 1, L, 1]
-        def row_field(t: Tensor) -> Tensor:
-            return ad.reshape(t, t.shape[:-1] + (1, L, 1))
-
-        def per_head(t: Tensor) -> Tensor:
-            return ad.reshape(t, (n_ph, 1, 1))
-
-        h_row = row_field(fields.hurst)
-        tau_row = row_field(fields.stiffness)
-
-        log_lag = Tensor(np.log1p(self.lags))
-        fractal = -(2.0 - 2.0 * h_row) * log_lag
-        gaussian = -ad.square(delta) / (2.0 * ad.square(tau_row))
-        ph = ad.cos(delta * (2.0 * np.pi) / per_head(fields.phase_period))
-        phase = per_head(fields.phase_gain) * ph
-
-        mix = fields.mix_weights
-        logits = (per_head(mix[:, 0]) * fractal
-                  + per_head(mix[:, 1]) * gaussian
-                  + per_head(mix[:, 2]) * phase)
-        if n_ph != H:
+        logits = prior_logits(fields, self.lags)
+        if fields.phase_period.shape[0] != H:
             # single_head: one prior head shared by every series head; the
             # broadcast sums the head gradients before the kernel backward
             logits = logits + Tensor(np.zeros((H, 1, 1)))
@@ -330,6 +308,69 @@ class PiModel:
 
         recon = ad.matmul(x, self.params["head.W"]) + self.params["head.b"]
         return ReconOutput(recon, stack, all_fields, all_logits)
+
+
+def prior_logits(fields: PriorFields, lags: np.ndarray) -> Tensor:
+    """Prior kernel mixture logits [..., n_ph, L, L] as one tape node.
+
+    The per-position kernels are built as [..., 1, L, L] and broadcast
+    against the per-head parameters shaped [n_ph, 1, 1]. Only the logits
+    are kept: the backward recomputes the kernels from ``lags`` and
+    evaluates the backward expressions of the primitive chain this op
+    replaces (reshape, mul, sub, neg, square, div, cos, getitem, add) in
+    reverse tape order, reducing through ``_unbroadcast`` at the same
+    points, so its gradients are bitwise equal to that chain's.
+    """
+    hurst, tau, mix = fields.hurst, fields.stiffness, fields.mix_weights
+    period, gain = fields.phase_period, fields.phase_gain
+    L = lags.shape[-1]
+    row = hurst.shape[:-1] + (1, L, 1)  # a per-position field indexes the row
+    head = (period.shape[0], 1, 1)
+    h_row, tau_row = hurst.data.reshape(row), tau.data.reshape(row)
+    period_h, gain_h = period.data.reshape(head), gain.data.reshape(head)
+    m0, m1, m2 = (mix.data[:, c].reshape(head) for c in range(3))
+    log_lag, neg_sq = np.log1p(lags), -(lags * lags)
+    turns = lags * (2.0 * np.pi)
+
+    def kernels():
+        tau_sq2 = 2.0 * (tau_row * tau_row)
+        angle = turns / period_h
+        wave = np.cos(angle)
+        return (-(2.0 - 2.0 * h_row) * log_lag, neg_sq / tau_sq2,
+                gain_h * wave, tau_sq2, angle, wave)
+
+    fractal, gaussian, phase, *_ = kernels()
+    out = Tensor(m0 * fractal + m1 * gaussian + m2 * phase)
+
+    def backward(G):
+        unb = ad._unbroadcast
+        fractal, gaussian, phase, tau_sq2, angle, wave = kernels()
+        g_phase = unb(G, phase.shape)  # the phase term has no leading axes
+        g_hurst = g_tau = g_mix = g_period = g_gain = None
+        if mix.requires_grad:
+            # the chain summed one zero-filled getitem scatter per column,
+            # which turns a -0.0 into +0.0, as + 0.0 does
+            g_mix = np.concatenate(
+                [unb(G * fractal, head), unb(G * gaussian, head),
+                 unb(g_phase * phase, head)], axis=-1).reshape(mix.shape) + 0.0
+        if tau.requires_grad:
+            g = unb(G * m1, gaussian.shape)
+            g = unb(-g * neg_sq / (tau_sq2 * tau_sq2), row)
+            g_tau = (g * 2.0 * 2.0 * tau_row).reshape(tau.shape)
+        if hurst.requires_grad:
+            # neg, then sub from 2.0: two exact negations
+            g = unb(unb(G * m0, fractal.shape) * log_lag, row)
+            g_hurst = (g * 2.0).reshape(hurst.shape)
+        g = g_phase * m2
+        if gain.requires_grad:
+            g_gain = unb(g * wave, head).reshape(gain.shape)
+        if period.requires_grad:
+            g = -(g * gain_h) * np.sin(angle)
+            g = -g * turns / (period_h * period_h)
+            g_period = unb(g, head).reshape(period.shape)
+        return g_hurst, g_tau, g_mix, g_period, g_gain
+
+    return ad._record(out, (hurst, tau, mix, period, gain), backward)
 
 
 def _swap_axes(ndim: int, a: int, b: int) -> tuple:

@@ -83,7 +83,7 @@ def mismatch_delta(attn, temperature: float) -> np.ndarray:
     n_mats = 0
     for S, P in zip(attn.series, attn.prior):
         s, p = Tensor(S.data), Tensor(P.data)
-        kl = ad.kl_div_rows(s, p).data + ad.kl_div_rows(p, s).data  # [...,H,L]
+        kl = ad.sym_kl_rows(s, p).data  # [..., H, L]
         term = kl.sum(axis=-2)
         n_mats += S.data.shape[-3]
         total = term if total is None else total + term

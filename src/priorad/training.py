@@ -114,7 +114,7 @@ def loss_sym_kl(attn, frozen: str) -> Tensor:
             a, b = P, stop_gradient(S)
         else:
             raise ValueError(f"unknown frozen side {frozen!r}")
-        per_row = ad.kl_div_rows(a, b) + ad.kl_div_rows(b, a)  # [..., H, L]
+        per_row = ad.sym_kl_rows(a, b)  # [..., H, L]
         summed = ad.tmean(ad.tsum(per_row, axis=(-2, -1)))
         total = summed if total is None else total + summed
     return total

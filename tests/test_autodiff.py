@@ -5,10 +5,12 @@ import priorad.autodiff as ad
 from priorad.autodiff import (
     Tensor, Tape, ContractError, DegenerateRowError, NormalizationError,
     ShapeError, OptimizerState, clip_global_norm, masked_softmax_rows,
-    kl_div_rows, stop_gradient,
+    sym_kl_rows, stop_gradient, EPS_PROB,
 )
-from priorad.model import PRIOR_MODES, ModelConfig, PiModel
-from priorad.training import TrainConfig, minmax_step
+import priorad.model as pmodel
+from priorad.model import PRIOR_MODES, ModelConfig, PiModel, PriorFields
+from priorad.training import (TrainConfig, minmax_step, loss_reconstruction,
+                              loss_sym_kl, _regularizer)
 
 
 def causal_mask(n):
@@ -114,28 +116,52 @@ def test_softmax_degenerate_row():
     mask[1] = False
     with pytest.raises(DegenerateRowError):
         masked_softmax_rows(Tensor(np.zeros((3, 3))), mask)
+    # the mask is checked before it is broadcast over leading axes
+    with pytest.raises(DegenerateRowError):
+        masked_softmax_rows(Tensor(np.zeros((2, 4, 3, 3))), mask)
+
+
+def reference_masked_softmax(logits, mask):
+    """The forward before the mask was checked un-broadcast and masked
+    exponentials were left to exp(-inf)."""
+    m = np.broadcast_to(np.asarray(mask, dtype=bool), logits.shape)
+    z = np.where(m, logits, -np.inf)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.where(m, np.exp(z), 0.0)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def test_softmax_matches_reference_bitwise():
+    logits = np.random.default_rng(4).normal(scale=3, size=(3, 2, 7, 7))
+    for mask in (causal_mask(7), True):
+        got = masked_softmax_rows(Tensor(logits), mask).data
+        # tobytes compares the sign bit of every zero too
+        assert got.tobytes() == reference_masked_softmax(logits,
+                                                         mask).tobytes()
 
 
 def test_kl_identity_is_zero():
     rng = np.random.default_rng(2)
     p = rng.random((4, 6)) + 0.1
     p /= p.sum(axis=-1, keepdims=True)
-    out = kl_div_rows(Tensor(p), Tensor(p))
+    out = sym_kl_rows(Tensor(p), Tensor(p))
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
 def test_kl_point_mass_vs_uniform():
     p = Tensor(np.array([[1.0, 0.0]]))
     q = Tensor(np.array([[0.5, 0.5]]))
-    # clamped zero contributes ~1e-12 * log(...), far under tolerance
-    np.testing.assert_allclose(kl_div_rows(p, q).data, [np.log(2.0)],
-                               atol=1e-9)
+    # KL(p||q) = ln 2; KL(q||p) is set by the EPS_PROB floor of p's zero,
+    # and the floored zero adds ~1e-12 * log(...) to KL(p||q)
+    reverse = 0.5 * np.log(0.5) + 0.5 * np.log(0.5 / EPS_PROB)
+    np.testing.assert_allclose(sym_kl_rows(p, q).data - reverse,
+                               [np.log(2.0)], atol=1e-9)
 
 
 def test_kl_symmetric_sum_fixture():
     p = Tensor(np.array([[0.5, 0.5]]))
     q = Tensor(np.array([[0.25, 0.75]]))
-    total = kl_div_rows(p, q).data[0] + kl_div_rows(q, p).data[0]
+    total = sym_kl_rows(p, q).data[0]
     want = (0.5 * np.log(2.0) + 0.5 * np.log(2 / 3)
             + 0.25 * np.log(0.5) + 0.75 * np.log(1.5))
     np.testing.assert_allclose(total, want, atol=1e-12)
@@ -149,13 +175,32 @@ def test_kl_nonnegative_random():
         q = rng.random((5, 7)) + 1e-3
         p /= p.sum(axis=-1, keepdims=True)
         q /= q.sum(axis=-1, keepdims=True)
-        assert np.all(kl_div_rows(Tensor(p), Tensor(q)).data >= 0.0)
+        assert np.all(sym_kl_rows(Tensor(p), Tensor(q)).data >= 0.0)
 
 
 def test_kl_rejects_unnormalized():
-    with pytest.raises(NormalizationError):
-        kl_div_rows(Tensor(np.array([[0.7, 0.7]])),
-                    Tensor(np.array([[0.5, 0.5]])))
+    bad, good = np.array([[0.7, 0.7]]), np.array([[0.5, 0.5]])
+    for a, b in ((bad, good), (good, bad)):
+        with pytest.raises(NormalizationError):
+            sym_kl_rows(Tensor(a), Tensor(b))
+
+
+def test_kl_rejects_b_that_needs_a_gradient():
+    p = np.array([[0.5, 0.5]])
+    with pytest.raises(ContractError, match="b constant"):
+        sym_kl_rows(Tensor(p), Tensor(p.copy(), requires_grad=True))
+
+
+def test_kl_floored_entry_gets_zero_gradient():
+    x = Tensor(np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5]]),
+               requires_grad=True)
+    q = Tensor(np.array([[0.5, 0.25, 0.25], [0.25, 0.35, 0.4]]))
+    with Tape() as tape:
+        y = ad.tsum(sym_kl_rows(x, q))
+    tape.backward(y)
+    # entries below EPS_PROB are clamped, and the clamp passes no gradient
+    assert np.array_equal(x.grad[0, 1:], [0.0, 0.0])
+    assert np.all(x.grad[0, :1] != 0.0) and np.all(x.grad[1] != 0.0)
 
 
 def test_stop_gradient_forward_identity_and_grad():
@@ -341,11 +386,8 @@ RNG = np.random.default_rng(42)
     ("mul", lambda x: ad.tsum(x * x * 0.7)),
     ("div", lambda x: ad.tsum(ad.div(Tensor(np.ones(1)), x + 3.0))),
     ("neg", lambda x: ad.tsum(ad.square(-x + 0.3))),
-    ("exp", lambda x: ad.tsum(ad.exp(x * 0.5))),
-    ("log", lambda x: ad.tsum(ad.log(x + 3.0))),
     ("sqrt", lambda x: ad.tsum(ad.sqrt(x + 3.0))),
     ("square", lambda x: ad.tsum(ad.square(x))),
-    ("cos", lambda x: ad.tsum(ad.cos(x))),
     ("sigmoid", lambda x: ad.tsum(ad.square(ad.sigmoid(x)))),
     ("softplus", lambda x: ad.tsum(ad.square(ad.softplus(x)))),
     ("sum_axis", lambda x: ad.tsum(ad.square(ad.tsum(x, axis=0)))),
@@ -389,22 +431,136 @@ def test_fd_gradient_masked_softmax():
 
 
 def test_fd_gradient_kl():
-    # parametrize rows through softmax so both args stay normalized
-    mask = np.ones((4, 4), dtype=bool)
+    # parametrize rows through softmax so both args stay normalized; the
+    # causal mask leaves exact zeros, which the EPS_PROB floor handles
     q = RNG.random((4, 4)) + 0.2
     q /= q.sum(axis=-1, keepdims=True)
+    for mask in (np.ones((4, 4), dtype=bool), causal_mask(4)):
+        qm = np.where(mask, q, 0.0)
+        qm /= qm.sum(axis=-1, keepdims=True)
+
+        def build(x):
+            p = masked_softmax_rows(x, mask)
+            return ad.tsum(sym_kl_rows(p, Tensor(qm)) * Tensor(np.arange(
+                1.0, 5.0)))
+
+        check_grad(build, RNG.normal(size=(4, 4)))
+
+
+@pytest.mark.parametrize("name", ["hurst", "stiffness", "mix_weights",
+                                  "phase_period", "phase_gain"])
+def test_fd_gradient_prior_logits(name):
+    # a batch of 2 windows of length 5 and 2 prior heads, each value
+    # inside the range prior_fields squashes it to
+    rng = np.random.default_rng(7)
+    mix = rng.random((2, 3)) + 0.1
+    values = dict(hurst=rng.uniform(0.1, 0.9, (2, 5)),
+                  stiffness=rng.uniform(0.6, 3.0, (2, 5)),
+                  mix_weights=mix / mix.sum(axis=-1, keepdims=True),
+                  phase_period=rng.uniform(2.0, 6.0, 2),
+                  phase_gain=rng.uniform(0.0, 1.5, 2))
+    L = 5
+    weights = RNG.normal(size=(2, 2, L, L))
 
     def build(x):
-        p = masked_softmax_rows(x, mask)
-        return ad.tsum(kl_div_rows(p, Tensor(q)))
+        fields = PriorFields(**{k: x if k == name else Tensor(v)
+                                for k, v in values.items()})
+        logits = pmodel.prior_logits(fields, pmodel.lag_matrix(L))
+        return ad.tsum(logits * Tensor(weights))
 
-    check_grad(build, RNG.normal(size=(4, 4)))
+    check_grad(build, values[name])
 
-    def build_q(x):
-        qq = masked_softmax_rows(x, mask)
-        return ad.tsum(kl_div_rows(Tensor(q), qq))
 
-    check_grad(build_q, RNG.normal(size=(4, 4)))
+# ---------------------------------------------------------------------------
+# fused ops against the primitive chains they replace, bitwise
+# ---------------------------------------------------------------------------
+
+
+def _ref_clip(a, lo):
+    out = Tensor(np.clip(a.data, lo, None))
+    return ad._record(out, (a,), lambda g: (g * (a.data >= lo),))
+
+
+def _ref_log(a):
+    out = Tensor(np.log(a.data))
+    return ad._record(out, (a,), lambda g: (g / a.data,))
+
+
+def _ref_cos(a):
+    out = Tensor(np.cos(a.data))
+    return ad._record(out, (a,), lambda g: (-g * np.sin(a.data),))
+
+
+def reference_kl_div_rows(p, q):
+    """KL(p||q) per row as the primitive chain clip, log, sub, mul, tsum
+    (the normalization check is left to the op under test)."""
+    pc = _ref_clip(p, EPS_PROB)
+    qc = _ref_clip(q, EPS_PROB)
+    return ad.tsum(ad.mul(pc, ad.sub(_ref_log(pc), _ref_log(qc))), axis=-1)
+
+
+def reference_sym_kl_rows(a, b):
+    return reference_kl_div_rows(a, b) + reference_kl_div_rows(b, a)
+
+
+def reference_prior_logits(fields, lags):
+    """The prior kernel mixture as 25 primitive tape nodes."""
+    L = lags.shape[-1]
+    delta = Tensor(lags)
+    n_ph = fields.phase_period.shape[0]
+
+    def row_field(t):
+        return ad.reshape(t, t.shape[:-1] + (1, L, 1))
+
+    def per_head(t):
+        return ad.reshape(t, (n_ph, 1, 1))
+
+    h_row = row_field(fields.hurst)
+    tau_row = row_field(fields.stiffness)
+    log_lag = Tensor(np.log1p(lags))
+    fractal = -(2.0 - 2.0 * h_row) * log_lag
+    gaussian = -ad.square(delta) / (2.0 * ad.square(tau_row))
+    ph = _ref_cos(delta * (2.0 * np.pi) / per_head(fields.phase_period))
+    phase = per_head(fields.phase_gain) * ph
+    mix = fields.mix_weights
+    return (per_head(mix[:, 0]) * fractal
+            + per_head(mix[:, 1]) * gaussian
+            + per_head(mix[:, 2]) * phase)
+
+
+def _training_loss_and_grads(model, x):
+    """Both passes' KL sides on one tape, plus every regularizer."""
+    for p in model.parameters():
+        p.grad = None
+    with Tape() as tape:
+        out = model.forward(x)
+        kls = [ad.sym_kl_rows(S, stop_gradient(P))
+               for S, P in zip(out.attn.series, out.attn.prior)]
+        loss = (loss_reconstruction(x, out.recon)
+                - 3.0 * loss_sym_kl(out.attn, frozen="prior")
+                + 3.0 * loss_sym_kl(out.attn, frozen="series")
+                + _regularizer(out, TrainConfig(), 0.6)[0])
+    tape.backward(loss)
+    values = [loss.data] + [t.data for t in out.prior_logits + kls]
+    return values, {n: p.grad for n, p in model.params.items()}
+
+
+@pytest.mark.parametrize("lead", [(3,), ()], ids=["batch", "window"])
+@pytest.mark.parametrize("prior_mode", ["full", "single_head"])
+def test_fused_ops_match_primitive_chains_bitwise(prior_mode, lead,
+                                                  monkeypatch):
+    model = tiny_model(prior_mode)
+    x = Tensor(np.random.default_rng(8).normal(size=lead + (10, 2)))
+    got_values, got_grads = _training_loss_and_grads(model, x)
+    monkeypatch.setattr(ad, "sym_kl_rows", reference_sym_kl_rows)
+    monkeypatch.setattr(pmodel, "prior_logits", reference_prior_logits)
+    want_values, want_grads = _training_loss_and_grads(model, x)
+    assert len(got_values) == 5
+    for got, want in zip(got_values, want_values):
+        assert got.tobytes() == want.tobytes()
+    assert all(g is not None for g in want_grads.values())
+    for name, want in want_grads.items():
+        assert got_grads[name].tobytes() == want.tobytes(), name
 
 
 def test_fd_gradient_broadcast_add():
@@ -412,14 +568,6 @@ def test_fd_gradient_broadcast_add():
         return ad.tsum(ad.square(x + Tensor(np.arange(3.0))))
 
     check_grad(build, RNG.normal(size=(4, 3)))
-
-
-def test_clip_gradient_is_inside_indicator():
-    x = Tensor(np.array([-2.0, 0.5, 2.0]), requires_grad=True)
-    with Tape() as tape:
-        y = ad.tsum(ad.clip(x, -1.0, 1.0) * 3.0)
-    tape.backward(y)
-    np.testing.assert_array_equal(x.grad, [0.0, 3.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +630,12 @@ def test_determinism_same_seed_bitwise():
     def run():
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
+        q = masked_softmax_rows(Tensor(rng.normal(size=(6, 6))),
+                                causal_mask(6)).data
         with Tape() as tape:
             s = masked_softmax_rows(x @ ad.transpose(x, (1, 0)),
                                     causal_mask(6))
-            loss = ad.tsum(kl_div_rows(s, s * 1.0))
+            loss = ad.tsum(sym_kl_rows(s, Tensor(q)))
         tape.backward(loss)
         return x.grad.copy(), s.data.copy()
 
