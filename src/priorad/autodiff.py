@@ -17,6 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 EPS_PROB = 1e-12
+NORM_TOL = 1e-6  # largest |row sum - 1| that sym_kl_rows accepts
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class ShapeError(ValueError):
@@ -375,12 +377,12 @@ def masked_softmax_rows(logits: Tensor, mask: np.ndarray) -> Tensor:
     return _record(out, (logits,), backward)
 
 
-def sym_kl_rows(a: Tensor, b: Tensor, tol: float = 1e-6) -> Tensor:
+def sym_kl_rows(a: Tensor, b: Tensor) -> Tensor:
     """Per-row symmetric KL(a_i || b_i) + KL(b_i || a_i) over the last axis.
 
     Entries are floored at EPS_PROB before the log, so exact zeros shared by
     both rows contribute nothing and a floored entry of ``a`` gets no
-    gradient. Rows must sum to 1 within ``tol``. ``b`` is held constant
+    gradient. Rows must sum to 1 within NORM_TOL. ``b`` is held constant
     (pass it through ``stop_gradient``); the gradient flows into ``a`` only.
 
     One tape node in place of the chain ``clip``, ``log``, ``sub``, ``mul``,
@@ -394,7 +396,7 @@ def sym_kl_rows(a: Tensor, b: Tensor, tol: float = 1e-6) -> Tensor:
     for name, t in (("a", a), ("b", b)):
         sums = t.data.sum(axis=-1)
         worst = np.abs(sums - 1.0).max()
-        if worst > tol:
+        if worst > NORM_TOL:
             raise NormalizationError(
                 f"{name} rows not normalized: max |sum-1| = {worst:.3e}"
             )
@@ -434,13 +436,9 @@ def clip_global_norm(grads, max_norm: float):
 class OptimizerState:
     """Adam moments and step counter for a fixed parameter list."""
 
-    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999,
-                 eps=1e-8, clip_norm=None):
+    def __init__(self, params, lr=1e-4, clip_norm=None):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.clip_norm = clip_norm
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -458,11 +456,11 @@ class OptimizerState:
             grads = clip_global_norm(grads, self.clip_norm)
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - ADAM_BETA1 ** t
+        bc2 = 1.0 - ADAM_BETA2 ** t
         for i, (p, g) in enumerate(zip(self.params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * (g * g)
             m_hat = self.m[i] / bc1
             v_hat = self.v[i] / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

@@ -1,8 +1,10 @@
 """Command-line entry points: train, score, eval, synth, ablate.
 
-Configuration comes from an optional JSON file (--config) with sections
-"model", "train", "scoring", plus dotted per-key overrides, e.g.
-``--set model.num_heads=8``. Output root defaults to --out or $PRIORAD_OUT.
+``train``, ``score`` and ``ablate`` take configuration from an optional
+JSON file (--config) with sections "model", "train", "scoring", plus dotted
+per-key overrides, e.g. ``--set model.num_heads=8``. Each applies only the
+sections it reads (READS); the keys in DERIVED take their value from the
+data or the model, never from a config. Every command writes into --out.
 """
 
 from __future__ import annotations
@@ -10,24 +12,39 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .data import (StandardizerStats, _read_matrix, default_synthetic_spec,
-                   load_csv_dataset, read_labels, standardize,
-                   split_train_val, synth_generate, write_csv, ANOMALY_TYPES)
+                   load_csv_dataset, load_standardizer, read_labels,
+                   save_standardizer, standardize, split_train_val,
+                   synth_generate, write_csv, ANOMALY_TYPES)
 from .evaluation import (AblationSpec, compute_metrics, format_report_table,
                          run_ablation)
 from .model import ModelConfig
-from .scoring import ScoringConfig, detect, point_adjust, write_score_csv
+from .scoring import (ScoringConfig, detect, point_adjust, read_score_csv,
+                      write_score_csv)
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
+
+SECTIONS = ("model", "train", "scoring")
+# the sections each command reads, and why it reads no other
+READS = {
+    "train": (("model", "train"), "train reads no scoring config"),
+    "score": (("scoring",), "the checkpoint holds the model and train "
+                            "configs"),
+    "ablate": (SECTIONS, ""),
+}
+# keys no config may set, and where their value comes from
+DERIVED = {
+    "model.channels": "the data: the columns of --train-csv on train, "
+                      "--channels on ablate",
+    "scoring.window_length": "model.window_length (on score, the "
+                             "checkpoint's)",
+}
 
 
 class UsageError(ValueError):
@@ -41,45 +58,56 @@ def _coerce(value: str):
         return value
 
 
-def load_run_config(config_path, overrides):
-    """Build (ModelConfig, TrainConfig, ScoringConfig) from file + overrides."""
-    sections = {"model": {}, "train": {}, "scoring": {}}
+def load_run_config(config_path, overrides, command) -> dict:
+    """The sections ``command`` reads, as {section: {key: value}}: the
+    --config file's values, updated by the ``section.key=value`` overrides.
+
+    An unknown section, a key in DERIVED, or an override of a section the
+    command does not read is a UsageError.
+    """
+    reads, why = READS[command]
+    sections = {name: {} for name in SECTIONS}
     if config_path:
         with open(config_path) as fh:
             loaded = json.load(fh)
-        for key in sections:
-            sections[key].update(loaded.get(key, {}))
-    for dotted, value in overrides:
-        if "." not in dotted:
-            raise UsageError(f"override {dotted!r} must look like section.key")
+        if (not isinstance(loaded, dict) or set(loaded) - set(SECTIONS)
+                or not all(isinstance(v, dict) for v in loaded.values())):
+            raise UsageError(f"{config_path}: a config file is a JSON object "
+                             f"of sections {SECTIONS}, each an object")
+        for name, values in loaded.items():
+            sections[name].update(values)
+    overridden = []
+    for override in overrides or []:
+        dotted, eq, value = override.partition("=")
+        dotted = dotted.lstrip("-")
+        if not eq or "." not in dotted:
+            raise UsageError(f"override {override!r} must look like "
+                             f"section.key=value")
         section, key = dotted.split(".", 1)
         if section not in sections:
             raise UsageError(f"unknown config section {section!r}")
         sections[section][key] = _coerce(value)
+        overridden.append(dotted)
+    for dotted, source in DERIVED.items():
+        section, key = dotted.split(".")
+        if key in sections[section]:
+            raise UsageError(f"{dotted} cannot be set: it comes from {source}")
+    for dotted in overridden:
+        if dotted.split(".", 1)[0] not in reads:
+            raise UsageError(f"{command} cannot set {dotted!r}: {why}")
+    return {name: sections[name] for name in reads}
+
+
+def build_config(cls, values: dict, **derived):
+    """``cls(**values, **derived)``, with an invalid value a UsageError."""
     try:
-        model_cfg = ModelConfig(**sections["model"])
-        train_cfg = TrainConfig(**sections["train"])
-        score_cfg = ScoringConfig(
-            window_length=model_cfg.window_length, **sections["scoring"]
-        )
+        return cls(**values, **derived)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from None
-    return model_cfg, train_cfg, score_cfg
-
-
-def _split_overrides(pairs):
-    out = []
-    for p in pairs or []:
-        if "=" not in p:
-            raise UsageError(f"override {p!r} must look like section.key=value")
-        k, v = p.split("=", 1)
-        out.append((k.lstrip("-"), v))
-    return out
 
 
 def _out_dir(args) -> Path:
-    root = args.out or os.environ.get("PRIORAD_OUT", ".")
-    path = Path(root)
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -102,18 +130,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    model_cfg, train_cfg, _ = load_run_config(args.config,
-                                              _split_overrides(args.set))
+    sections = load_run_config(args.config, args.set, "train")
+    train_cfg = build_config(TrainConfig, sections["train"])
     train_raw = _read_matrix(args.train_csv)
+    model_cfg = build_config(ModelConfig, sections["model"],
+                             channels=train_raw.shape[1])
     stats = StandardizerStats.fit(train_raw)
     z_train = standardize(train_raw, stats)
-    if model_cfg.channels != z_train.shape[1]:
-        model_cfg.channels = z_train.shape[1]
     out = _out_dir(args)
     ckpt = train(z_train, model_cfg, train_cfg,
                  log_path=out / "training_log.csv")
     save_checkpoint(ckpt, out / "checkpoint.npz")
-    np.savez(out / "standardizer.npz", mean=stats.mean, std=stats.std)
+    save_standardizer(out / "standardizer.npz", stats)
     print(f"trained {ckpt.epoch} best epoch, "
           f"val recon {ckpt.best_val_recon:.6f}; wrote {out}/checkpoint.npz")
     return EXIT_OK
@@ -121,18 +149,14 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     # the model config and the calibration split come from the checkpoint
-    overrides = _split_overrides(args.set)
-    for dotted, _ in overrides:
-        if dotted.split(".", 1)[0] in ("model", "train"):
-            raise UsageError(f"score cannot set {dotted!r}: the checkpoint "
-                             f"holds the model and train configs")
-    _, _, score_cfg = load_run_config(args.config, overrides)
+    sections = load_run_config(args.config, args.set, "score")
     ckpt = load_checkpoint(args.checkpoint)
     L = ckpt.model.cfg.window_length
-    score_cfg.window_length = L
+    score_cfg = build_config(ScoringConfig, sections["scoring"],
+                             window_length=L)
     ds = load_csv_dataset(args.train_csv, args.test_csv, args.labels_csv)
-    with np.load(Path(args.checkpoint).parent / "standardizer.npz") as z:
-        stats = StandardizerStats(z["mean"], z["std"])
+    stats = load_standardizer(Path(args.checkpoint).parent
+                              / "standardizer.npz", ckpt.model.cfg.channels)
     z_train = standardize(ds.train, stats)
     z_test = standardize(ds.test, stats)
     fit_part, thresh_part = split_train_val(
@@ -145,14 +169,12 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    rows = np.genfromtxt(args.scores_csv, delimiter=",", names=True)
-    y_hat = rows["y_hat"].astype(bool)
+    y_hat, labels = read_score_csv(args.scores_csv)
     if args.labels_csv:
         labels = read_labels(args.labels_csv)
-    elif "y_true" in rows.dtype.names:
-        labels = rows["y_true"].astype(bool)
-    else:
-        raise UsageError("eval needs --labels or a y_true column in scores")
+    elif labels is None:
+        raise UsageError("eval needs --labels-csv or a y_true column in "
+                         "--scores-csv")
     adjusted = point_adjust(y_hat, labels)
     report = compute_metrics(adjusted, labels)
     out = _out_dir(args)
@@ -163,13 +185,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    model_cfg, train_cfg, score_cfg = load_run_config(
-        args.config, _split_overrides(args.set))
+    sections = load_run_config(args.config, args.set, "ablate")
+    model_cfg = build_config(ModelConfig, sections["model"],
+                             channels=args.channels)
+    train_cfg = build_config(TrainConfig, sections["train"])
+    score_cfg = build_config(ScoringConfig, sections["scoring"],
+                             window_length=model_cfg.window_length)
     values = [_coerce(v) for v in args.values]
     spec = AblationSpec(args.axis, values)
     synth_spec = default_synthetic_spec(seed=args.seed, length=args.length,
                                         channels=args.channels)
-    model_cfg.channels = synth_spec.channels
     out = _out_dir(args)
     results = run_ablation(spec, synth_spec, model_cfg, train_cfg, score_cfg,
                            csv_path=out / "ablation.csv")
@@ -189,11 +214,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def add_config(sp):
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--set", action="append", metavar="section.key=value",
                         help="config override, repeatable")
-        sp.add_argument("--out", help="output directory (or $PRIORAD_OUT)")
+
+    def add_out(sp):
+        sp.add_argument("--out", default=".",
+                        help="output directory (default: the working "
+                             "directory)")
 
     sp = sub.add_parser("synth", help="write a synthetic dataset")
     sp.add_argument("--type", default="all",
@@ -201,26 +230,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--length", type=int, default=4000)
     sp.add_argument("--channels", type=int, default=3)
-    common(sp)
+    add_out(sp)
     sp.set_defaults(fn=cmd_synth)
 
     sp = sub.add_parser("train", help="fit a model and save a checkpoint")
     sp.add_argument("--train-csv", required=True)
-    common(sp)
+    add_config(sp)
+    add_out(sp)
     sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("score", help="score a test series")
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--train-csv", required=True)
     sp.add_argument("--test-csv", required=True)
-    sp.add_argument("--labels-csv", required=True)
-    common(sp)
+    sp.add_argument("--labels-csv",
+                    help="test labels, written as the y_true column")
+    add_config(sp)
+    add_out(sp)
     sp.set_defaults(fn=cmd_score)
 
     sp = sub.add_parser("eval", help="point-adjust and report metrics")
     sp.add_argument("--scores-csv", required=True)
     sp.add_argument("--labels-csv")
-    common(sp)
+    add_out(sp)
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("ablate", help="run an ablation axis on synthetic data")
@@ -229,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--length", type=int, default=2000)
     sp.add_argument("--channels", type=int, default=3)
-    common(sp)
+    add_config(sp)
+    add_out(sp)
     sp.set_defaults(fn=cmd_ablate)
     return p
 

@@ -28,10 +28,11 @@ class SplitError(ValueError):
 class RawDataset:
     train: np.ndarray            # [N_train, C]
     test: np.ndarray             # [N_test, C]
-    test_labels: np.ndarray      # bool [N_test]
+    test_labels: np.ndarray | None = None  # bool [N_test]
 
     def __post_init__(self):
-        if len(self.test_labels) != len(self.test):
+        if (self.test_labels is not None
+                and len(self.test_labels) != len(self.test)):
             raise ParseError(
                 f"label length {len(self.test_labels)} != "
                 f"test length {len(self.test)}"
@@ -60,14 +61,40 @@ def standardize(data: np.ndarray, stats: StandardizerStats) -> np.ndarray:
     return (data - stats.mean) / stats.std
 
 
-def _read_matrix(path) -> np.ndarray:
-    """Read a CSV of finite numbers as a [rows, columns] float64 matrix.
+def save_standardizer(path, stats: StandardizerStats):
+    """Write ``stats`` as an .npz with one ``mean`` and one ``std`` array."""
+    np.savez(path, mean=stats.mean, std=stats.std)
 
-    A first line that does not parse as numbers is a header and is skipped.
-    Rows in error messages count data rows from 0, header and blank lines
-    excluded.
+
+def load_standardizer(path, channels: int) -> StandardizerStats:
+    """Read a ``save_standardizer`` file for a ``channels``-channel model.
+
+    Raises ParseError naming the file unless ``mean`` and ``std`` are
+    finite 1-D arrays of ``channels`` entries and every ``std`` is > 0.
     """
-    rows = []
+    with np.load(path) as z:
+        try:
+            mean, std = (np.asarray(z[k], dtype=np.float64)
+                         for k in ("mean", "std"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    for name, a in (("mean", mean), ("std", std)):
+        if a.shape != (channels,) or not np.isfinite(a).all():
+            raise ParseError(f"{path}: {name} must hold one finite number "
+                             f"per model channel ({channels}), got {a}")
+    if not (std > 0).all():
+        raise ParseError(f"{path}: std must be > 0, got {std}")
+    return StandardizerStats(mean, std)
+
+
+def read_table(path):
+    """Read a CSV of finite numbers as (header, [rows, columns] float64).
+
+    A first line that does not parse as numbers is the header, returned as
+    a list of names (None when there is none). Rows in error messages count
+    data rows from 0, header and blank lines excluded.
+    """
+    header, rows = None, []
     with open(path, newline="") as fh:
         for line, row in enumerate(csv.reader(fh)):
             if not row:
@@ -78,7 +105,8 @@ def _read_matrix(path) -> np.ndarray:
                     vals.append(float(cell))
                 except ValueError:
                     if line == 0:
-                        break  # header
+                        header = row
+                        break
                     raise ParseError(
                         f"{path}: non-numeric cell at row {len(rows)}, "
                         f"column {c}: {cell!r}"
@@ -88,6 +116,9 @@ def _read_matrix(path) -> np.ndarray:
     if not rows:
         raise ParseError(f"{path}: no data rows")
     width = len(rows[0])
+    if header is not None and len(header) != width:
+        raise ParseError(f"{path}: header has {len(header)} columns, "
+                         f"rows have {width}")
     for r, row in enumerate(rows):
         if len(row) != width:
             raise ParseError(
@@ -100,7 +131,24 @@ def _read_matrix(path) -> np.ndarray:
         raise ParseError(
             f"{path}: non-finite cell at row {r}, column {c}: {matrix[r, c]}"
         )
-    return matrix
+    return header, matrix
+
+
+def _read_matrix(path) -> np.ndarray:
+    """``read_table`` without the header."""
+    return read_table(path)[1]
+
+
+def binary_column(path, values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` as a bool array; ParseError names the first entry that
+    is not 0 or 1 by its data row, calling the column ``what``."""
+    bad = np.flatnonzero((values != 0.0) & (values != 1.0))
+    if bad.size:
+        r = int(bad[0])
+        raise ParseError(
+            f"{path}: {what} at row {r} is {values[r]:g}, expected 0 or 1"
+        )
+    return values == 1.0
 
 
 def read_labels(path) -> np.ndarray:
@@ -113,20 +161,15 @@ def read_labels(path) -> np.ndarray:
         raise ParseError(
             f"{path}: labels must be a single column, got {labels.shape[1]}"
         )
-    labels = labels[:, 0]
-    bad = np.flatnonzero((labels != 0.0) & (labels != 1.0))
-    if bad.size:
-        r = int(bad[0])
-        raise ParseError(
-            f"{path}: label at row {r} is {labels[r]:g}, expected 0 or 1"
-        )
-    return labels == 1.0
+    return binary_column(path, labels[:, 0], "label")
 
 
-def load_csv_dataset(train_path, test_path, labels_path) -> RawDataset:
-    """Load train/test matrices (rows = time) and a 0/1 label column."""
+def load_csv_dataset(train_path, test_path, labels_path=None) -> RawDataset:
+    """Load train/test matrices (rows = time) and, if given, a 0/1 label
+    column."""
+    labels = None if labels_path is None else read_labels(labels_path)
     return RawDataset(_read_matrix(train_path), _read_matrix(test_path),
-                      read_labels(labels_path))
+                      labels)
 
 
 def windows(series: np.ndarray, length: int) -> np.ndarray:
@@ -286,13 +329,13 @@ def default_synthetic_spec(seed: int = 0, kinds=ANOMALY_TYPES,
                          segments=segments, seed=seed)
 
 
-def write_csv(path, matrix: np.ndarray, header: list | None = None):
+def write_csv(path, matrix: np.ndarray):
+    """Write a matrix (a vector as one column) without a header; ``repr``
+    keeps every float64 exact."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim == 1:
         matrix = matrix[:, None]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        if header:
-            w.writerow(header)
         for row in matrix:
             w.writerow([repr(float(v)) for v in row])

@@ -21,6 +21,8 @@ class ConfigError(ValueError):
 
 
 TAU_FLOOR = 0.5
+# R/S block sizes: HURST_NUM_SCALES log-spaced sizes from HURST_MIN_BLOCK
+HURST_MIN_BLOCK, HURST_NUM_SCALES = 16, 6
 
 # full: one prior head per series head; single_head: one shared by all heads;
 # no_phase: the uniform causal prior, trained with k = 0 (apply_ablation_value)
@@ -385,7 +387,7 @@ def _swap_axes(ndim: int, a: int, b: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def estimate_hurst_rs(series, min_block: int = 16, num_scales: int = 6):
+def estimate_hurst_rs(series):
     """Rescaled-range Hurst estimate, clamped to (0.01, 0.99).
 
     Slope of log(R/S) vs log(block size) over logarithmically spaced block
@@ -396,15 +398,15 @@ def estimate_hurst_rs(series, min_block: int = 16, num_scales: int = 6):
     """
     x = np.asarray(series, dtype=np.float64).ravel()
     T = x.size
-    if T < 4 * min_block:
+    if T < 4 * HURST_MIN_BLOCK:
         raise ad.ContractError(
-            f"series length {T} < 4 * min_block ({4 * min_block})"
+            f"series length {T} < 4 * HURST_MIN_BLOCK ({4 * HURST_MIN_BLOCK})"
         )
     if np.ptp(x) == 0.0:
         return 0.5, True
     sizes = np.unique(
-        np.round(np.exp(np.linspace(np.log(min_block), np.log(T // 4),
-                                    num_scales))).astype(int)
+        np.round(np.exp(np.linspace(np.log(HURST_MIN_BLOCK), np.log(T // 4),
+                                    HURST_NUM_SCALES))).astype(int)
     )
     log_n, log_rs = [], []
     for n in sizes:

@@ -17,10 +17,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import windows
+from .data import ParseError, binary_column, read_table, windows
 from .model import PiModel
 
 EPS_IQR = 1e-8
+# scores.csv: one row per global index t; y_true follows when labels are given
+SCORE_STREAMS = ("r", "delta", "w", "e", "e_norm", "d_norm", "f")
+SCORE_COLUMNS = ("t", *SCORE_STREAMS, "y_hat", "y_true")
 
 
 @dataclass
@@ -35,6 +38,8 @@ class ScoringConfig:
             raise ValueError("temperature must be positive")
         if not (0.0 < self.anomaly_ratio < 100.0):
             raise ValueError("anomaly_ratio must be in (0, 100)")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -246,11 +251,8 @@ def detect(model: PiModel, train_series: np.ndarray,
 
 def write_score_csv(path, scores: ScoreSeries, y_true=None):
     """One row per global index: t, the seven streams, y_hat[, y_true]."""
-    names = ("r", "delta", "w", "e", "e_norm", "d_norm", "f")
-    cols = ["t", *names, "y_hat"]
-    if y_true is not None:
-        cols.append("y_true")
-    streams = [getattr(scores, name) for name in names]
+    cols = SCORE_COLUMNS if y_true is not None else SCORE_COLUMNS[:-1]
+    streams = [getattr(scores, name) for name in SCORE_STREAMS]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
@@ -262,3 +264,24 @@ def write_score_csv(path, scores: ScoreSeries, y_true=None):
             if y_true is not None:
                 row.append(int(y_true[t]))
             writer.writerow(row)
+
+
+def read_score_csv(path):
+    """(y_hat, y_true or None) from a scores.csv.
+
+    The header must name each column, from SCORE_COLUMNS, at most once and
+    include y_hat. Raises ParseError naming the file, and the data row and
+    column of a y_hat or y_true entry that is not 0 or 1.
+    """
+    header, matrix = read_table(path)
+    if header is None:
+        raise ParseError(f"{path}: no header line naming the columns")
+    unknown = [c for c in header if c not in SCORE_COLUMNS]
+    if unknown or len(set(header)) != len(header) or "y_hat" not in header:
+        raise ParseError(f"{path}: columns {header} are not distinct names "
+                         f"from {list(SCORE_COLUMNS)} including 'y_hat'")
+    y_hat, y_true = (
+        binary_column(path, matrix[:, header.index(name)],
+                      f"column {name!r}") if name in header else None
+        for name in ("y_hat", "y_true"))
+    return y_hat, y_true

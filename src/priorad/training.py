@@ -34,6 +34,9 @@ from .model import (ConfigError, PiModel, ModelConfig, ReconOutput,
 from .data import windows, split_train_val
 
 FORMAT_VERSION = 2  # checkpoint layout written by save_checkpoint
+# windows per validation forward; fixed, because the batch sets the order in
+# which the validation loss is summed
+VAL_BATCH = 256
 
 
 class DivergedError(RuntimeError):
@@ -58,8 +61,17 @@ class TrainConfig:
         if min(self.k, self.lambda_reg, self.lambda_hurst,
                self.lambda_score) < 0:
             raise ValueError("loss weights must be nonnegative")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        for name in ("batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, "
+                                 f"got {getattr(self, name)}")
+        for name in ("learning_rate", "clip_norm"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, "
+                                 f"got {getattr(self, name)}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must be in (0, 1), "
+                             f"got {self.val_fraction}")
 
 
 @dataclass
@@ -209,11 +221,10 @@ def minmax_step(batch: np.ndarray, model: PiModel, opt: OptimizerState,
     return LossBreakdown(**logged, total_L1=totals[0], total_L2=totals[1])
 
 
-def validation_recon_loss(model: PiModel, val_windows: np.ndarray,
-                          batch_size: int = 256) -> float:
+def validation_recon_loss(model: PiModel, val_windows: np.ndarray) -> float:
     total, count = 0.0, 0
-    for i in range(0, len(val_windows), batch_size):
-        b = val_windows[i : i + batch_size]
+    for i in range(0, len(val_windows), VAL_BATCH):
+        b = val_windows[i : i + VAL_BATCH]
         out = model.forward(Tensor(b))
         err = (out.recon.data - b) ** 2
         total += err.mean(axis=(1, 2)).sum()

@@ -4,8 +4,8 @@ import pytest
 from priorad.data import (
     ANOMALY_TYPES, AnomalySegment, ParseError, SplitError, StandardizerStats,
     SyntheticSpec, default_synthetic_spec, load_csv_dataset,
-    split_train_val, standardize, synth_generate, windows, write_csv,
-    _read_matrix,
+    load_standardizer, read_table, save_standardizer, split_train_val,
+    standardize, synth_generate, windows, write_csv, _read_matrix,
 )
 
 
@@ -120,9 +120,43 @@ def test_write_csv_rereads_bitwise(tmp_path):
     rng = np.random.default_rng(1)
     m = rng.normal(size=(50, 3))
     p = tmp_path / "m.csv"
-    write_csv(p, m, header=["a", "b", "c"])
+    write_csv(p, m)
+    p.write_text("a,b,c\n" + p.read_text())
     back = _read_matrix(p)
     assert np.array_equal(back, m)  # repr() round-trips float64 exactly
+
+
+def test_read_table_returns_header_and_checks_its_width(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("x,y\n1,2\n3,4\n")
+    header, m = read_table(p)
+    assert header == ["x", "y"]
+    np.testing.assert_array_equal(m, [[1, 2], [3, 4]])
+    p.write_text("1,2\n3,4\n")
+    assert read_table(p)[0] is None
+    p.write_text("x,y,z\n1,2\n")
+    with pytest.raises(ParseError, match="header has 3 columns, rows have 2"):
+        read_table(p)
+
+
+def test_standardizer_file_round_trips_and_is_validated(tmp_path):
+    p = tmp_path / "standardizer.npz"
+    stats = StandardizerStats.fit(np.random.default_rng(0).normal(size=(9, 2)))
+    save_standardizer(p, stats)
+    back = load_standardizer(p, channels=2)
+    assert back.mean.tobytes() == stats.mean.tobytes()
+    assert back.std.tobytes() == stats.std.tobytes()
+    for arrays, message in [
+        (dict(mean=np.zeros(1), std=np.ones(1)), r"mean must hold .* \(2\)"),
+        (dict(mean=np.zeros((2, 1)), std=np.ones(2)), "mean must hold"),
+        (dict(mean=np.zeros(2), std=np.array([1.0, 0.0])), "std must be > 0"),
+        (dict(mean=np.array([0.0, np.nan]), std=np.ones(2)), "mean must"),
+        (dict(mean=np.zeros(2)), "std is not a file"),
+    ]:
+        np.savez(p, **arrays)
+        with pytest.raises(ParseError, match=message) as info:
+            load_standardizer(p, channels=2)
+        assert str(p) in str(info.value)
 
 
 # ---------------------------------------------------------------------------

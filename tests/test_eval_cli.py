@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import priorad.autodiff as ad
-from priorad.cli import UsageError, load_run_config, main
+from priorad.cli import UsageError, build_config, load_run_config, main
 from priorad.data import (StandardizerStats, default_synthetic_spec,
                           load_csv_dataset, split_train_val, standardize)
 from priorad.evaluation import (
@@ -104,22 +104,30 @@ def test_format_report_table_alignment():
 def test_load_run_config_overrides(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
-        "model": {"window_length": 16, "channels": 2, "model_dim": 16,
+        "model": {"window_length": 16, "model_dim": 16,
                   "num_layers": 1, "num_heads": 2, "feedforward_dim": 32},
         "train": {"k": 1.0},
     }))
-    m, t, s = load_run_config(cfg, [("train.k", "0.5"),
-                                    ("scoring.temperature", "2.0")])
-    assert t.k == 0.5
+    sections = load_run_config(cfg, ["train.k=0.5", "scoring.temperature=2.0"],
+                               "ablate")
+    m = build_config(ModelConfig, sections["model"], channels=2)
+    t = build_config(TrainConfig, sections["train"])
+    s = build_config(ScoringConfig, sections["scoring"],
+                     window_length=m.window_length)
+    assert t.k == 0.5 and m.window_length == 16 and m.channels == 2
     assert s.temperature == 2.0
     assert s.window_length == m.window_length
+    # score reads only the scoring section of the same file
+    assert load_run_config(cfg, None, "score") == {"scoring": {}}
 
 
 def test_load_run_config_rejects_bad_override():
+    for override in ("nonsense=1", "train.k", "other.k=1"):
+        with pytest.raises(UsageError):
+            load_run_config(None, [override], "ablate")
+    sections = load_run_config(None, ["train.patience=0"], "ablate")
     with pytest.raises(UsageError):
-        load_run_config(None, [("nonsense", "1")])
-    with pytest.raises(UsageError):
-        load_run_config(None, [("train.patience", "0")])
+        build_config(TrainConfig, sections["train"])
 
 
 def test_cli_usage_exit_codes(tmp_path, capsys):
@@ -175,7 +183,6 @@ def test_cli_full_pipeline_smoke(tmp_path, capsys):
                  "--set", "model.num_layers=1",
                  "--set", "model.num_heads=2",
                  "--set", "model.feedforward_dim=32",
-                 "--set", "model.channels=2",
                  "--set", "train.max_epochs=1",
                  "--set", "train.batch_size=64",
                  "--set", "train.k=0.0",
@@ -211,7 +218,6 @@ def test_cli_score_rescored_bitwise(tmp_path):
                  "--set", "model.num_layers=1",
                  "--set", "model.num_heads=2",
                  "--set", "model.feedforward_dim=32",
-                 "--set", "model.channels=2",
                  "--set", "train.max_epochs=1",
                  "--set", "train.batch_size=64",
                  "--set", "train.k=0.0",
@@ -319,3 +325,163 @@ def test_cli_ablate_takes_channels_and_fails_on_error_cells(tmp_path, capsys):
     assert rows[1].endswith(",ok")
     assert "error: model_dim 7 not divisible by num_heads 2" in rows[2]
     assert "[7]" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Settings: one source and one reader each
+# ---------------------------------------------------------------------------
+
+TINY_MODEL = {"window_length": 16, "model_dim": 16, "num_layers": 1,
+              "num_heads": 2, "feedforward_dim": 32}
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """synth -> train from one config file whose scoring section train
+    leaves to score."""
+    out = tmp_path_factory.mktemp("run")
+    assert main(["synth", "--seed", "5", "--length", "400", "--channels", "2",
+                 "--type", "point", "--out", str(out)]) == 0
+    (out / "run.json").write_text(json.dumps({
+        "model": TINY_MODEL,
+        "train": {"max_epochs": 1, "batch_size": 64, "k": 0.0},
+        "scoring": {"anomaly_ratio": 2.0}}))
+    assert main(["train", "--train-csv", str(out / "train.csv"),
+                 "--config", str(out / "run.json"), "--out", str(out)]) == 0
+    return out
+
+
+def _score_argv(run, out, labels=True):
+    argv = ["score", "--checkpoint", str(run / "checkpoint.npz"),
+            "--train-csv", str(run / "train.csv"),
+            "--test-csv", str(run / "test.csv"),
+            "--config", str(run / "run.json"), "--out", str(out)]
+    return argv + (["--labels-csv", str(run / "labels.csv")] if labels
+                   else [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--set", "model.num_heads=3"],
+    ["synth", "--config", "run.json"],
+    ["eval", "--scores-csv", "scores.csv", "--set", "scoring.temperature=2"],
+    ["eval", "--scores-csv", "scores.csv", "--config", "run.json"],
+], ids=["synth_set", "synth_config", "eval_set", "eval_config"])
+def test_cli_rejects_options_the_command_does_not_read(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_out_is_the_only_output_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PRIORAD_OUT", str(tmp_path / "env"))
+    assert main(["synth", "--length", "300"]) == 0
+    assert (tmp_path / "train.csv").exists()
+    assert not (tmp_path / "env").exists()
+
+
+@pytest.mark.parametrize("command, key, source", [
+    ("train", "model.channels=2", "--train-csv"),
+    ("train", "scoring.window_length=16", "model.window_length"),
+    ("ablate", "model.channels=3", "--channels"),
+    ("score", "scoring.window_length=16", "checkpoint"),
+    ("train", "scoring.temperature=2.0", "train reads no scoring config"),
+], ids=["train_channels", "train_window_length", "ablate_channels",
+        "score_window_length", "train_scoring"])
+def test_cli_rejects_keys_the_command_does_not_take(tiny_run, tmp_path,
+                                                    capsys, command, key,
+                                                    source):
+    """Derived keys name where their value comes from; a section the
+    command does not read says so."""
+    argv = {"train": ["train", "--train-csv", str(tiny_run / "train.csv")],
+            "ablate": ["ablate", "--axis", "epochs", "--values", "1"],
+            "score": _score_argv(tiny_run, tmp_path)[:-2]}[command]
+    capsys.readouterr()
+    assert main(argv + ["--set", key, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert key.split("=")[0] in err and source in err
+    assert not (tmp_path / "checkpoint.npz").exists()
+    assert not (tmp_path / "scores.csv").exists()
+
+
+def test_cli_derived_key_in_config_file_is_rejected(tiny_run, tmp_path,
+                                                    capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"model": {**TINY_MODEL, "channels": 2}}))
+    capsys.readouterr()
+    assert main(["train", "--train-csv", str(tiny_run / "train.csv"),
+                 "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "model.channels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["train.batch_size=0", "train.max_epochs=0",
+                                 "train.learning_rate=-1",
+                                 "train.clip_norm=0",
+                                 "train.val_fraction=1.0"])
+def test_cli_train_rejects_out_of_range_config(tiny_run, tmp_path, capsys,
+                                               key):
+    capsys.readouterr()
+    assert main(["train", "--train-csv", str(tiny_run / "train.csv"),
+                 "--set", key, "--out", str(tmp_path)]) == 2
+    field = key.split("=")[0].split(".")[1]
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "checkpoint.npz").exists()
+
+
+@pytest.mark.parametrize("text, where", [
+    ("t,y_hat,y_true\n0,0,0\n1,2,1\n", "column 'y_hat' at row 1 is 2"),
+    ("t,y_hat,y_true\n0,0,0\n1,nan,1\n", "non-finite cell at row 1, column 1"),
+    ("t,y_true\n0,0\n1,1\n", "including 'y_hat'"),
+    ("t,y_hat,y_true\n0,0,0\n1,1\n", "ragged row 1"),
+], ids=["y_hat_2", "nan", "no_y_hat", "ragged"])
+def test_cli_eval_validates_scores_csv(tmp_path, capsys, text, where):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(text)
+    capsys.readouterr()
+    assert main(["eval", "--scores-csv", str(scores),
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert str(scores) in err and where in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("arrays, problem", [
+    (dict(mean=np.zeros(1), std=np.ones(1)), "per model channel (2)"),
+    (dict(mean=np.zeros(2), std=np.array([1.0, 0.0])), "std must be > 0"),
+    (dict(mean=np.array([0.0, np.inf]), std=np.ones(2)), "mean must hold"),
+], ids=["one_entry", "zero_std", "inf_mean"])
+def test_cli_score_validates_standardizer(tiny_run, tmp_path, capsys,
+                                          arrays, problem):
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("checkpoint.npz", "train.csv", "test.csv", "labels.csv",
+                 "run.json"):
+        (run / name).write_bytes((tiny_run / name).read_bytes())
+    np.savez(run / "standardizer.npz", **arrays)
+    capsys.readouterr()
+    assert main(_score_argv(run, tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert str(run / "standardizer.npz") in err and problem in err
+    assert not (tmp_path / "out" / "scores.csv").exists()
+
+
+def test_cli_score_without_labels(tiny_run, tmp_path):
+    """Without --labels-csv, scores.csv is the labelled file less its y_true
+    column, and eval takes the labels from --labels-csv instead."""
+    assert main(_score_argv(tiny_run, tmp_path / "with")) == 0
+    assert main(_score_argv(tiny_run, tmp_path / "without",
+                            labels=False)) == 0
+    with_rows = (tmp_path / "with" / "scores.csv").read_text().splitlines()
+    without = (tmp_path / "without" / "scores.csv").read_text().splitlines()
+    assert without == [r.rsplit(",", 1)[0] for r in with_rows]
+    assert main(["eval", "--scores-csv", str(tmp_path / "without" /
+                                             "scores.csv"),
+                 "--out", str(tmp_path / "without")]) == 2
+    assert main(["eval", "--scores-csv", str(tmp_path / "without" /
+                                             "scores.csv"),
+                 "--labels-csv", str(tiny_run / "labels.csv"),
+                 "--out", str(tmp_path / "without")]) == 0
+    assert main(["eval", "--scores-csv", str(tmp_path / "with" /
+                                             "scores.csv"),
+                 "--out", str(tmp_path / "with")]) == 0
+    assert (tmp_path / "with" / "report.json").read_text() == \
+        (tmp_path / "without" / "report.json").read_text()

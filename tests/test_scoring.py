@@ -8,9 +8,10 @@ from priorad.model import ModelConfig, PiModel
 from priorad.scoring import (
     EPS_IQR, NormStats, ScoreSeries, ScoringConfig, alignment_weights,
     detect, energy, fuse, mismatch_delta, point_adjust, project_to_timeline,
-    raw_streams, robust_normalize, score_series, threshold_and_label,
-    window_streams, write_score_csv,
+    raw_streams, read_score_csv, robust_normalize, score_series,
+    threshold_and_label, window_streams, write_score_csv,
 )
+from priorad.data import ParseError
 
 
 def test_alignment_weights_fixture():
@@ -289,6 +290,47 @@ def test_score_csv_roundtrip(tmp_path, tiny_model):
     assert len(back) == 30
     np.testing.assert_array_equal(back["f"], scores.f)  # repr round-trips
     np.testing.assert_array_equal(back["y_hat"].astype(bool), scores.y_hat)
+
+
+def test_read_score_csv_reads_what_write_score_csv_writes(tmp_path,
+                                                          tiny_model):
+    rng = np.random.default_rng(11)
+    series = rng.normal(size=(30, 2))
+    scores = detect(tiny_model, series, series, series, tiny_scfg())
+    y_true = np.arange(30) % 3 == 0
+    path = tmp_path / "scores.csv"
+    write_score_csv(path, scores, y_true=y_true)
+    y_hat, back = read_score_csv(path)
+    assert np.array_equal(y_hat, scores.y_hat)
+    assert np.array_equal(back, y_true)
+    write_score_csv(path, scores)
+    assert read_score_csv(path)[1] is None
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t,y_hat\n0,0\n1,2\n", "column 'y_hat' at row 1 is 2, expected 0 or 1"),
+    ("t,y_hat,y_true\n0,0,1\n1,1,0.5\n",
+     "column 'y_true' at row 1 is 0.5, expected 0 or 1"),
+    ("t,y_hat\n0,0\n1,nan\n", "non-finite cell at row 1, column 1: nan"),
+    ("t,y_hat\n0,0\n1\n", "ragged row 1: 1 cells, expected 2"),
+    ("t,f\n0,0.5\n", "including 'y_hat'"),
+    ("t,y_hat,score\n0,0,1\n", "are not distinct names"),
+    ("t,y_hat,y_hat\n0,0,1\n", "are not distinct names"),
+    ("0,1\n1,0\n", "no header line"),
+], ids=["y_hat_2", "y_true_half", "nan", "ragged", "no_y_hat",
+        "unknown_column", "repeated_column", "no_header"])
+def test_read_score_csv_rejects(tmp_path, text, message):
+    path = tmp_path / "scores.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as info:
+        read_score_csv(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)
+
+
+def test_scoring_config_rejects_empty_batches():
+    with pytest.raises(ValueError, match="batch_size"):
+        ScoringConfig(batch_size=0)
 
 
 def test_series_shorter_than_window_rejected(tiny_model):
