@@ -108,12 +108,15 @@ class Tape:
                 if g is None:
                     continue
                 g = _unbroadcast(g, t.data.shape)
-                if t.grad is None:
-                    # a view is copied: its memory layout would change
-                    # how later sums round
-                    t.grad = g if g.flags.c_contiguous else g.copy()
-                else:
-                    t.grad = t.grad + g
+                t.grad = _stored(g) if t.grad is None else t.grad + g
+
+
+def _stored(g: np.ndarray) -> np.ndarray:
+    """``g`` as the tape stores a first gradient: a view is copied, because
+    its memory layout would change how later sums round. A fused op hands
+    an inner gradient on in this form, as the tape did between the nodes
+    of the chain it replaces."""
+    return g if g.flags.c_contiguous else g.copy()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -174,15 +177,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_wrap(other), self)
 
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
 
@@ -240,21 +234,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data / b.data)
-
-    def backward(g):
-        return (g / b.data if a.requires_grad else None,
-                -g * a.data / (b.data * b.data) if b.requires_grad else None)
-
-    return _record(out, (a, b), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-    return _record(out, (a,), lambda g: (-g,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes (leading axes broadcast)."""
     if a.data.shape[-1] != b.data.shape[-2]:
@@ -310,16 +289,9 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in np.atleast_1d(axis)]
-    )
-    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / float(n))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out = Tensor(np.sqrt(a.data))
-    return _record(out, (a,), lambda g: (g * 0.5 / out.data,))
+def tmean(a: Tensor) -> Tensor:
+    """Mean over every entry."""
+    return tsum(a) * (1.0 / float(a.data.size))
 
 
 def square(a: Tensor) -> Tensor:
@@ -353,28 +325,135 @@ def stop_gradient(a: Tensor) -> Tensor:
     return Tensor(a.data)
 
 
-def masked_softmax_rows(logits: Tensor, mask: np.ndarray) -> Tensor:
-    """Row-wise softmax over the last axis restricted to ``mask`` entries.
-
-    Masked entries come out exactly 0. Stabilized by per-row max subtraction
-    over permitted entries.
-    """
+def _softmax_rows_(z: np.ndarray, mask) -> np.ndarray:
+    """Row softmax of ``z`` over its last axis restricted to ``mask``,
+    computed in z's own memory. Stabilized by per-row max subtraction over
+    permitted entries; masked entries come out exactly 0."""
     mask = np.asarray(mask, dtype=bool)
     # each row of the broadcast mask is a row of mask, so checking it suffices
     if not np.atleast_1d(mask).any(axis=-1).all():
         raise DegenerateRowError("softmax row with no permitted entries")
-    z = np.where(mask, logits.data, -np.inf)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)  # exp(-inf) is +0.0: masked entries come out exactly 0
-    s = e / e.sum(axis=-1, keepdims=True)
+    np.copyto(z, -np.inf, where=~mask)
+    np.subtract(z, z.max(axis=-1, keepdims=True), out=z)
+    np.exp(z, out=z)  # exp(-inf) is +0.0
+    return np.divide(z, z.sum(axis=-1, keepdims=True), out=z)
+
+
+def _softmax_rows_grad(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Gradient of the logits of row softmax ``s`` from its gradient ``g``.
+
+    ds/dz = diag(s) - s s^T per row, so the result is s * (g - <g, s>);
+    masked entries carry no gradient. Built in one temporary it owns.
+    """
+    t = g * s
+    dot = t.sum(axis=-1, keepdims=True)
+    np.subtract(g, dot, out=t)
+    return np.multiply(s, t, out=t)
+
+
+def masked_softmax_rows(logits: Tensor, mask: np.ndarray) -> Tensor:
+    """Row-wise softmax over the last axis restricted to ``mask`` entries."""
+    s = _softmax_rows_(logits.data.copy(), mask)
+    out = Tensor(s)
+    return _record(out, (logits,), lambda g: (_softmax_rows_grad(g, s),))
+
+
+# ---------------------------------------------------------------------------
+# Fused operations
+# ---------------------------------------------------------------------------
+
+# Each op below is one tape node in place of a chain of primitive ones, and
+# its backward closure holds only the arrays that backward reads. Two rules
+# keep values and gradients bitwise equal to the chain's: the forward and
+# backward evaluate the chain's per-element expressions and numpy
+# reductions in the chain's order, and an input the chain's gradient
+# reached twice is listed twice, so the tape adds its two gradients in the
+# chain's order.
+
+LN_EPS = 1e-6
+
+
+def attention_scores(q: Tensor, k: Tensor, mask: np.ndarray) -> Tensor:
+    """Scaled dot-product attention weights softmax(q k^T / sqrt(d)) over
+    the ``mask`` entries of each row: [..., Lq, d], [..., Lk, d] ->
+    [..., Lq, Lk].
+
+    Replaces matmul(q, transpose(k)), the scaling mul and
+    masked_softmax_rows; keeps q, k and the weights.
+    """
+    if q.data.shape[-1] != k.data.shape[-1]:
+        raise ShapeError(f"query and key widths disagree: {q.data.shape} "
+                         f"vs {k.data.shape}")
+    scale = 1.0 / np.sqrt(q.data.shape[-1])
+    z = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    s = _softmax_rows_(np.multiply(z, scale, out=z), mask)
     out = Tensor(s)
 
     def backward(g):
-        # ds/dz = diag(s) - s s^T per row; masked entries carry no gradient.
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
+        gz = _softmax_rows_grad(g, s)
+        np.multiply(gz, scale, out=gz)
+        gq = np.matmul(gz, k.data) if q.requires_grad else None
+        gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gz), -1, -2) \
+            if k.requires_grad else None
+        return gq, gk
 
-    return _record(out, (logits,), backward)
+    return _record(out, (q, k), backward)
+
+
+def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
+    """g * (x - mean) / sqrt(var + LN_EPS) + b over the last axis.
+
+    Replaces the chain tmean, sub, square, tmean, add, sqrt, div, mul, add;
+    keeps the centred input and the std. ``x`` is listed twice: the chain
+    added its gradient through ``x - mean`` first, then through the mean.
+    """
+    inv_n = 1.0 / float(x.data.shape[-1])
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    sd = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * inv_n + LN_EPS)
+    out = Tensor(g.data * (xc / sd) + b.data)
+
+    def backward(G):
+        gb = G if b.requires_grad else None
+        G = _stored(G)
+        gg = G * (xc / sd) if g.requires_grad else None
+        if not x.requires_grad:
+            return None, None, gg, gb
+        gn = G * g.data
+        gvar = _unbroadcast(-gn * xc / (sd * sd), sd.shape) * 0.5 / sd * inv_n
+        gxc = gn / sd + gvar * 2.0 * xc
+        gmean = _unbroadcast(-gxc, sd.shape) * inv_n
+        return gxc, np.broadcast_to(gmean, xc.shape).copy(), gg, gb
+
+    return _record(out, (x, x, g, b), backward)
+
+
+def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """x @ W + b. Replaces matmul and add; keeps x and W."""
+    if x.data.shape[-1] != W.data.shape[-2]:
+        raise ShapeError(
+            f"matmul inner dimensions disagree: {x.data.shape} vs {W.data.shape}"
+        )
+    y = np.matmul(x.data, W.data)
+    out = Tensor(np.add(y, b.data, out=y))
+
+    def backward(G):
+        gb = G if b.requires_grad else None
+        G = _stored(G)
+        gx = np.matmul(G, np.swapaxes(W.data, -1, -2)) \
+            if x.requires_grad else None
+        gW = np.matmul(np.swapaxes(x.data, -1, -2), G) \
+            if W.requires_grad else None
+        return gx, gW, gb
+
+    return _record(out, (x, W, b), backward)
+
+
+def mean_square(a: Tensor) -> Tensor:
+    """Mean of a * a over every entry. Replaces square and tmean; keeps a."""
+    inv_n = 1.0 / float(a.data.size)
+    out = Tensor((a.data * a.data).sum() * inv_n)
+    # the chain's broadcast gradient times 2.0 is this scalar times 2.0
+    return _record(out, (a,), lambda g: (g * inv_n * 2.0 * a.data,))
 
 
 def sym_kl_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -385,10 +464,9 @@ def sym_kl_rows(a: Tensor, b: Tensor) -> Tensor:
     gradient. Rows must sum to 1 within NORM_TOL. ``b`` is held constant
     (pass it through ``stop_gradient``); the gradient flows into ``a`` only.
 
-    One tape node in place of the chain ``clip``, ``log``, ``sub``, ``mul``,
-    ``tsum`` per direction: the forward takes each log once, and the backward
-    evaluates that chain's expressions in its order, so values and gradients
-    are bitwise equal to it.
+    Replaces the chain ``clip``, ``log``, ``sub``, ``mul``, ``tsum`` per
+    direction: the forward takes each log once. Keeps the log-ratio; the
+    backward floors ``a`` and ``b`` again.
     """
     if b.requires_grad:
         raise ContractError("sym_kl_rows holds b constant, but b needs a "
@@ -402,17 +480,30 @@ def sym_kl_rows(a: Tensor, b: Tensor) -> Tensor:
             )
     pc = np.clip(a.data, EPS_PROB, None)
     qc = np.clip(b.data, EPS_PROB, None)
-    d = np.log(pc) - np.log(qc)
+    d = np.log(pc)
+    np.subtract(d, np.log(qc), out=d)
     # KL(b||a) sums qc * (log qc - log pc) = -(qc * d) exactly
-    out = Tensor((pc * d).sum(axis=-1) - (qc * d).sum(axis=-1))
+    out = Tensor(np.multiply(pc, d, out=pc).sum(axis=-1)
+                 - np.multiply(qc, d, out=qc).sum(axis=-1))
 
     def backward(g):
+        # ((-(G*qc)) / pc) * inside + (G*d + (G*pc) / pc) * inside: KL(b||a)'s
+        # chain runs first, then KL(a||b)'s, whose pc gets G*d from the
+        # product before (G*pc)/pc from the log
         G = g[..., None]
         inside = a.data >= EPS_PROB
-        # KL(b||a)'s chain runs first, then KL(a||b)'s, whose pc gets
-        # G*d from the product before (G*pc)/pc from the log
-        return (((-(G * qc)) / pc) * inside
-                + (G * d + (G * pc) / pc) * inside,)
+        pc = np.clip(a.data, EPS_PROB, None)
+        rev = np.clip(b.data, EPS_PROB, None)
+        np.multiply(G, rev, out=rev)
+        np.negative(rev, out=rev)
+        np.divide(rev, pc, out=rev)
+        np.multiply(rev, inside, out=rev)
+        fwd = np.multiply(G, pc)
+        np.divide(fwd, pc, out=fwd)
+        np.multiply(G, d, out=pc)
+        np.add(pc, fwd, out=pc)
+        np.multiply(pc, inside, out=pc)
+        return (np.add(rev, pc, out=rev),)
 
     return _record(out, (a,), backward)
 

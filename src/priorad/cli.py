@@ -15,8 +15,9 @@ import json
 import sys
 from pathlib import Path
 
-from .data import (StandardizerStats, _read_matrix, default_synthetic_spec,
-                   load_csv_dataset, load_standardizer, read_labels,
+from .data import (ParseError, StandardizerStats, _read_matrix,
+                   default_synthetic_spec, load_csv_dataset,
+                   load_standardizer, read_labels,
                    save_standardizer, standardize, split_train_val,
                    synth_generate, write_csv, ANOMALY_TYPES)
 from .evaluation import (AblationSpec, compute_metrics, format_report_table,
@@ -172,6 +173,9 @@ def cmd_eval(args) -> int:
     y_hat, labels = read_score_csv(args.scores_csv)
     if args.labels_csv:
         labels = read_labels(args.labels_csv)
+        if len(labels) != len(y_hat):
+            raise ParseError(f"{args.labels_csv} has {len(labels)} labels, "
+                             f"but {args.scores_csv} has {len(y_hat)} rows")
     elif labels is None:
         raise UsageError("eval needs --labels-csv or a y_true column in "
                          "--scores-csv")

@@ -8,7 +8,8 @@ from encoder features. A linear head reconstructs the input window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -18,6 +19,22 @@ from .autodiff import Tensor
 
 class ConfigError(ValueError):
     """Raised on inconsistent model configuration or input shapes."""
+
+
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
+                "str": str}
+
+
+def check_field_types(cfg) -> None:
+    """Raise ConfigError naming the first field of the config dataclass
+    ``cfg`` whose value lacks its declared type: an int field takes no bool
+    or float, a float field takes an int but no bool, and a bool field takes
+    only a bool."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if not (isinstance(value, _FIELD_TYPES[f.type])
+                and isinstance(value, bool) == (f.type == "bool")):
+            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
 
 
 TAU_FLOOR = 0.5
@@ -41,6 +58,7 @@ class ModelConfig:
     prior_mode: str = "full"  # one of PRIOR_MODES
 
     def __post_init__(self):
+        check_field_types(self)
         if self.model_dim % self.num_heads != 0:
             raise ConfigError(
                 f"model_dim {self.model_dim} not divisible by "
@@ -191,14 +209,8 @@ class PiModel:
                 f"window length {window.shape[-2]} != "
                 f"config {self.cfg.window_length}"
             )
-        x = ad.matmul(window, self.params["embed.W"]) + self.params["embed.b"]
+        x = ad.linear(window, self.params["embed.W"], self.params["embed.b"])
         return x + Tensor(self.pos_enc)
-
-    def _layer_norm(self, x: Tensor, g: Tensor, b: Tensor) -> Tensor:
-        mu = ad.tmean(x, axis=-1, keepdims=True)
-        xc = x - mu
-        var = ad.tmean(ad.square(xc), axis=-1, keepdims=True)
-        return g * (xc / ad.sqrt(var + 1e-6)) + b
 
     def _split_heads(self, x: Tensor) -> Tensor:
         """[..., L, D] -> [..., H, L, d]."""
@@ -220,12 +232,9 @@ class PiModel:
         q = self._split_heads(ad.matmul(features, self.params[p + "Wq"]))
         k = self._split_heads(ad.matmul(features, self.params[p + "Wk"]))
         v = self._split_heads(ad.matmul(features, self.params[p + "Wv"]))
-        scale = 1.0 / np.sqrt(self.cfg.head_dim)
-        logits = ad.matmul(q, ad.transpose(k, _swap_axes(k.ndim, -2, -1))) * scale
-        S = ad.masked_softmax_rows(logits, self.mask)
+        S = ad.attention_scores(q, k, self.mask)
         ctx = self._merge_heads(ad.matmul(S, v))
-        ctx = ad.matmul(ctx, self.params[p + "Wo"]) + self.params[p + "bo"]
-        return S, ctx
+        return S, ad.linear(ctx, self.params[p + "Wo"], self.params[p + "bo"])
 
     def prior_fields(self, features: Tensor, layer: int) -> PriorFields:
         """Predict per-position H/tau and expose per-head kernel parameters.
@@ -236,10 +245,10 @@ class PiModel:
         """
         p = f"layer{layer}."
         feats = ad.stop_gradient(features)
-        h1 = ad.relu(
-            ad.matmul(feats, self.params[p + "field.W1"]) + self.params[p + "field.b1"]
-        )
-        raw = ad.matmul(h1, self.params[p + "field.W2"]) + self.params[p + "field.b2"]
+        h1 = ad.relu(ad.linear(feats, self.params[p + "field.W1"],
+                               self.params[p + "field.b1"]))
+        raw = ad.linear(h1, self.params[p + "field.W2"],
+                        self.params[p + "field.b2"])
         hurst = ad.sigmoid(raw[..., 0])
         stiffness = ad.softplus(raw[..., 1]) + TAU_FLOOR
         mix = ad.masked_softmax_rows(self.params[p + "mix_logits"], True)
@@ -286,20 +295,18 @@ class PiModel:
         all_logits = []
         for l in range(cfg.num_layers):
             p = f"layer{l}."
-            normed = self._layer_norm(
+            normed = ad.layer_norm(
                 x, self.params[p + "ln1.g"], self.params[p + "ln1.b"]
             )
             S, ctx = self.series_attention(normed, l)
             x = x + ctx
-            normed2 = self._layer_norm(
+            normed2 = ad.layer_norm(
                 x, self.params[p + "ln2.g"], self.params[p + "ln2.b"]
             )
-            ff = ad.matmul(
-                ad.relu(ad.matmul(normed2, self.params[p + "ff.W1"])
-                        + self.params[p + "ff.b1"]),
-                self.params[p + "ff.W2"],
-            ) + self.params[p + "ff.b2"]
-            x = x + ff
+            hidden = ad.relu(ad.linear(normed2, self.params[p + "ff.W1"],
+                                       self.params[p + "ff.b1"]))
+            x = x + ad.linear(hidden, self.params[p + "ff.W2"],
+                              self.params[p + "ff.b2"])
 
             fields = self.prior_fields(normed, l)
             P, logits = self.prior_attention(fields)
@@ -308,7 +315,7 @@ class PiModel:
             all_fields.append(fields)
             all_logits.append(logits)
 
-        recon = ad.matmul(x, self.params["head.W"]) + self.params["head.b"]
+        recon = ad.linear(x, self.params["head.W"], self.params["head.b"])
         return ReconOutput(recon, stack, all_fields, all_logits)
 
 

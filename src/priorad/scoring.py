@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import ParseError, binary_column, read_table, windows
-from .model import PiModel
+from .model import PiModel, check_field_types
 
 EPS_IQR = 1e-8
 # scores.csv: one row per global index t; y_true follows when labels are given
@@ -34,6 +34,7 @@ class ScoringConfig:
     batch_size: int = 256
 
     def __post_init__(self):
+        check_field_types(self)
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         if not (0.0 < self.anomaly_ratio < 100.0):

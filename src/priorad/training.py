@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, Tape, OptimizerState, stop_gradient
 from .model import (ConfigError, PiModel, ModelConfig, ReconOutput,
-                    estimate_hurst_rs)
+                    check_field_types, estimate_hurst_rs)
 from .data import windows, split_train_val
 
 FORMAT_VERSION = 2  # checkpoint layout written by save_checkpoint
@@ -58,6 +58,7 @@ class TrainConfig:
     series_ascent: bool = True   # keep the -k*symKL term in pass 1
 
     def __post_init__(self):
+        check_field_types(self)
         if min(self.k, self.lambda_reg, self.lambda_hurst,
                self.lambda_score) < 0:
             raise ValueError("loss weights must be nonnegative")
@@ -108,7 +109,7 @@ def loss_reconstruction(x: Tensor, recon: Tensor) -> Tensor:
         raise ad.ShapeError(
             f"reconstruction shape {recon.shape} != input {x.shape}"
         )
-    return ad.tmean(ad.square(x - recon))
+    return ad.mean_square(x - recon)
 
 
 def loss_sym_kl(attn, frozen: str) -> Tensor:
@@ -153,7 +154,7 @@ def loss_hurst_distill(fields_per_layer, target: float) -> Tensor:
         raise ad.ContractError(f"Hurst target {target} outside (0, 1)")
     total = None
     for f in fields_per_layer:
-        term = ad.tmean(ad.square(f.hurst - target))
+        term = ad.mean_square(f.hurst - target)
         total = term if total is None else total + term
     return total
 
@@ -162,7 +163,7 @@ def loss_prior_score_l2(prior_logits) -> Tensor:
     """Mean squared magnitude of the unnormalized prior scores."""
     total = None
     for logits in prior_logits:
-        term = ad.tmean(ad.square(logits))
+        term = ad.mean_square(logits)
         total = term if total is None else total + term
     return total
 

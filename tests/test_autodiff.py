@@ -277,7 +277,9 @@ def test_tape_is_consumed_by_one_backward():
 
 
 def tiny_model(prior_mode="full"):
-    return PiModel(ModelConfig(window_length=10, channels=2, model_dim=8,
+    # head_dim 3 and model_dim 6: neither 1/sqrt(head_dim) nor 1/model_dim
+    # is a power of two, so scaling earlier or later would round differently
+    return PiModel(ModelConfig(window_length=10, channels=2, model_dim=6,
                                num_layers=2, num_heads=2, feedforward_dim=16,
                                seed=0, prior_mode=prior_mode))
 
@@ -384,9 +386,6 @@ RNG = np.random.default_rng(42)
     ("add", lambda x: ad.tsum(ad.square(x + 1.5))),
     ("sub", lambda x: ad.tsum(ad.square(2.5 - x))),
     ("mul", lambda x: ad.tsum(x * x * 0.7)),
-    ("div", lambda x: ad.tsum(ad.div(Tensor(np.ones(1)), x + 3.0))),
-    ("neg", lambda x: ad.tsum(ad.square(-x + 0.3))),
-    ("sqrt", lambda x: ad.tsum(ad.sqrt(x + 3.0))),
     ("square", lambda x: ad.tsum(ad.square(x))),
     ("sigmoid", lambda x: ad.tsum(ad.square(ad.sigmoid(x)))),
     ("softplus", lambda x: ad.tsum(ad.square(ad.softplus(x)))),
@@ -471,6 +470,53 @@ def test_fd_gradient_prior_logits(name):
     check_grad(build, values[name])
 
 
+# every input of every fused model op; a weighted sum makes each output
+# entry count differently
+FUSED_INPUTS = {
+    "attention_scores": dict(q=(2, 2, 5, 3), k=(2, 2, 5, 3)),
+    "layer_norm": dict(x=(2, 4, 6), g=(6,), b=(6,)),
+    "linear": dict(x=(2, 4, 3), W=(3, 5), b=(5,)),
+    "mean_square": dict(a=(2, 4, 3)),
+}
+
+
+def _call_fused(op, args):
+    if op == "attention_scores":
+        return ad.attention_scores(args["q"], args["k"], causal_mask(5))
+    return getattr(ad, op)(*args.values())
+
+
+@pytest.mark.parametrize("op,name", [(op, name) for op, shapes
+                                     in FUSED_INPUTS.items()
+                                     for name in shapes])
+def test_fd_gradient_fused_ops(op, name):
+    rng = np.random.default_rng(9)
+    values = {n: rng.normal(size=shape)
+              for n, shape in FUSED_INPUTS[op].items()}
+    out = _call_fused(op, {n: Tensor(v) for n, v in values.items()})
+    weights = Tensor(rng.normal(size=out.shape))
+
+    def build(x):
+        args = {n: x if n == name else Tensor(v) for n, v in values.items()}
+        return ad.tsum(_call_fused(op, args) * weights)
+
+    check_grad(build, values[name])
+
+
+def test_fd_gradient_layer_norm_x_beside_another_consumer():
+    # x is listed twice among layer_norm's inputs; both of its gradients
+    # add to the one a residual consumer left in x.grad first
+    rng = np.random.default_rng(10)
+    g0, b0 = rng.normal(size=6), rng.normal(size=6)
+    weights = Tensor(rng.normal(size=(2, 4, 6)))
+
+    def build(x):
+        normed = ad.layer_norm(x, Tensor(g0), Tensor(b0))
+        return ad.tsum((x + normed) * weights)
+
+    check_grad(build, rng.normal(size=(2, 4, 6)))
+
+
 # ---------------------------------------------------------------------------
 # fused ops against the primitive chains they replace, bitwise
 # ---------------------------------------------------------------------------
@@ -489,6 +535,64 @@ def _ref_log(a):
 def _ref_cos(a):
     out = Tensor(np.cos(a.data))
     return ad._record(out, (a,), lambda g: (-g * np.sin(a.data),))
+
+
+def _ref_neg(a):
+    out = Tensor(-a.data)
+    return ad._record(out, (a,), lambda g: (-g,))
+
+
+def _ref_div(a, b):
+    out = Tensor(a.data / b.data)
+
+    def backward(g):
+        return (g / b.data if a.requires_grad else None,
+                -g * a.data / (b.data * b.data) if b.requires_grad else None)
+
+    return ad._record(out, (a, b), backward)
+
+
+def _ref_sqrt(a):
+    out = Tensor(np.sqrt(a.data))
+    return ad._record(out, (a,), lambda g: (g * 0.5 / out.data,))
+
+
+def reference_masked_softmax_rows(logits, mask):
+    """The op before it worked in temporaries it owns."""
+    mask = np.asarray(mask, dtype=bool)
+    z = np.where(mask, logits.data, -np.inf)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        dot = (g * s).sum(axis=-1, keepdims=True)
+        return (s * (g - dot),)
+
+    return ad._record(Tensor(s), (logits,), backward)
+
+
+def reference_attention_scores(q, k, mask):
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    logits = ad.matmul(q, ad.transpose(
+        k, pmodel._swap_axes(k.ndim, -2, -1))) * scale
+    return reference_masked_softmax_rows(logits, mask)
+
+
+def reference_layer_norm(x, g, b):
+    n = x.shape[-1]
+    mu = ad.tsum(x, axis=-1, keepdims=True) * (1.0 / n)
+    xc = x - mu
+    var = ad.tsum(ad.square(xc), axis=-1, keepdims=True) * (1.0 / n)
+    return g * _ref_div(xc, _ref_sqrt(var + 1e-6)) + b
+
+
+def reference_linear(x, W, b):
+    return ad.matmul(x, W) + b
+
+
+def reference_mean_square(a):
+    return ad.tmean(ad.square(a))
 
 
 def reference_kl_div_rows(p, q):
@@ -518,14 +622,28 @@ def reference_prior_logits(fields, lags):
     h_row = row_field(fields.hurst)
     tau_row = row_field(fields.stiffness)
     log_lag = Tensor(np.log1p(lags))
-    fractal = -(2.0 - 2.0 * h_row) * log_lag
-    gaussian = -ad.square(delta) / (2.0 * ad.square(tau_row))
-    ph = _ref_cos(delta * (2.0 * np.pi) / per_head(fields.phase_period))
+    fractal = _ref_neg(2.0 - 2.0 * h_row) * log_lag
+    gaussian = _ref_div(_ref_neg(ad.square(delta)),
+                        2.0 * ad.square(tau_row))
+    ph = _ref_cos(_ref_div(delta * (2.0 * np.pi),
+                           per_head(fields.phase_period)))
     phase = per_head(fields.phase_gain) * ph
     mix = fields.mix_weights
     return (per_head(mix[:, 0]) * fractal
             + per_head(mix[:, 1]) * gaussian
             + per_head(mix[:, 2]) * phase)
+
+
+# each fused op and the reference it is checked against; the first three
+# are looked up in ``ad`` by the model and the losses, the last in ``pmodel``
+REFERENCES = {
+    "sym_kl_rows": reference_sym_kl_rows,
+    "masked_softmax_rows": reference_masked_softmax_rows,
+    "attention_scores": reference_attention_scores,
+    "layer_norm": reference_layer_norm,
+    "linear": reference_linear,
+    "mean_square": reference_mean_square,
+}
 
 
 def _training_loss_and_grads(model, x):
@@ -541,26 +659,120 @@ def _training_loss_and_grads(model, x):
                 + 3.0 * loss_sym_kl(out.attn, frozen="series")
                 + _regularizer(out, TrainConfig(), 0.6)[0])
     tape.backward(loss)
-    values = [loss.data] + [t.data for t in out.prior_logits + kls]
-    return values, {n: p.grad for n, p in model.params.items()}
+    values = [loss, out.recon] + (out.attn.series + out.attn.prior
+                                  + out.prior_logits + kls)
+    return ([t.data for t in values],
+            {n: p.grad for n, p in model.params.items()})
 
 
 @pytest.mark.parametrize("lead", [(3,), ()], ids=["batch", "window"])
-@pytest.mark.parametrize("prior_mode", ["full", "single_head"])
+@pytest.mark.parametrize("prior_mode", PRIOR_MODES)
 def test_fused_ops_match_primitive_chains_bitwise(prior_mode, lead,
                                                   monkeypatch):
     model = tiny_model(prior_mode)
     x = Tensor(np.random.default_rng(8).normal(size=lead + (10, 2)))
     got_values, got_grads = _training_loss_and_grads(model, x)
-    monkeypatch.setattr(ad, "sym_kl_rows", reference_sym_kl_rows)
+    for name, reference in REFERENCES.items():
+        monkeypatch.setattr(ad, name, reference)
     monkeypatch.setattr(pmodel, "prior_logits", reference_prior_logits)
     want_values, want_grads = _training_loss_and_grads(model, x)
-    assert len(got_values) == 5
+    assert len(got_values) == 2 + 4 * model.cfg.num_layers
     for got, want in zip(got_values, want_values):
+        # tobytes compares the sign bit of every zero too
         assert got.tobytes() == want.tobytes()
-    assert all(g is not None for g in want_grads.values())
+    # no_phase trains no mixture or phase parameter
+    unused = {n for n in want_grads if prior_mode == "no_phase" and (
+        "mix_logits" in n or "phase_" in n)}
     for name, want in want_grads.items():
-        assert got_grads[name].tobytes() == want.tobytes(), name
+        assert (want is None) == (name in unused), name
+        assert want is None or got_grads[name].tobytes() == want.tobytes(), \
+            name
+
+
+# ---------------------------------------------------------------------------
+# what the tape holds for backward
+# ---------------------------------------------------------------------------
+
+
+def _root(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _held_arrays(node):
+    """Every array one tape node holds: its output and whatever its backward
+    closure captures, followed through tensors, containers and nested
+    functions."""
+    held, seen = [], set()
+
+    def visit(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            held.append(obj)
+        elif isinstance(obj, Tensor):
+            visit(obj.data)
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                visit(item)
+        elif callable(obj):
+            for cell in getattr(obj, "__closure__", None) or ():
+                try:
+                    visit(cell.cell_contents)
+                except ValueError:  # a cell not yet filled
+                    pass
+
+    out, _, backward_fn = node
+    visit(out)
+    visit(backward_fn)
+    return held
+
+
+@pytest.mark.parametrize("prior_mode", ["full", "single_head"])
+def test_tape_holds_no_dead_attention_sized_array(prior_mode, monkeypatch):
+    """At the start of each training pass's backward, the [..., H, L, L]
+    arrays the tape can reach are, per layer, exactly S, P, the prior logits
+    and the log-ratio that sym_kl_rows keeps."""
+    model = tiny_model(prior_mode)
+    H, L = model.cfg.num_heads, model.cfg.window_length
+    forward, backward = PiModel.forward, Tape.backward
+    outputs, checked = [], []
+
+    def recording_forward(self, window):
+        outputs.append(forward(self, window))
+        return outputs[-1]
+
+    def checking_backward(tape, loss):
+        out = outputs[-1]
+        kept = {id(_root(t.data)) for t in
+                out.attn.series + out.attn.prior + out.prior_logits}
+        held, log_ratios = {}, []
+        for node in tape.nodes:
+            for a in _held_arrays(node):
+                if a.shape[-3:] == (H, L, L):
+                    held[id(_root(a))] = a
+                    if node[2].__qualname__.startswith("sym_kl_rows") \
+                            and id(_root(a)) not in kept:
+                        log_ratios.append(a)
+        assert kept <= set(held)
+        assert len(kept) == 3 * model.cfg.num_layers
+        assert set(held) - kept == {id(_root(a)) for a in log_ratios}
+        assert len(log_ratios) == model.cfg.num_layers
+        frozen = "prior" if not checked else "series"
+        for a, S, P in zip(log_ratios, out.attn.series, out.attn.prior):
+            p, q = (S, P) if frozen == "prior" else (P, S)
+            want = (np.log(np.clip(p.data, EPS_PROB, None))
+                    - np.log(np.clip(q.data, EPS_PROB, None)))
+            assert a.tobytes() == want.tobytes()
+        checked.append(frozen)
+        backward(tape, loss)
+
+    monkeypatch.setattr(PiModel, "forward", recording_forward)
+    monkeypatch.setattr(Tape, "backward", checking_backward)
+    run_one_step(model)
+    assert checked == ["prior", "series"]
 
 
 def test_fd_gradient_broadcast_add():

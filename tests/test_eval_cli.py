@@ -427,6 +427,44 @@ def test_cli_train_rejects_out_of_range_config(tiny_run, tmp_path, capsys,
     assert not (tmp_path / "checkpoint.npz").exists()
 
 
+@pytest.mark.parametrize("command, key", [
+    ("train", "train.batch_size=2.5"),
+    ("train", "train.max_epochs=true"),
+    ("train", "train.learning_rate=null"),
+    ("train", "train.k=\"3\""),
+    ("train", "train.series_ascent=1"),
+    ("train", "model.num_heads=null"),
+    ("train", "model.window_length=\"20\""),
+    ("train", "model.model_dim=16.0"),
+    ("train", "model.prior_mode=1"),
+    ("score", "scoring.batch_size=1.5"),
+    ("score", "scoring.temperature=false"),
+], ids=lambda v: v.split("=")[0] if "=" in v else v)
+def test_cli_rejects_config_values_of_the_wrong_type(tiny_run, tmp_path,
+                                                     capsys, command, key):
+    # each value would pass or break the range checks, or fail only later
+    argv = (["train", "--train-csv", str(tiny_run / "train.csv"),
+             "--out", str(tmp_path)] if command == "train"
+            else _score_argv(tiny_run, tmp_path))
+    capsys.readouterr()
+    assert main(argv + ["--set", key]) == 2
+    field = key.split("=")[0].split(".")[1]
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_eval_names_both_files_when_lengths_differ(tmp_path, capsys):
+    scores, labels = tmp_path / "scores.csv", tmp_path / "labels.csv"
+    scores.write_text("t,y_hat\n0,0\n1,1\n2,0\n")
+    labels.write_text("0\n1\n")
+    capsys.readouterr()
+    assert main(["eval", "--scores-csv", str(scores), "--labels-csv",
+                 str(labels), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{labels} has 2 labels, but {scores} has 3 rows" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("text, where", [
     ("t,y_hat,y_true\n0,0,0\n1,2,1\n", "column 'y_hat' at row 1 is 2"),
     ("t,y_hat,y_true\n0,0,0\n1,nan,1\n", "non-finite cell at row 1, column 1"),
