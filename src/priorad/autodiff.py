@@ -109,6 +109,9 @@ class Tape:
                     continue
                 g = _unbroadcast(g, t.data.shape)
                 t.grad = _stored(g) if t.grad is None else t.grad + g
+            # a gradient already added into t.grad is dead: release it
+            # before the next node's backward runs
+            grads = g = None
 
 
 def _stored(g: np.ndarray) -> np.ndarray:
@@ -127,6 +130,32 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
         if n == 1 and grad.shape[ax] != 1:
             grad = grad.sum(axis=ax, keepdims=True)
     return grad
+
+
+# Ops on attention-sized arrays [..., H, L, L] work through the leading
+# (batch) axis in blocks of about this many bytes, so that a block's
+# temporaries stay in the L2 cache and no temporary is as large as the
+# whole array. A cache budget, measured once (see README, "Autodiff").
+BLOCK_BYTES = 512 * 1024
+
+
+def _blocks(x: np.ndarray) -> list:
+    """Slices of ``x``'s leading axis, each holding as many entries as fit
+    in BLOCK_BYTES and at least one. An array of at most three axes, such
+    as one window's [H, L, L], has no batch axis and is one block."""
+    if x.ndim <= 3:
+        return [...]
+    n = len(x)
+    step = max(1, BLOCK_BYTES * n // max(x.nbytes, 1))
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
+    """Add each entry of ``rows``' leading axis to ``acc`` in turn, in place.
+    Started from zeros and carried from block to block, this is numpy's
+    ``sum(axis=0)`` bitwise: numpy also adds row after row from +0.0."""
+    for r in rows:
+        np.add(acc, r, out=acc)
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +305,11 @@ def getitem(a: Tensor, idx) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+def tsum(a: Tensor, axis=None) -> Tensor:
+    out = Tensor(a.data.sum(axis=axis))
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        if not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape).copy(),)
 
@@ -327,28 +354,40 @@ def stop_gradient(a: Tensor) -> Tensor:
 
 def _softmax_rows_(z: np.ndarray, mask) -> np.ndarray:
     """Row softmax of ``z`` over its last axis restricted to ``mask``,
-    computed in z's own memory. Stabilized by per-row max subtraction over
-    permitted entries; masked entries come out exactly 0."""
+    computed in z's own memory, block by block. Stabilized by per-row max
+    subtraction over permitted entries; masked entries come out exactly
+    +0.0, as exp(-inf) would give, but never reach exp: numpy's vector exp
+    takes a slow path on input that holds -inf."""
     mask = np.asarray(mask, dtype=bool)
     # each row of the broadcast mask is a row of mask, so checking it suffices
     if not np.atleast_1d(mask).any(axis=-1).all():
         raise DegenerateRowError("softmax row with no permitted entries")
-    np.copyto(z, -np.inf, where=~mask)
-    np.subtract(z, z.max(axis=-1, keepdims=True), out=z)
-    np.exp(z, out=z)  # exp(-inf) is +0.0
-    return np.divide(z, z.sum(axis=-1, keepdims=True), out=z)
+    masked = np.broadcast_to(~mask, z.shape)
+    for sl in _blocks(z):
+        zb, mb = z[sl], masked[sl]
+        np.copyto(zb, -np.inf, where=mb)
+        np.subtract(zb, zb.max(axis=-1, keepdims=True), out=zb)
+        np.copyto(zb, 0.0, where=mb)
+        np.exp(zb, out=zb)
+        np.copyto(zb, 0.0, where=mb)
+        np.divide(zb, zb.sum(axis=-1, keepdims=True), out=zb)
+    return z
 
 
 def _softmax_rows_grad(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Gradient of the logits of row softmax ``s`` from its gradient ``g``.
 
     ds/dz = diag(s) - s s^T per row, so the result is s * (g - <g, s>);
-    masked entries carry no gradient. Built in one temporary it owns.
+    masked entries carry no gradient. Built block by block in the result.
     """
-    t = g * s
-    dot = t.sum(axis=-1, keepdims=True)
-    np.subtract(g, dot, out=t)
-    return np.multiply(s, t, out=t)
+    out = np.empty(s.shape)
+    for sl in _blocks(out):
+        t = out[sl]
+        np.multiply(g[sl], s[sl], out=t)
+        dot = t.sum(axis=-1, keepdims=True)
+        np.subtract(g[sl], dot, out=t)
+        np.multiply(s[sl], t, out=t)
+    return out
 
 
 def masked_softmax_rows(logits: Tensor, mask: np.ndarray) -> Tensor:
@@ -390,12 +429,22 @@ def attention_scores(q: Tensor, k: Tensor, mask: np.ndarray) -> Tensor:
     out = Tensor(s)
 
     def backward(g):
-        gz = _softmax_rows_grad(g, s)
-        np.multiply(gz, scale, out=gz)
-        gq = np.matmul(gz, k.data) if q.requires_grad else None
-        gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gz), -1, -2) \
+        # block by block: the logits' gradient is never whole; gk is built
+        # as [..., d, Lk] and handed on transposed, as the matmul left it
+        gq = np.empty(s.shape[:-1] + q.data.shape[-1:]) \
+            if q.requires_grad else None
+        gkT = np.empty(s.shape[:-2] + k.data.shape[-1:] + s.shape[-1:]) \
             if k.requires_grad else None
-        return gq, gk
+        qs = np.broadcast_to(q.data, s.shape[:-1] + q.data.shape[-1:])
+        ks = np.broadcast_to(k.data, s.shape[:-2] + k.data.shape[-2:])
+        for sl in _blocks(s):
+            gz = _softmax_rows_grad(g[sl], s[sl])
+            np.multiply(gz, scale, out=gz)
+            if gq is not None:
+                np.matmul(gz, ks[sl], out=gq[sl])
+            if gkT is not None:
+                np.matmul(np.swapaxes(qs[sl], -1, -2), gz, out=gkT[sl])
+        return gq, None if gkT is None else np.swapaxes(gkT, -1, -2)
 
     return _record(out, (q, k), backward)
 
@@ -471,39 +520,53 @@ def sym_kl_rows(a: Tensor, b: Tensor) -> Tensor:
     if b.requires_grad:
         raise ContractError("sym_kl_rows holds b constant, but b needs a "
                             "gradient; pass it through stop_gradient")
-    for name, t in (("a", a), ("b", b)):
-        sums = t.data.sum(axis=-1)
-        worst = np.abs(sums - 1.0).max()
-        if worst > NORM_TOL:
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"sym_kl_rows needs equal shapes, got "
+                         f"{a.data.shape} and {b.data.shape}")
+    d = np.empty(a.data.shape)  # the log-ratio, kept for backward
+    kl = np.empty(d.shape[:-1])
+    worst = ([], [])  # per block, for a and for b
+    for sl in _blocks(d):
+        ab, bb, db = a.data[sl], b.data[sl], d[sl]
+        for w, t in zip(worst, (ab, bb)):
+            w.append(np.abs(t.sum(axis=-1) - 1.0).max())
+        pc = np.clip(ab, EPS_PROB, None)
+        qc = np.clip(bb, EPS_PROB, None)
+        np.log(pc, out=db)
+        np.subtract(db, np.log(qc), out=db)
+        # KL(b||a) sums qc * (log qc - log pc) = -(qc * d) exactly
+        np.subtract(np.multiply(pc, db, out=pc).sum(axis=-1),
+                    np.multiply(qc, db, out=qc).sum(axis=-1), out=kl[sl])
+    for name, w in zip("ab", worst):
+        w = np.max(w)
+        if w > NORM_TOL:
             raise NormalizationError(
-                f"{name} rows not normalized: max |sum-1| = {worst:.3e}"
+                f"{name} rows not normalized: max |sum-1| = {w:.3e}"
             )
-    pc = np.clip(a.data, EPS_PROB, None)
-    qc = np.clip(b.data, EPS_PROB, None)
-    d = np.log(pc)
-    np.subtract(d, np.log(qc), out=d)
-    # KL(b||a) sums qc * (log qc - log pc) = -(qc * d) exactly
-    out = Tensor(np.multiply(pc, d, out=pc).sum(axis=-1)
-                 - np.multiply(qc, d, out=qc).sum(axis=-1))
+    out = Tensor(kl)
 
     def backward(g):
         # ((-(G*qc)) / pc) * inside + (G*d + (G*pc) / pc) * inside: KL(b||a)'s
         # chain runs first, then KL(a||b)'s, whose pc gets G*d from the
         # product before (G*pc)/pc from the log
-        G = g[..., None]
-        inside = a.data >= EPS_PROB
-        pc = np.clip(a.data, EPS_PROB, None)
-        rev = np.clip(b.data, EPS_PROB, None)
-        np.multiply(G, rev, out=rev)
-        np.negative(rev, out=rev)
-        np.divide(rev, pc, out=rev)
-        np.multiply(rev, inside, out=rev)
-        fwd = np.multiply(G, pc)
-        np.divide(fwd, pc, out=fwd)
-        np.multiply(G, d, out=pc)
-        np.add(pc, fwd, out=pc)
-        np.multiply(pc, inside, out=pc)
-        return (np.add(rev, pc, out=rev),)
+        ga = np.empty(d.shape)
+        for sl in _blocks(d):
+            G = g[sl][..., None]
+            ab = a.data[sl]
+            inside = ab >= EPS_PROB
+            pc = np.clip(ab, EPS_PROB, None)
+            rev = np.clip(b.data[sl], EPS_PROB, None, out=ga[sl])
+            np.multiply(G, rev, out=rev)
+            np.negative(rev, out=rev)
+            np.divide(rev, pc, out=rev)
+            np.multiply(rev, inside, out=rev)
+            fwd = np.multiply(G, pc)
+            np.divide(fwd, pc, out=fwd)
+            np.multiply(G, d[sl], out=pc)
+            np.add(pc, fwd, out=pc)
+            np.multiply(pc, inside, out=pc)
+            np.add(rev, pc, out=rev)
+        return (ga,)
 
     return _record(out, (a,), backward)
 

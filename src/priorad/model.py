@@ -329,11 +329,16 @@ def prior_logits(fields: PriorFields, lags: np.ndarray) -> Tensor:
     replaces (reshape, mul, sub, neg, square, div, cos, getitem, add) in
     reverse tape order, reducing through ``_unbroadcast`` at the same
     points, so its gradients are bitwise equal to that chain's.
+
+    Both directions work through the batch in blocks (``ad._blocks``); a
+    single window is a batch of one. The chain's sums over the batch are
+    carried from block to block in numpy's row order (``ad._add_rows``).
     """
     hurst, tau, mix = fields.hurst, fields.stiffness, fields.mix_weights
     period, gain = fields.phase_period, fields.phase_gain
     L = lags.shape[-1]
-    row = hurst.shape[:-1] + (1, L, 1)  # a per-position field indexes the row
+    lead = hurst.shape[:-1] or (1,)
+    row = lead + (1, L, 1)  # a per-position field indexes the row
     head = (period.shape[0], 1, 1)
     h_row, tau_row = hurst.data.reshape(row), tau.data.reshape(row)
     period_h, gain_h = period.data.reshape(head), gain.data.reshape(head)
@@ -341,35 +346,58 @@ def prior_logits(fields: PriorFields, lags: np.ndarray) -> Tensor:
     log_lag, neg_sq = np.log1p(lags), -(lags * lags)
     turns = lags * (2.0 * np.pi)
 
-    def kernels():
-        tau_sq2 = 2.0 * (tau_row * tau_row)
+    def head_kernels():
         angle = turns / period_h
         wave = np.cos(angle)
-        return (-(2.0 - 2.0 * h_row) * log_lag, neg_sq / tau_sq2,
-                gain_h * wave, tau_sq2, angle, wave)
+        return gain_h * wave, angle, wave
 
-    fractal, gaussian, phase, *_ = kernels()
-    out = Tensor(m0 * fractal + m1 * gaussian + m2 * phase)
+    def kernels(sl):
+        """The per-position kernels of the windows in block ``sl``."""
+        tau_sq2 = 2.0 * (tau_row[sl] * tau_row[sl])
+        return (-(2.0 - 2.0 * h_row[sl]) * log_lag, neg_sq / tau_sq2,
+                tau_sq2)
+
+    phase = head_kernels()[0]
+    logits = np.empty(lead + phase.shape)
+    mixed_phase = m2 * phase
+    for sl in ad._blocks(logits):
+        fractal, gaussian, _ = kernels(sl)
+        np.add(m0 * fractal + m1 * gaussian, mixed_phase, out=logits[sl])
+    out = Tensor(logits.reshape(hurst.shape[:-1] + phase.shape))
 
     def backward(G):
         unb = ad._unbroadcast
-        fractal, gaussian, phase, tau_sq2, angle, wave = kernels()
-        g_phase = unb(G, phase.shape)  # the phase term has no leading axes
-        g_hurst = g_tau = g_mix = g_period = g_gain = None
+        phase, angle, wave = head_kernels()
+        G = G.reshape(lead + phase.shape)
+        # G and, for the mixture, G times each kernel summed over the batch
+        g_sum = np.zeros(G.shape[1:])
+        fr_sum = np.zeros(G.shape[1:]) if mix.requires_grad else None
+        ga_sum = np.zeros(G.shape[1:]) if mix.requires_grad else None
+        g_tau = np.empty(tau.shape) if tau.requires_grad else None
+        g_hurst = np.empty(hurst.shape) if hurst.requires_grad else None
+        for sl in ad._blocks(G):
+            Gb = G[sl]
+            fractal, gaussian, tau_sq2 = kernels(sl)
+            ad._add_rows(g_sum, Gb)
+            if mix.requires_grad:
+                ad._add_rows(fr_sum, Gb * fractal)
+                ad._add_rows(ga_sum, Gb * gaussian)
+            if tau.requires_grad:
+                g = unb(Gb * m1, gaussian.shape)
+                g = unb(-g * neg_sq / (tau_sq2 * tau_sq2), tau_sq2.shape)
+                g_tau.reshape(row)[sl] = g * 2.0 * 2.0 * tau_row[sl]
+            if hurst.requires_grad:
+                # neg, then sub from 2.0: two exact negations
+                g = unb(unb(Gb * m0, fractal.shape) * log_lag, tau_sq2.shape)
+                g_hurst.reshape(row)[sl] = g * 2.0
+        g_phase = unb(g_sum, phase.shape)  # the phase term has no batch
+        g_mix = g_period = g_gain = None
         if mix.requires_grad:
             # the chain summed one zero-filled getitem scatter per column,
             # which turns a -0.0 into +0.0, as + 0.0 does
             g_mix = np.concatenate(
-                [unb(G * fractal, head), unb(G * gaussian, head),
+                [unb(fr_sum, head), unb(ga_sum, head),
                  unb(g_phase * phase, head)], axis=-1).reshape(mix.shape) + 0.0
-        if tau.requires_grad:
-            g = unb(G * m1, gaussian.shape)
-            g = unb(-g * neg_sq / (tau_sq2 * tau_sq2), row)
-            g_tau = (g * 2.0 * 2.0 * tau_row).reshape(tau.shape)
-        if hurst.requires_grad:
-            # neg, then sub from 2.0: two exact negations
-            g = unb(unb(G * m0, fractal.shape) * log_lag, row)
-            g_hurst = (g * 2.0).reshape(hurst.shape)
         g = g_phase * m2
         if gain.requires_grad:
             g_gain = unb(g * wave, head).reshape(gain.shape)

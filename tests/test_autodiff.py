@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -133,6 +136,8 @@ def reference_masked_softmax(logits, mask):
 
 def test_softmax_matches_reference_bitwise():
     logits = np.random.default_rng(4).normal(scale=3, size=(3, 2, 7, 7))
+    # permitted logits more than 745 below their row's max underflow to 0
+    logits[1, 0, 5, :6] = [0.0, -750.0, 2.0, -1e4, -748.0, -1e300]
     for mask in (causal_mask(7), True):
         got = masked_softmax_rows(Tensor(logits), mask).data
         # tobytes compares the sign bit of every zero too
@@ -183,6 +188,24 @@ def test_kl_rejects_unnormalized():
     for a, b in ((bad, good), (good, bad)):
         with pytest.raises(NormalizationError):
             sym_kl_rows(Tensor(a), Tensor(b))
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 62], ids=["one", "unbounded"])
+def test_kl_names_the_worst_row_over_all_blocks(budget, monkeypatch):
+    # five batch entries, one per block under the budget of one byte; a's
+    # worst row is in the last block and b's in the first, and a is named
+    monkeypatch.setattr(ad, "BLOCK_BYTES", budget)
+    a = np.full((5, 1, 2, 2), 0.5)
+    b = a.copy()
+    a[1, 0, 0] = [0.5, 0.6]
+    a[4, 0, 1] = [0.5, 0.8]
+    b[0, 0, 0] = [0.5, 0.9]
+    with pytest.raises(NormalizationError,
+                       match=r"^a rows not normalized: max \|sum-1\| = "
+                             r"3\.000e-01$"):
+        sym_kl_rows(Tensor(a), Tensor(b))
+    with pytest.raises(NormalizationError, match=r"^b rows .* 4\.000e-01$"):
+        sym_kl_rows(Tensor(np.full((5, 1, 2, 2), 0.5)), Tensor(b))
 
 
 def test_kl_rejects_b_that_needs_a_gradient():
@@ -269,6 +292,30 @@ def test_tape_is_consumed_by_one_backward():
     with pytest.raises(ContractError, match="tape already consumed"):
         tape.backward(y)
     assert x.grad == 4.0  # not counted twice
+
+
+def test_backward_releases_added_gradients_before_the_next_node():
+    # node 2 hands y two gradients: the first is stored as y.grad and then
+    # replaced by their sum, so neither array is alive when node 1 runs
+    x = Tensor(np.ones(3), requires_grad=True)
+    handed, alive_in_node1 = [], []
+
+    def node1_backward(g):
+        alive_in_node1.extend(ref() is not None for ref in handed)
+        return (g,)
+
+    def node2_backward(g):
+        grads = (g * 2.0, g * 3.0)
+        handed.extend(weakref.ref(a) for a in grads)
+        return grads
+
+    with Tape() as tape:
+        y = ad._record(Tensor(x.data * 1.0), (x,), node1_backward)
+        z = ad._record(Tensor(y.data + y.data), (y, y), node2_backward)
+        loss = ad.tsum(z)
+    tape.backward(loss)
+    assert alive_in_node1 == [False, False]
+    np.testing.assert_array_equal(x.grad, np.full(3, 5.0))
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +604,13 @@ def _ref_sqrt(a):
     return ad._record(out, (a,), lambda g: (g * 0.5 / out.data,))
 
 
+def _ref_sum_last(a):
+    """Sum over the last axis, kept as an axis of one."""
+    out = Tensor(a.data.sum(axis=-1, keepdims=True))
+    return ad._record(out, (a,),
+                      lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
+
+
 def reference_masked_softmax_rows(logits, mask):
     """The op before it worked in temporaries it owns."""
     mask = np.asarray(mask, dtype=bool)
@@ -581,9 +635,9 @@ def reference_attention_scores(q, k, mask):
 
 def reference_layer_norm(x, g, b):
     n = x.shape[-1]
-    mu = ad.tsum(x, axis=-1, keepdims=True) * (1.0 / n)
+    mu = _ref_sum_last(x) * (1.0 / n)
     xc = x - mu
-    var = ad.tsum(ad.square(xc), axis=-1, keepdims=True) * (1.0 / n)
+    var = _ref_sum_last(ad.square(xc)) * (1.0 / n)
     return g * _ref_div(xc, _ref_sqrt(var + 1e-6)) + b
 
 
@@ -687,6 +741,121 @@ def test_fused_ops_match_primitive_chains_bitwise(prior_mode, lead,
         assert (want is None) == (name in unused), name
         assert want is None or got_grads[name].tobytes() == want.tobytes(), \
             name
+
+
+# ---------------------------------------------------------------------------
+# attention-sized ops in batch blocks
+# ---------------------------------------------------------------------------
+
+BLOCK_H, BLOCK_L = 3, 6
+# one batch entry's [H, L, L] slice, which every blocked op's array shares
+BLOCK_ROW = BLOCK_H * BLOCK_L * BLOCK_L * 8
+# one entry per block, two (so five entries end in a short block), one block
+BUDGETS = {"one": 1, "two": 2 * BLOCK_ROW, "unbounded": 1 << 62}
+BLOCKED_OPS = ["masked_softmax_rows", "attention_scores", "sym_kl_rows",
+               "prior_logits"]
+
+
+def _normalized(x):
+    return x / x.sum(axis=-1, keepdims=True)
+
+
+def _blocked_op_inputs(op, lead, H, L, rng):
+    """Leaf tensors for ``op`` over windows ``lead``; only sym_kl_rows' b
+    needs no gradient."""
+    if op == "prior_logits":
+        values = dict(hurst=rng.uniform(0.1, 0.9, lead + (L,)),
+                      stiffness=rng.uniform(0.6, 3.0, lead + (L,)),
+                      mix_weights=_normalized(rng.random((H, 3)) + 0.1),
+                      phase_period=rng.uniform(2.0, 6.0, H),
+                      phase_gain=rng.uniform(0.0, 1.5, H))
+    elif op == "attention_scores":
+        values = dict(q=rng.normal(size=lead + (H, L, 4)),
+                      k=rng.normal(size=lead + (H, L, 4)))
+    elif op == "sym_kl_rows":
+        # exact zeros above the diagonal, as S and P have
+        values = {n: _normalized(np.tril(rng.random(lead + (H, L, L)) + 1e-3))
+                  for n in "ab"}
+    else:
+        values = dict(logits=rng.normal(scale=3.0, size=lead + (H, L, L)))
+    return {n: Tensor(v, requires_grad=n != "b") for n, v in values.items()}
+
+
+def _blocked_op(op, args, L):
+    mask = causal_mask(L)
+    if op == "prior_logits":
+        return pmodel.prior_logits(PriorFields(**args), pmodel.lag_matrix(L))
+    if op == "attention_scores":
+        return ad.attention_scores(args["q"], args["k"], mask)
+    if op == "sym_kl_rows":
+        return ad.sym_kl_rows(args["a"], args["b"])
+    return ad.masked_softmax_rows(args["logits"], mask)
+
+
+@pytest.mark.parametrize("lead", [(5,), ()], ids=["batch", "window"])
+@pytest.mark.parametrize("op", BLOCKED_OPS)
+def test_blocked_ops_bitwise_across_block_sizes(op, lead, monkeypatch):
+    H, L = BLOCK_H, BLOCK_L
+    rng = np.random.default_rng(12)
+    args = _blocked_op_inputs(op, lead, H, L, rng)
+    weights = {shape: Tensor(rng.normal(size=shape))
+               for shape in (lead + (H, L), lead + (H, L, L))}
+    results = {}
+    for name, budget in BUDGETS.items():
+        monkeypatch.setattr(ad, "BLOCK_BYTES", budget)
+        for t in args.values():
+            t.grad = None
+        with Tape() as tape:
+            out = _blocked_op(op, args, L)
+            loss = ad.tsum(out * weights[out.shape])
+        tape.backward(loss)
+        results[name] = [out.data] + [t.grad for t in args.values()
+                                      if t.requires_grad]
+    monkeypatch.setattr(ad, "BLOCK_BYTES", BUDGETS["two"])
+    assert len(ad._blocks(np.empty(lead + (H, L, L)))) == (3 if lead else 1)
+    want = results.pop("unbounded")
+    for got in results.values():
+        for g, w in zip(got, want, strict=True):
+            # tobytes compares the sign bit of every zero too
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("prior_mode", PRIOR_MODES)
+def test_minmax_step_bitwise_across_block_sizes(prior_mode, monkeypatch):
+    batch = np.random.default_rng(13).normal(size=(5, 10, 2))
+    cfg = TrainConfig(series_ascent=True)
+    runs = []
+    for budget in (1, 1 << 62):
+        monkeypatch.setattr(ad, "BLOCK_BYTES", budget)
+        model = tiny_model(prior_mode)
+        opt = OptimizerState(model.parameters(), lr=1e-3, clip_norm=5.0)
+        losses = [minmax_step(batch, model, opt, cfg, 0.6) for _ in range(3)]
+        arrays = [np.array([[getattr(b, f) for f in b.FIELDS]
+                            for b in losses])]
+        arrays += [p.data for p in model.parameters()] + opt.m + opt.v
+        runs.append([a.tobytes() for a in arrays])
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("op", BLOCKED_OPS)
+def test_blocked_backward_allocates_only_a_few_blocks(op):
+    """A blocked backward builds no whole-array temporary: beyond the
+    gradients it returns, it allocates at most a few blocks."""
+    B, H, L = 32, 4, 64
+    assert B * H * L * L * 8 >= 8 * ad.BLOCK_BYTES
+    rng = np.random.default_rng(14)
+    with Tape() as tape:
+        out = _blocked_op(op, _blocked_op_inputs(op, (B,), H, L, rng), L)
+    backward_fn = tape.nodes[-1][2]
+    g = rng.normal(size=out.shape)
+    tracemalloc.start()
+    try:
+        grads = backward_fn(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in grads if a is not None)
+    assert peak - returned < 4 * ad.BLOCK_BYTES
 
 
 # ---------------------------------------------------------------------------
