@@ -156,8 +156,14 @@ def cmd_score(args) -> int:
     score_cfg = build_config(ScoringConfig, sections["scoring"],
                              window_length=L)
     ds = load_csv_dataset(args.train_csv, args.test_csv, args.labels_csv)
+    channels = ckpt.model.cfg.channels
+    for path, matrix in ((args.train_csv, ds.train), (args.test_csv, ds.test)):
+        if matrix.shape[1] != channels:
+            raise ParseError(f"{path} has {matrix.shape[1]} columns, but "
+                             f"checkpoint {args.checkpoint} has {channels} "
+                             f"channels")
     stats = load_standardizer(Path(args.checkpoint).parent
-                              / "standardizer.npz", ckpt.model.cfg.channels)
+                              / "standardizer.npz", channels)
     z_train = standardize(ds.train, stats)
     z_test = standardize(ds.test, stats)
     fit_part, thresh_part = split_train_val(

@@ -58,6 +58,11 @@ class StandardizerStats:
 
 
 def standardize(data: np.ndarray, stats: StandardizerStats) -> np.ndarray:
+    """(data - mean) / std per channel of a [n, C] matrix; a C other than
+    the standardizer's is a ValueError, never a broadcast."""
+    if data.ndim != 2 or data.shape[1] != len(stats.mean):
+        raise ValueError(f"data of shape {data.shape} does not have the "
+                         f"standardizer's {len(stats.mean)} channels")
     return (data - stats.mean) / stats.std
 
 
@@ -173,11 +178,14 @@ def load_csv_dataset(train_path, test_path, labels_path=None) -> RawDataset:
 
 
 def windows(series: np.ndarray, length: int) -> np.ndarray:
-    """All overlapping windows as a view-copy of shape [K, L, C]."""
+    """All K = n - L + 1 overlapping windows [K, L, C] of ``series`` [n, C]
+    as a read-only view: nothing is copied, so callers gather a batch into
+    an array of its own before forwarding it."""
     n = len(series)
     if n < length:
         raise SplitError(f"series length {n} < window length {length}")
-    return np.stack([series[i : i + length] for i in range(n - length + 1)])
+    return np.lib.stride_tricks.sliding_window_view(
+        series, length, axis=0).swapaxes(-1, -2)
 
 
 def split_train_val(series: np.ndarray, val_fraction: float,

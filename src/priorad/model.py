@@ -278,8 +278,6 @@ class PiModel:
             # single_head: one prior head shared by every series head; the
             # broadcast sums the head gradients before the kernel backward
             logits = logits + Tensor(np.zeros((H, 1, 1)))
-        if not np.isfinite(logits.data).all():
-            raise ad.NumericError("non-finite prior kernel logits")
         P = ad.masked_softmax_rows(logits, self.mask)
         return P, logits
 
@@ -333,6 +331,7 @@ def prior_logits(fields: PriorFields, lags: np.ndarray) -> Tensor:
     Both directions work through the batch in blocks (``ad._blocks``); a
     single window is a batch of one. The chain's sums over the batch are
     carried from block to block in numpy's row order (``ad._add_rows``).
+    A block holding a non-finite logit raises NumericError once written.
     """
     hurst, tau, mix = fields.hurst, fields.stiffness, fields.mix_weights
     period, gain = fields.phase_period, fields.phase_gain
@@ -363,6 +362,8 @@ def prior_logits(fields: PriorFields, lags: np.ndarray) -> Tensor:
     for sl in ad._blocks(logits):
         fractal, gaussian, _ = kernels(sl)
         np.add(m0 * fractal + m1 * gaussian, mixed_phase, out=logits[sl])
+        if not np.isfinite(logits[sl]).all():
+            raise ad.NumericError("non-finite prior kernel logits")
     out = Tensor(logits.reshape(hurst.shape[:-1] + phase.shape))
 
     def backward(G):

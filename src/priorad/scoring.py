@@ -1,11 +1,13 @@
-"""Inference scoring: window streams, timeline projection, fusion, labels.
+"""Inference scoring: streaming window scores, fusion, labels.
 
 Per window: reconstruction error r, mismatch Delta (temperature-scaled
 symmetric KL averaged over layers and heads), alignment weights w
-(softmax of -Delta), and Energy e = w * r. Streams are projected to the
-global timeline end-anchored, robustly normalized against the training
-split, fused with a pointwise max, and thresholded at a percentile of
-pooled calibration scores.
+(softmax of -Delta), and Energy e = w * r. ``window_streams`` forwards the
+windows (a view of the series) batch by batch and projects each batch's
+streams to the global timeline end-anchored before the next, so scoring
+holds O(n * (C + 4)) numbers plus one batch. The streams are robustly
+normalized against the training split, fused with a pointwise max, and
+thresholded at a percentile of pooled calibration scores.
 """
 
 from __future__ import annotations
@@ -107,25 +109,6 @@ def energy(w: np.ndarray, r: np.ndarray) -> np.ndarray:
     return w * r
 
 
-def project_to_timeline(per_window: np.ndarray, n: int, length: int
-                        ) -> np.ndarray:
-    """End-anchored projection of [K, L] window streams to a length-n stream.
-
-    Index t >= L-1 takes the last position of the window ending at t;
-    earlier indices take the first window's interior positions.
-    """
-    k, L = per_window.shape
-    if n < length or L != length or k != n - length + 1:
-        raise ad.ContractError(
-            f"window stack {per_window.shape} does not cover a length-{n} "
-            f"series with L={length}"
-        )
-    out = np.empty(n)
-    out[: length - 1] = per_window[0, : length - 1]
-    out[length - 1 :] = per_window[:, length - 1]
-    return out
-
-
 def robust_normalize(stream: np.ndarray, med: float, iqr: float
                      ) -> np.ndarray:
     """max(0, (x - med) / IQR); IQR is floored at EPS_IQR upstream."""
@@ -183,41 +166,42 @@ def point_adjust(y_hat: np.ndarray, y_true: np.ndarray) -> np.ndarray:
 
 
 def window_streams(model: PiModel, series: np.ndarray, cfg: ScoringConfig):
-    """Per-window (r, delta, w, e) arrays of shape [K, L]."""
+    """Global-timeline (r, delta, w, e) for one series, one batch at a time.
+
+    Each batch of windows is forwarded, reduced to its per-window streams
+    [B, L] and projected end-anchored: index t >= L-1 takes the last
+    position of the window ending at t, and earlier indices take the first
+    window's interior positions. Only the four length-n streams outlive a
+    batch. The alignment weights are window-local, so the batch size does
+    not change a bit of the result.
+    """
     L = cfg.window_length
-    if len(series) < L:
-        raise ad.ContractError(
-            f"series length {len(series)} < window length {L}"
-        )
-    wins = windows(series, L)
-    rs, deltas = [], []
-    for i in range(0, len(wins), cfg.batch_size):
-        b = wins[i : i + cfg.batch_size]
-        out = model.forward(Tensor(b))
-        rs.append(((out.recon.data - b) ** 2).mean(axis=-1))
-        deltas.append(mismatch_delta(out.attn, cfg.temperature))
-    r = np.concatenate(rs)
-    delta = np.concatenate(deltas)
-    w = alignment_weights(delta)
-    return r, delta, w, energy(w, r)
-
-
-def raw_streams(model: PiModel, series: np.ndarray, cfg: ScoringConfig):
-    """Global-timeline (r, delta, w, e) for one series."""
-    r, delta, w, e = window_streams(model, series, cfg)
     n = len(series)
-    L = cfg.window_length
-    return tuple(project_to_timeline(s, n, L) for s in (r, delta, w, e))
+    if n < L:
+        raise ad.ContractError(f"series length {n} < window length {L}")
+    wins = windows(series, L)
+    streams = tuple(np.empty(n) for _ in range(4))
+    for i in range(0, len(wins), cfg.batch_size):
+        b = np.ascontiguousarray(wins[i : i + cfg.batch_size])
+        out = model.forward(Tensor(b))
+        r = ((out.recon.data - b) ** 2).mean(axis=-1)
+        delta = mismatch_delta(out.attn, cfg.temperature)
+        w = alignment_weights(delta)
+        for stream, per_window in zip(streams, (r, delta, w, energy(w, r))):
+            if i == 0:
+                stream[: L - 1] = per_window[0, : L - 1]
+            stream[i + L - 1 : i + L - 1 + len(b)] = per_window[:, L - 1]
+    return streams
 
 
 def fit_norm_stats(streams) -> NormStats:
-    """Median/IQR of Energy and mismatch from calibration raw_streams."""
+    """Median/IQR of Energy and mismatch from calibration window_streams."""
     _, delta, _, e = streams
     return NormStats.fit(e, delta)
 
 
 def normalize_streams(streams, stats: NormStats) -> ScoreSeries:
-    """Normalize and fuse one series' ``raw_streams`` (no thresholding)."""
+    """Normalize and fuse one series' ``window_streams`` (no thresholding)."""
     r, delta, w, e = streams
     e_norm = robust_normalize(e, stats.energy_med, stats.energy_iqr)
     d_norm = robust_normalize(delta, stats.delta_med, stats.delta_iqr)
@@ -227,7 +211,7 @@ def normalize_streams(streams, stats: NormStats) -> ScoreSeries:
 def score_series(model: PiModel, series: np.ndarray, cfg: ScoringConfig,
                  stats: NormStats) -> ScoreSeries:
     """Full scoring pipeline on one series (no thresholding)."""
-    return normalize_streams(raw_streams(model, series, cfg), stats)
+    return normalize_streams(window_streams(model, series, cfg), stats)
 
 
 def detect(model: PiModel, train_series: np.ndarray,
@@ -238,7 +222,7 @@ def detect(model: PiModel, train_series: np.ndarray,
     Each split is forwarded once: the train split's streams give both the
     normalization statistics and its calibration scores.
     """
-    fit = raw_streams(model, train_series, cfg)
+    fit = window_streams(model, train_series, cfg)
     stats = fit_norm_stats(fit)
     f_train = normalize_streams(fit, stats).f
     f_thresh = score_series(model, thresh_series, cfg, stats).f

@@ -225,7 +225,7 @@ def minmax_step(batch: np.ndarray, model: PiModel, opt: OptimizerState,
 def validation_recon_loss(model: PiModel, val_windows: np.ndarray) -> float:
     total, count = 0.0, 0
     for i in range(0, len(val_windows), VAL_BATCH):
-        b = val_windows[i : i + VAL_BATCH]
+        b = np.ascontiguousarray(val_windows[i : i + VAL_BATCH])
         out = model.forward(Tensor(b))
         err = (out.recon.data - b) ** 2
         total += err.mean(axis=(1, 2)).sum()
@@ -271,6 +271,7 @@ def train(train_series: np.ndarray, model_cfg: ModelConfig,
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(len(train_w))
         for i in range(0, len(order), cfg.batch_size):
+            # fancy indexing gathers a contiguous copy out of the view
             batch = train_w[order[i : i + cfg.batch_size]]
             bd = minmax_step(batch, model, opt, cfg, hurst_target)
             step += 1

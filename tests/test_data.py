@@ -33,6 +33,21 @@ def test_windows_count_and_content():
     np.testing.assert_array_equal(w[-1], series[6:])
 
 
+def test_windows_are_a_read_only_view():
+    series = np.arange(20.0).reshape(10, 2)
+    w = windows(series, 4)
+    assert np.shares_memory(w, series)
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0, 0] = 1.0
+
+
+def test_standardize_rejects_another_width():
+    stats = StandardizerStats.fit(np.arange(12.0).reshape(4, 3))
+    with pytest.raises(ValueError, match="3 channels"):
+        standardize(np.zeros((5, 1)), stats)
+
+
 def test_windows_too_short():
     with pytest.raises(SplitError):
         windows(np.zeros((3, 1)), 5)

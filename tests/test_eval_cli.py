@@ -302,6 +302,35 @@ def test_cli_score_rejects_non_finite_test_cell(tmp_path, capsys):
     assert "test.csv" in err and "non-finite cell at row 7, column 1" in err
 
 
+def test_cli_score_rejects_csv_narrower_than_the_checkpoint(tmp_path,
+                                                           capsys):
+    """One-column CSVs against a 3-channel checkpoint fail naming the CSV
+    and the checkpoint, instead of broadcasting through the standardizer."""
+    out = tmp_path
+    main(["synth", "--seed", "4", "--length", "300", "--channels", "3",
+          "--type", "point", "--out", str(out)])
+    assert main(["train", "--train-csv", str(out / "train.csv"),
+                 "--set", "model.window_length=16",
+                 "--set", "model.model_dim=16", "--set", "model.num_layers=1",
+                 "--set", "model.num_heads=2",
+                 "--set", "model.feedforward_dim=32",
+                 "--set", "train.max_epochs=1", "--set", "train.k=0.0",
+                 "--out", str(out)]) == 0
+    for name in ("train", "test"):
+        lines = (out / f"{name}.csv").read_text().splitlines()
+        (out / f"one_{name}.csv").write_text(
+            "".join(line.split(",")[0] + "\n" for line in lines))
+    capsys.readouterr()
+    assert main(["score", "--checkpoint", str(out / "checkpoint.npz"),
+                 "--train-csv", str(out / "one_train.csv"),
+                 "--test-csv", str(out / "one_test.csv"),
+                 "--out", str(out / "scored")]) == 1
+    err = capsys.readouterr().err
+    assert (f"{out / 'one_train.csv'} has 1 columns, but checkpoint "
+            f"{out / 'checkpoint.npz'} has 3 channels") in err
+    assert not (out / "scored" / "scores.csv").exists()
+
+
 def test_cli_ablate_takes_channels_and_fails_on_error_cells(tmp_path, capsys):
     """`ablate` builds its model for the synthetic series' channels and exits
     1, after writing every cell, when one of them failed."""

@@ -228,6 +228,27 @@ def test_single_head_mode_shares_prior_across_heads():
         np.testing.assert_array_equal(P.data[0], P.data[1])
 
 
+@pytest.mark.parametrize("mode", ["full", "single_head"])
+def test_non_finite_prior_logits_raise(mode, monkeypatch):
+    """A NaN field bias makes every prior logit NaN; a NaN in the last
+    window of a batch spread over one window per block reaches the last
+    block only. Both raise NumericError."""
+    rng = np.random.default_rng(7)
+    model = PiModel(small_cfg(prior_mode=mode))
+    model.params["layer0.field.b1"].data[0] = np.nan
+    for shape in ((16, 3), (3, 16, 3)):
+        with pytest.raises(ad.NumericError, match="non-finite prior kernel"), \
+                np.errstate(invalid="ignore"):
+            model.forward(Tensor(rng.normal(size=shape)))
+    model = PiModel(small_cfg(prior_mode=mode))
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
+    batch = rng.normal(size=(3, 16, 3))
+    model.forward(Tensor(batch))
+    batch[-1, 5, 0] = np.nan
+    with pytest.raises(ad.NumericError, match="non-finite prior kernel"):
+        model.forward(Tensor(batch))
+
+
 def test_forward_deterministic():
     rng = np.random.default_rng(6)
     w = rng.normal(size=(16, 3))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,9 @@ from priorad.autodiff import Tensor
 from priorad.model import ModelConfig, PiModel
 from priorad.scoring import (
     EPS_IQR, NormStats, ScoreSeries, ScoringConfig, alignment_weights,
-    detect, energy, fuse, mismatch_delta, point_adjust, project_to_timeline,
-    raw_streams, read_score_csv, robust_normalize, score_series,
-    threshold_and_label, window_streams, write_score_csv,
+    detect, energy, fuse, mismatch_delta, point_adjust, read_score_csv,
+    robust_normalize, score_series, threshold_and_label, window_streams,
+    write_score_csv,
 )
 from priorad.data import ParseError
 
@@ -146,34 +148,6 @@ def test_point_adjust_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# timeline projection
-# ---------------------------------------------------------------------------
-
-
-def test_projection_enumerated_small_case():
-    # n = L + 1 gives two windows; check every output index by hand
-    L, n = 4, 5
-    per_window = np.array([[10.0, 11.0, 12.0, 13.0],
-                           [20.0, 21.0, 22.0, 23.0]])
-    out = project_to_timeline(per_window, n, L)
-    np.testing.assert_array_equal(out, [10.0, 11.0, 12.0, 13.0, 23.0])
-
-
-def test_projection_stride_one_tail():
-    rng = np.random.default_rng(1)
-    L, n = 6, 30
-    per_window = rng.random((n - L + 1, L))
-    out = project_to_timeline(per_window, n, L)
-    for t in range(L - 1, n):
-        assert out[t] == per_window[t - L + 1, L - 1]
-
-
-def test_projection_rejects_wrong_cover():
-    with pytest.raises(ad.ContractError):
-        project_to_timeline(np.zeros((3, 4)), 10, 4)
-
-
-# ---------------------------------------------------------------------------
 # model-backed streams
 # ---------------------------------------------------------------------------
 
@@ -210,23 +184,59 @@ def test_mismatch_delta_nonnegative_and_scales_with_temperature(tiny_model):
     np.testing.assert_allclose(d10, 10.0 * d1, atol=1e-12)
 
 
-def test_window_streams_shapes_and_weight_sum(tiny_model):
-    rng = np.random.default_rng(5)
-    series = rng.normal(size=(40, 2))
-    cfg = tiny_scfg()
-    r, delta, w, e = window_streams(tiny_model, series, cfg)
+def _stacked_streams(model, series, cfg):
+    """The composition ``window_streams`` replaced, kept as its reference:
+    stack every window, compute the [K, L] per-window streams batch by
+    batch, then project each to the timeline end-anchored."""
+    L = cfg.window_length
+    wins = np.stack([series[i : i + L] for i in range(len(series) - L + 1)])
+    rs, deltas = [], []
+    for i in range(0, len(wins), cfg.batch_size):
+        b = wins[i : i + cfg.batch_size]
+        out = model.forward(Tensor(b))
+        rs.append(((out.recon.data - b) ** 2).mean(axis=-1))
+        deltas.append(mismatch_delta(out.attn, cfg.temperature))
+    r, delta = np.concatenate(rs), np.concatenate(deltas)
+    w = alignment_weights(delta)
+    projected = []
+    for per_window in (r, delta, w, energy(w, r)):
+        stream = np.empty(len(series))
+        stream[: L - 1] = per_window[0, : L - 1]
+        stream[L - 1 :] = per_window[:, L - 1]
+        projected.append(stream)
+    return projected
+
+
+@pytest.mark.parametrize("mode", ["full", "no_phase", "single_head"])
+def test_window_streams_match_stacked_reference_bitwise(mode):
+    cfg = ModelConfig(window_length=12, channels=2, model_dim=8,
+                      num_layers=2, num_heads=2, feedforward_dim=16, seed=1,
+                      prior_mode=mode)
+    model = PiModel(cfg)
+    series = np.random.default_rng(5).normal(size=(40, 2))
     k = 40 - 12 + 1
-    assert r.shape == delta.shape == w.shape == e.shape == (k, 12)
-    np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9)
-    assert np.all(r >= 0.0) and np.all(delta >= 0.0)
+    for batch_size in (1, 7, k - 1, k, k + 1):
+        scfg = tiny_scfg(batch_size=batch_size)
+        got = window_streams(model, series, scfg)
+        want = _stacked_streams(model, series, scfg)
+        assert len(got) == 4
+        for g, w in zip(got, want):
+            assert g.shape == (40,) and g.tobytes() == w.tobytes()
 
 
-def test_raw_streams_cover_series(tiny_model):
-    rng = np.random.default_rng(6)
-    series = rng.normal(size=(35, 2))
-    r, delta, w, e = raw_streams(tiny_model, series, tiny_scfg())
-    assert len(r) == len(delta) == len(w) == len(e) == 35
-    np.testing.assert_allclose(e, w * r, atol=1e-15)
+def test_window_streams_memory_does_not_grow_with_window_count(tiny_model):
+    """Streaming keeps the four length-n streams and one batch: ten times
+    the points add far less than 16 doubles a point (the stacked windows
+    and [K, L] streams took 12 * (2 + 4) doubles a window)."""
+    cfg = tiny_scfg(batch_size=128)
+    peaks = []
+    for n in (4000, 40000):
+        series = np.random.default_rng(n).normal(size=(n, 2))
+        tracemalloc.start()
+        window_streams(tiny_model, series, cfg)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 36000 * 16 * 8
 
 
 def test_detect_end_to_end_contracts(tiny_model):
@@ -247,7 +257,7 @@ def test_detect_forwards_each_split_once(tiny_model, monkeypatch):
     rng = np.random.default_rng(12)
     train, thresh, test = (rng.normal(size=(n, 2)) for n in (60, 40, 50))
     cfg = tiny_scfg()
-    _, delta, _, e = raw_streams(tiny_model, train, cfg)
+    _, delta, _, e = window_streams(tiny_model, train, cfg)
     stats = NormStats.fit(e, delta)
     f_train = score_series(tiny_model, train, cfg, stats).f
     f_thresh = score_series(tiny_model, thresh, cfg, stats).f
