@@ -16,10 +16,9 @@ import sys
 from pathlib import Path
 
 from .data import (ParseError, StandardizerStats, _read_matrix,
-                   default_synthetic_spec, load_csv_dataset,
-                   load_standardizer, read_labels,
-                   save_standardizer, standardize, split_train_val,
-                   synth_generate, write_csv, ANOMALY_TYPES)
+                   default_synthetic_spec, load_standardizer, read_labels,
+                   save_standardizer, standardize, split_min_rows,
+                   split_train_val, synth_generate, write_csv, ANOMALY_TYPES)
 from .evaluation import (AblationSpec, compute_metrics, format_report_table,
                          run_ablation)
 from .model import ModelConfig
@@ -114,8 +113,6 @@ def _out_dir(args) -> Path:
 
 
 def cmd_synth(args) -> int:
-    if args.type != "all" and args.type not in ANOMALY_TYPES:
-        raise UsageError(f"unknown anomaly type {args.type!r}")
     kinds = ANOMALY_TYPES if args.type == "all" else (args.type,)
     spec = default_synthetic_spec(seed=args.seed, kinds=kinds,
                                   length=args.length, channels=args.channels)
@@ -130,12 +127,23 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _need_rows(path, matrix, need: int, what: str):
+    """ParseError naming ``path`` when ``matrix`` has fewer than the
+    ``need`` rows that ``what`` takes."""
+    if len(matrix) < need:
+        raise ParseError(f"{path} has {len(matrix)} rows, but {what} needs "
+                         f"at least {need}")
+
+
 def cmd_train(args) -> int:
     sections = load_run_config(args.config, args.set, "train")
     train_cfg = build_config(TrainConfig, sections["train"])
     train_raw = _read_matrix(args.train_csv)
     model_cfg = build_config(ModelConfig, sections["model"],
                              channels=train_raw.shape[1])
+    L, vf = model_cfg.window_length, train_cfg.val_fraction
+    _need_rows(args.train_csv, train_raw, split_min_rows(vf, L),
+               f"training with val_fraction {vf} and window length {L}")
     stats = StandardizerStats.fit(train_raw)
     z_train = standardize(train_raw, stats)
     out = _out_dir(args)
@@ -155,22 +163,29 @@ def cmd_score(args) -> int:
     L = ckpt.model.cfg.window_length
     score_cfg = build_config(ScoringConfig, sections["scoring"],
                              window_length=L)
-    ds = load_csv_dataset(args.train_csv, args.test_csv, args.labels_csv)
     channels = ckpt.model.cfg.channels
-    for path, matrix in ((args.train_csv, ds.train), (args.test_csv, ds.test)):
+    stats = load_standardizer(Path(args.checkpoint).parent
+                              / "standardizer.npz", channels)
+
+    def read(path, need: int, what: str):
+        matrix = _read_matrix(path)
         if matrix.shape[1] != channels:
             raise ParseError(f"{path} has {matrix.shape[1]} columns, but "
                              f"checkpoint {args.checkpoint} has {channels} "
                              f"channels")
-    stats = load_standardizer(Path(args.checkpoint).parent
-                              / "standardizer.npz", channels)
-    z_train = standardize(ds.train, stats)
-    z_test = standardize(ds.test, stats)
-    fit_part, thresh_part = split_train_val(
-        z_train, ckpt.train_cfg.val_fraction, min_length=L)
+        _need_rows(path, matrix, need, f"{what} with window length {L}")
+        return standardize(matrix, stats)
+
+    vf = ckpt.train_cfg.val_fraction
+    z_train = read(args.train_csv, split_min_rows(vf, L),
+                   f"calibrating on the checkpoint's val_fraction {vf} split")
+    z_test = read(args.test_csv, L, "scoring")
+    labels = (None if args.labels_csv is None
+              else read_labels(args.labels_csv, len(z_test), args.test_csv))
+    fit_part, thresh_part = split_train_val(z_train, vf, min_length=L)
     scores = detect(ckpt.model, fit_part, thresh_part, z_test, score_cfg)
     out = _out_dir(args)
-    write_score_csv(out / "scores.csv", scores, y_true=ds.test_labels)
+    write_score_csv(out / "scores.csv", scores, y_true=labels)
     print(f"threshold {scores.threshold:.6f}; wrote {out}/scores.csv")
     return EXIT_OK
 
@@ -178,10 +193,7 @@ def cmd_score(args) -> int:
 def cmd_eval(args) -> int:
     y_hat, labels = read_score_csv(args.scores_csv)
     if args.labels_csv:
-        labels = read_labels(args.labels_csv)
-        if len(labels) != len(y_hat):
-            raise ParseError(f"{args.labels_csv} has {len(labels)} labels, "
-                             f"but {args.scores_csv} has {len(y_hat)} rows")
+        labels = read_labels(args.labels_csv, len(y_hat), args.scores_csv)
     elif labels is None:
         raise UsageError("eval needs --labels-csv or a y_true column in "
                          "--scores-csv")

@@ -25,26 +25,6 @@ class SplitError(ValueError):
 
 
 @dataclass
-class RawDataset:
-    train: np.ndarray            # [N_train, C]
-    test: np.ndarray             # [N_test, C]
-    test_labels: np.ndarray | None = None  # bool [N_test]
-
-    def __post_init__(self):
-        if (self.test_labels is not None
-                and len(self.test_labels) != len(self.test)):
-            raise ParseError(
-                f"label length {len(self.test_labels)} != "
-                f"test length {len(self.test)}"
-            )
-        if self.train.shape[1] != self.test.shape[1]:
-            raise ParseError(
-                f"channel mismatch: train has {self.train.shape[1]}, "
-                f"test has {self.test.shape[1]}"
-            )
-
-
-@dataclass
 class StandardizerStats:
     mean: np.ndarray  # per channel
     std: np.ndarray   # per channel, floored at 1e-8
@@ -156,8 +136,9 @@ def binary_column(path, values: np.ndarray, what: str) -> np.ndarray:
     return values == 1.0
 
 
-def read_labels(path) -> np.ndarray:
-    """Read a single 0/1 label column (optional header) as a bool array.
+def read_labels(path, rows: int, rows_from) -> np.ndarray:
+    """Read a single 0/1 label column (optional header) as a bool array of
+    one label per row of the file ``rows_from``, which has ``rows`` rows.
 
     Rows in error messages count data rows from 0, header excluded.
     """
@@ -166,15 +147,10 @@ def read_labels(path) -> np.ndarray:
         raise ParseError(
             f"{path}: labels must be a single column, got {labels.shape[1]}"
         )
+    if len(labels) != rows:
+        raise ParseError(f"{path} has {len(labels)} labels, but {rows_from} "
+                         f"has {rows} rows")
     return binary_column(path, labels[:, 0], "label")
-
-
-def load_csv_dataset(train_path, test_path, labels_path=None) -> RawDataset:
-    """Load train/test matrices (rows = time) and, if given, a 0/1 label
-    column."""
-    labels = None if labels_path is None else read_labels(labels_path)
-    return RawDataset(_read_matrix(train_path), _read_matrix(test_path),
-                      labels)
 
 
 def windows(series: np.ndarray, length: int) -> np.ndarray:
@@ -201,6 +177,17 @@ def split_train_val(series: np.ndarray, val_fraction: float,
             f"{min_length}"
         )
     return train, val
+
+
+def split_min_rows(val_fraction: float, min_length: int) -> int:
+    """The fewest rows that ``split_train_val`` splits into two sides of
+    ``min_length`` rows or more. Both sides grow with the row count, so the
+    search counts up from below the real-number bound on it."""
+    keep = 1.0 - val_fraction
+    n = int((min_length - 0.5) / min(val_fraction, keep)) - 1
+    while not min_length <= round(n * keep) <= n - min_length:
+        n += 1
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,13 @@ from .model import PRIOR_MODES, ModelConfig
 from .scoring import ScoringConfig, detect, point_adjust
 from .training import TrainConfig, train
 
-ABLATION_AXES = ("phase_sync", "enc_layers", "model_dim", "num_heads",
-                 "batch_size", "epochs")
+# ablation axis -> the (config, field) its values set
+ABLATION_AXES = {"phase_sync": ("model", "prior_mode"),
+                 "enc_layers": ("model", "num_layers"),
+                 "model_dim": ("model", "model_dim"),
+                 "num_heads": ("model", "num_heads"),
+                 "batch_size": ("train", "batch_size"),
+                 "epochs": ("train", "max_epochs")}
 
 
 @dataclass
@@ -86,24 +91,14 @@ class AblationSpec:
 
 def apply_ablation_value(axis: str, value, model_cfg: ModelConfig,
                          train_cfg: TrainConfig):
-    """Return (model_cfg, train_cfg) copies with one axis overridden."""
-    model_kw, train_kw = {}, {}
-    if axis == "phase_sync":
-        model_kw["prior_mode"] = value
-        if value == "no_phase":
-            train_kw["k"] = 0.0  # prior pathway inert
-    elif axis == "enc_layers":
-        model_kw["num_layers"] = int(value)
-    elif axis == "model_dim":
-        model_kw["model_dim"] = int(value)
-    elif axis == "num_heads":
-        model_kw["num_heads"] = int(value)
-    elif axis == "batch_size":
-        train_kw["batch_size"] = int(value)
-    elif axis == "epochs":
-        train_kw["max_epochs"] = int(value)
-    return (dataclasses.replace(model_cfg, **model_kw),
-            dataclasses.replace(train_cfg, **train_kw))
+    """Return (model_cfg, train_cfg) copies with one axis overridden; the
+    value passes the field's checks as a ``--set`` of it would."""
+    cfgs = {"model": model_cfg, "train": train_cfg}
+    section, name = ABLATION_AXES[axis]
+    cfgs[section] = dataclasses.replace(cfgs[section], **{name: value})
+    if axis == "phase_sync" and value == "no_phase":  # prior pathway inert
+        cfgs["train"] = dataclasses.replace(cfgs["train"], k=0.0)
+    return cfgs["model"], cfgs["train"]
 
 
 def benchmark_configs(seed: int = 0, prior_mode: str = "full",

@@ -235,17 +235,18 @@ def detect(model: PiModel, train_series: np.ndarray,
 
 
 def write_score_csv(path, scores: ScoreSeries, y_true=None):
-    """One row per global index: t, the seven streams, y_hat[, y_true]."""
+    """One row per global index: t, the seven streams, y_hat[, y_true];
+    scores that ``detect`` did not label are a ContractError."""
+    if scores.y_hat is None:
+        raise ad.ContractError("scores without y_hat; detect labels them")
     cols = SCORE_COLUMNS if y_true is not None else SCORE_COLUMNS[:-1]
     streams = [getattr(scores, name) for name in SCORE_STREAMS]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
-        n = len(scores.f)
-        y_hat = scores.y_hat if scores.y_hat is not None else np.zeros(n, bool)
-        for t in range(n):
+        for t in range(len(scores.f)):
             row = [t] + [repr(float(v[t])) for v in streams]
-            row.append(int(y_hat[t]))
+            row.append(int(scores.y_hat[t]))
             if y_true is not None:
                 row.append(int(y_true[t]))
             writer.writerow(row)

@@ -12,7 +12,8 @@ import pytest
 import priorad.autodiff as ad
 from priorad.autodiff import Tensor, Tape
 from priorad.data import (ANOMALY_TYPES, StandardizerStats,
-                          default_synthetic_spec, standardize, synth_generate)
+                          default_synthetic_spec, split_train_val,
+                          standardize, synth_generate)
 from priorad.evaluation import benchmark_configs, compute_metrics, f1_from_pr
 from priorad.model import ModelConfig, PiModel, causal_mask, estimate_hurst_rs
 from priorad.scoring import (ScoringConfig, alignment_weights, detect, fuse,
@@ -45,9 +46,9 @@ def detection_run(seed, kinds, epochs=10, prior_mode="full"):
     z_train = standardize(raw_train, stats)
     z_test = standardize(raw_test, stats)
     ckpt = train(z_train, model_cfg, train_cfg)
-    cut = int(round(len(z_train) * (1.0 - train_cfg.val_fraction)))
-    scores = detect(ckpt.model, z_train[:cut], z_train[cut:], z_test,
-                    score_cfg)
+    fit, thresh = split_train_val(z_train, train_cfg.val_fraction,
+                                  min_length=model_cfg.window_length)
+    scores = detect(ckpt.model, fit, thresh, z_test, score_cfg)
     adjusted = point_adjust(scores.y_hat, labels)
     metrics = compute_metrics(adjusted, labels, scores.threshold)
     return spec, scores, labels, metrics

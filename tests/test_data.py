@@ -3,8 +3,8 @@ import pytest
 
 from priorad.data import (
     ANOMALY_TYPES, AnomalySegment, ParseError, SplitError, StandardizerStats,
-    SyntheticSpec, default_synthetic_spec, load_csv_dataset,
-    load_standardizer, read_table, save_standardizer, split_train_val,
+    SyntheticSpec, default_synthetic_spec, load_standardizer, read_labels,
+    read_table, save_standardizer, split_min_rows, split_train_val,
     standardize, synth_generate, windows, write_csv, _read_matrix,
 )
 
@@ -67,6 +67,18 @@ def test_split_rejects_degenerate():
         split_train_val(np.zeros((10, 1)), 1.5)
 
 
+def test_split_min_rows_is_the_fewest_rows_split_accepts():
+    for val_fraction in (0.05, 0.2, 0.25, 0.3, 0.5, 0.7, 0.95):
+        for min_length in (1, 5, 16, 25, 100):
+            need = split_min_rows(val_fraction, min_length)
+            with pytest.raises(SplitError):
+                split_train_val(np.zeros((need - 1, 1)), val_fraction,
+                                min_length)
+            for n in range(need, need + 50):
+                split_train_val(np.zeros((n, 1)), val_fraction, min_length)
+    assert split_min_rows(0.2, 16) == 78  # 78 -> 62/16, 77 -> 62/15
+
+
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
@@ -107,28 +119,21 @@ def test_read_matrix_ragged_row(tmp_path):
         _read_matrix(p)
 
 
-def test_load_csv_dataset_label_validation(tmp_path):
-    for name, content in [("train.csv", "1,2\n3,4\n"),
-                          ("test.csv", "5,6\n7,8\n"),
-                          ("labels.csv", "0\n1\n")]:
-        (tmp_path / name).write_text(content)
-    ds = load_csv_dataset(tmp_path / "train.csv", tmp_path / "test.csv",
-                          tmp_path / "labels.csv")
-    np.testing.assert_array_equal(ds.test_labels, [False, True])
-
-    (tmp_path / "labels.csv").write_text("0\n")
-    with pytest.raises(ParseError, match="label length"):
-        load_csv_dataset(tmp_path / "train.csv", tmp_path / "test.csv",
-                         tmp_path / "labels.csv")
+def test_read_labels_validation(tmp_path):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0\n1\n")
+    np.testing.assert_array_equal(read_labels(labels, 2, "test.csv"),
+                                  [False, True])
 
     for content, message in [("0\n2\n",
                               r"labels\.csv: label at row 1 is 2, expected"),
                              ("label\n1\n0.5\n", "label at row 1 is 0.5,"),
-                             ("0,1\n1,0\n", "single column")]:
-        (tmp_path / "labels.csv").write_text(content)
+                             ("0,1\n1,0\n", "single column"),
+                             ("0\n", "labels.csv has 1 labels, but "
+                                     "test.csv has 2 rows")]:
+        labels.write_text(content)
         with pytest.raises(ParseError, match=message):
-            load_csv_dataset(tmp_path / "train.csv", tmp_path / "test.csv",
-                             tmp_path / "labels.csv")
+            read_labels(labels, 2, "test.csv")
 
 
 def test_write_csv_rereads_bitwise(tmp_path):

@@ -5,13 +5,14 @@ import pytest
 
 import priorad.autodiff as ad
 from priorad.cli import UsageError, build_config, load_run_config, main
-from priorad.data import (StandardizerStats, default_synthetic_spec,
-                          load_csv_dataset, split_train_val, standardize)
+from priorad.data import (StandardizerStats, _read_matrix,
+                          default_synthetic_spec, read_labels,
+                          split_train_val, standardize)
 from priorad.evaluation import (
     AblationSpec, EvalReport, apply_ablation_value, compute_metrics,
     f1_from_pr, format_report_table, run_ablation,
 )
-from priorad.model import ModelConfig
+from priorad.model import ConfigError, ModelConfig
 from priorad.training import TrainConfig, load_checkpoint
 from priorad.scoring import ScoringConfig, detect, write_score_csv
 
@@ -68,6 +69,12 @@ def test_apply_ablation_value_copies_configs():
     assert t2.max_epochs == 7 and m2.prior_mode == "full"
     with pytest.raises(ValueError, match="divisible"):
         apply_ablation_value("model_dim", 15, mcfg, tcfg)
+    # a value passes the field's type check, as a --set of it would
+    for axis, value, field in (("model_dim", 32.9, "model_dim"),
+                               ("epochs", True, "max_epochs"),
+                               ("phase_sync", 1, "prior_mode")):
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            apply_ablation_value(axis, value, mcfg, tcfg)
 
 
 def test_run_ablation_records_errors_and_continues(tmp_path):
@@ -265,15 +272,16 @@ def test_cli_score_reads_split_from_checkpoint(tmp_path, capsys):
     # the same scores from the API with the checkpoint's 0.5 split
     ckpt = load_checkpoint(out / "checkpoint.npz")
     assert ckpt.train_cfg.val_fraction == 0.5
-    ds = load_csv_dataset(out / "train.csv", out / "test.csv",
-                          out / "labels.csv")
+    train, test = (_read_matrix(out / f"{name}.csv")
+                   for name in ("train", "test"))
+    labels = read_labels(out / "labels.csv", len(test), out / "test.csv")
     with np.load(out / "standardizer.npz") as z:
         stats = StandardizerStats(z["mean"], z["std"])
-    fit, thresh = split_train_val(standardize(ds.train, stats), 0.5,
+    fit, thresh = split_train_val(standardize(train, stats), 0.5,
                                   min_length=16)
-    scores = detect(ckpt.model, fit, thresh, standardize(ds.test, stats),
+    scores = detect(ckpt.model, fit, thresh, standardize(test, stats),
                     ScoringConfig(window_length=16))
-    write_score_csv(out / "api.csv", scores, y_true=ds.test_labels)
+    write_score_csv(out / "api.csv", scores, y_true=labels)
     assert (out / "plain" / "scores.csv").read_bytes() == \
         (out / "api.csv").read_bytes()
 
@@ -305,7 +313,8 @@ def test_cli_score_rejects_non_finite_test_cell(tmp_path, capsys):
 def test_cli_score_rejects_csv_narrower_than_the_checkpoint(tmp_path,
                                                            capsys):
     """One-column CSVs against a 3-channel checkpoint fail naming the CSV
-    and the checkpoint, instead of broadcasting through the standardizer."""
+    and the checkpoint, instead of broadcasting through the standardizer;
+    so does a one-column test CSV beside a 3-column train CSV."""
     out = tmp_path
     main(["synth", "--seed", "4", "--length", "300", "--channels", "3",
           "--type", "point", "--out", str(out)])
@@ -327,6 +336,14 @@ def test_cli_score_rejects_csv_narrower_than_the_checkpoint(tmp_path,
                  "--out", str(out / "scored")]) == 1
     err = capsys.readouterr().err
     assert (f"{out / 'one_train.csv'} has 1 columns, but checkpoint "
+            f"{out / 'checkpoint.npz'} has 3 channels") in err
+    assert not (out / "scored" / "scores.csv").exists()
+    assert main(["score", "--checkpoint", str(out / "checkpoint.npz"),
+                 "--train-csv", str(out / "train.csv"),
+                 "--test-csv", str(out / "one_test.csv"),
+                 "--out", str(out / "scored")]) == 1
+    err = capsys.readouterr().err
+    assert (f"{out / 'one_test.csv'} has 1 columns, but checkpoint "
             f"{out / 'checkpoint.npz'} has 3 channels") in err
     assert not (out / "scored" / "scores.csv").exists()
 
@@ -354,6 +371,16 @@ def test_cli_ablate_takes_channels_and_fails_on_error_cells(tmp_path, capsys):
     assert rows[1].endswith(",ok")
     assert "error: model_dim 7 not divisible by num_heads 2" in rows[2]
     assert "[7]" in capsys.readouterr().err
+
+
+def test_cli_ablate_values_are_type_checked_like_set(tmp_path):
+    """A value that `--set train.max_epochs=...` rejects is an error cell,
+    not a cast: 2.5 does not train 2 epochs, nor true 1."""
+    assert main(["ablate", "--axis", "epochs", "--values", "2.5", "true",
+                 "--out", str(tmp_path)]) == 1
+    rows = (tmp_path / "ablation.csv").read_text().splitlines()
+    assert "error: max_epochs must be int, got 2.5" in rows[1]
+    assert "error: max_epochs must be int, got True" in rows[2]
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +555,41 @@ def test_cli_score_validates_standardizer(tiny_run, tmp_path, capsys,
     assert main(_score_argv(run, tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert str(run / "standardizer.npz") in err and problem in err
+    assert not (tmp_path / "out" / "scores.csv").exists()
+
+
+def test_cli_train_names_a_csv_too_short_to_split(tiny_run, tmp_path,
+                                                  capsys):
+    short = tmp_path / "short.csv"
+    short.write_text("".join(
+        (tiny_run / "train.csv").read_text().splitlines(True)[:20]))
+    capsys.readouterr()
+    assert main(["train", "--train-csv", str(short),
+                 "--config", str(tiny_run / "run.json"),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert (f"{short} has 20 rows, but training with val_fraction 0.2 and "
+            f"window length 16 needs at least 78") in capsys.readouterr().err
+    assert not (tmp_path / "out" / "checkpoint.npz").exists()
+
+
+@pytest.mark.parametrize("name, rows, message", [
+    ("train", 20, "{bad} has 20 rows, but calibrating on the checkpoint's "
+                  "val_fraction 0.2 split with window length 16 needs at "
+                  "least 78"),
+    ("test", 10, "{bad} has 10 rows, but scoring with window length 16 "
+                 "needs at least 16"),
+    ("labels", 399, "{bad} has 399 labels, but {run}/test.csv has 400 rows"),
+], ids=["short_train", "short_test", "label_count"])
+def test_cli_score_names_the_file_at_fault(tiny_run, tmp_path, capsys, name,
+                                           rows, message):
+    bad = tmp_path / f"{name}.csv"
+    bad.write_text("".join(
+        (tiny_run / f"{name}.csv").read_text().splitlines(True)[:rows]))
+    argv = _score_argv(tiny_run, tmp_path / "out")
+    argv[argv.index(str(tiny_run / f"{name}.csv"))] = str(bad)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert message.format(bad=bad, run=tiny_run) in capsys.readouterr().err
     assert not (tmp_path / "out" / "scores.csv").exists()
 
 

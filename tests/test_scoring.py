@@ -302,6 +302,15 @@ def test_score_csv_roundtrip(tmp_path, tiny_model):
     np.testing.assert_array_equal(back["y_hat"].astype(bool), scores.y_hat)
 
 
+def test_write_score_csv_rejects_unlabelled_scores(tmp_path, tiny_model):
+    # score_series leaves y_hat None; a y_hat column of zeros would be wrong
+    scores = score_series(tiny_model, np.zeros((30, 2)), tiny_scfg(),
+                          NormStats(0.0, 1.0, 0.0, 1.0))
+    with pytest.raises(ad.ContractError, match="y_hat"):
+        write_score_csv(tmp_path / "scores.csv", scores)
+    assert not (tmp_path / "scores.csv").exists()
+
+
 def test_read_score_csv_reads_what_write_score_csv_writes(tmp_path,
                                                           tiny_model):
     rng = np.random.default_rng(11)
