@@ -514,8 +514,8 @@ def sym_kl_rows(a: Tensor, b: Tensor) -> Tensor:
     (pass it through ``stop_gradient``); the gradient flows into ``a`` only.
 
     Replaces the chain ``clip``, ``log``, ``sub``, ``mul``, ``tsum`` per
-    direction: the forward takes each log once. Keeps the log-ratio; the
-    backward floors ``a`` and ``b`` again.
+    direction: the forward takes each log once. Keeps a and b; the backward
+    floors them again and recomputes the log-ratio block by block.
     """
     if b.requires_grad:
         raise ContractError("sym_kl_rows holds b constant, but b needs a "
@@ -523,20 +523,19 @@ def sym_kl_rows(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"sym_kl_rows needs equal shapes, got "
                          f"{a.data.shape} and {b.data.shape}")
-    d = np.empty(a.data.shape)  # the log-ratio, kept for backward
-    kl = np.empty(d.shape[:-1])
+    kl = np.empty(a.data.shape[:-1])
     worst = ([], [])  # per block, for a and for b
-    for sl in _blocks(d):
-        ab, bb, db = a.data[sl], b.data[sl], d[sl]
+    for sl in _blocks(a.data):
+        ab, bb = a.data[sl], b.data[sl]
         for w, t in zip(worst, (ab, bb)):
             w.append(np.abs(t.sum(axis=-1) - 1.0).max())
         pc = np.clip(ab, EPS_PROB, None)
         qc = np.clip(bb, EPS_PROB, None)
-        np.log(pc, out=db)
-        np.subtract(db, np.log(qc), out=db)
+        d = np.log(pc)  # the log-ratio
+        np.subtract(d, np.log(qc), out=d)
         # KL(b||a) sums qc * (log qc - log pc) = -(qc * d) exactly
-        np.subtract(np.multiply(pc, db, out=pc).sum(axis=-1),
-                    np.multiply(qc, db, out=qc).sum(axis=-1), out=kl[sl])
+        np.subtract(np.multiply(pc, d, out=pc).sum(axis=-1),
+                    np.multiply(qc, d, out=qc).sum(axis=-1), out=kl[sl])
     for name, w in zip("ab", worst):
         w = np.max(w)
         if w > NORM_TOL:
@@ -548,24 +547,28 @@ def sym_kl_rows(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         # ((-(G*qc)) / pc) * inside + (G*d + (G*pc) / pc) * inside: KL(b||a)'s
         # chain runs first, then KL(a||b)'s, whose pc gets G*d from the
-        # product before (G*pc)/pc from the log
-        ga = np.empty(d.shape)
-        for sl in _blocks(d):
+        # product before (G*pc)/pc from the log. Each block works in pc, d
+        # and its share of the result, which is scratch until it is set.
+        ga = np.empty(a.data.shape)
+        for sl in _blocks(ga):
             G = g[sl][..., None]
-            ab = a.data[sl]
+            ab, bb, gb = a.data[sl], b.data[sl], ga[sl]
             inside = ab >= EPS_PROB
             pc = np.clip(ab, EPS_PROB, None)
-            rev = np.clip(b.data[sl], EPS_PROB, None, out=ga[sl])
+            d = np.log(pc)  # the forward's log-ratio, as it took it
+            np.log(np.clip(bb, EPS_PROB, None, out=gb), out=gb)
+            np.subtract(d, gb, out=d)
+            np.multiply(G, d, out=d)
+            fwd = np.multiply(G, pc, out=gb)
+            np.divide(fwd, pc, out=fwd)
+            np.add(d, fwd, out=d)
+            np.multiply(d, inside, out=d)
+            rev = np.clip(bb, EPS_PROB, None, out=gb)
             np.multiply(G, rev, out=rev)
             np.negative(rev, out=rev)
             np.divide(rev, pc, out=rev)
             np.multiply(rev, inside, out=rev)
-            fwd = np.multiply(G, pc)
-            np.divide(fwd, pc, out=fwd)
-            np.multiply(G, d[sl], out=pc)
-            np.add(pc, fwd, out=pc)
-            np.multiply(pc, inside, out=pc)
-            np.add(rev, pc, out=rev)
+            np.add(rev, d, out=rev)
         return (ga,)
 
     return _record(out, (a,), backward)

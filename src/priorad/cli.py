@@ -202,7 +202,7 @@ def cmd_eval(args) -> int:
     out = _out_dir(args)
     with open(out / "report.json", "w") as fh:
         json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
-    print(format_report_table({"point-adjusted": report}))
+    print(format_report_table([("point-adjusted", report)]))
     return EXIT_OK
 
 
@@ -221,7 +221,7 @@ def cmd_ablate(args) -> int:
     results = run_ablation(spec, synth_spec, model_cfg, train_cfg, score_cfg,
                            csv_path=out / "ablation.csv")
     print(format_report_table(results))
-    failed = [v for v, rep in results.items() if isinstance(rep, str)]
+    failed = [v for v, rep in results if isinstance(rep, str)]
     if failed:
         print(f"error: ablation cells failed: {failed}; see "
               f"{out}/ablation.csv", file=sys.stderr)

@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import (SyntheticSpec, StandardizerStats, standardize,
                    split_train_val, synth_generate)
-from .model import PRIOR_MODES, ModelConfig
+from .model import ModelConfig
 from .scoring import ScoringConfig, detect, point_adjust
 from .training import TrainConfig, train
 
@@ -83,10 +83,6 @@ class AblationSpec:
             raise ValueError(f"unknown ablation axis {self.axis!r}")
         if not self.values:
             raise ValueError("ablation values must be non-empty")
-        if self.axis == "phase_sync":
-            bad = [v for v in self.values if v not in PRIOR_MODES]
-            if bad:
-                raise ValueError(f"invalid phase_sync values: {bad}")
 
 
 def apply_ablation_value(axis: str, value, model_cfg: ModelConfig,
@@ -146,20 +142,23 @@ def run_ablation(spec: AblationSpec, synth_spec: SyntheticSpec,
                  model_cfg: ModelConfig, train_cfg: TrainConfig,
                  score_cfg: ScoringConfig, csv_path=None):
     """Train and evaluate one variant per value; failures are recorded
-    per cell and the run continues. Returns {value: EvalReport | error str}."""
-    results = {}
+    per cell and the run continues. Returns one (value, EvalReport | error
+    str) pair per given value, in order: values that compare equal, such
+    as 1 and True or a repeated value, keep a cell and a row each."""
+    results = []
     for value in spec.values:
         try:
             m, t = apply_ablation_value(spec.axis, value, model_cfg, train_cfg)
-            results[value] = run_synthetic_pipeline(synth_spec, m, t, score_cfg)
+            rep = run_synthetic_pipeline(synth_spec, m, t, score_cfg)
         except Exception as exc:  # record and continue
-            results[value] = f"error: {exc}"
+            rep = f"error: {exc}"
+        results.append((value, rep))
     if csv_path is not None:
         with open(csv_path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["axis", "value", "accuracy", "precision", "recall",
                         "f1", "status"])
-            for value, rep in results.items():
+            for value, rep in results:
                 if isinstance(rep, EvalReport):
                     w.writerow([spec.axis, value,
                                 f"{rep.accuracy:.4f}", f"{rep.precision:.4f}",
@@ -169,10 +168,10 @@ def run_ablation(spec: AblationSpec, synth_spec: SyntheticSpec,
     return results
 
 
-def format_report_table(reports: dict) -> str:
-    """Aligned text table of {label: EvalReport}."""
+def format_report_table(rows) -> str:
+    """Aligned text table of (label, EvalReport | error str) pairs."""
     lines = [f"{'variant':<18} {'acc':>8} {'prec':>8} {'rec':>8} {'f1':>8}"]
-    for label, rep in reports.items():
+    for label, rep in rows:
         if isinstance(rep, EvalReport):
             lines.append(f"{str(label):<18} {rep.accuracy:>8.2f} "
                          f"{rep.precision:>8.2f} {rep.recall:>8.2f} "

@@ -96,7 +96,7 @@ class ReconOutput:
     recon: Tensor              # [..., L, C]
     attn: AttentionStack
     fields: list               # PriorFields per layer
-    prior_logits: list         # raw pre-softmax prior scores per layer
+    prior_scores: list         # per layer, mean(logits²) of the prior: a scalar
 
 
 def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
@@ -257,29 +257,25 @@ class PiModel:
         return PriorFields(hurst, stiffness, mix, period, gain)
 
     def prior_attention(self, fields: PriorFields):
-        """Row-stochastic causal prior attention [..., H, L, L].
+        """Row-stochastic causal prior attention P [..., H, L, L] and the
+        mean square of its logits, a scalar.
 
         Per head h and lag delta = i - j >= 0 the logit mixes
         fractal   -(2 - 2 H_i) ln(1 + delta),
         gaussian  -delta^2 / (2 tau_i^2),
         phase     kappa_h cos(2 pi delta / p_h)
-        with convex weights, then a causal row softmax. The logits come
-        from ``prior_logits``, one tape node; in ``single_head`` mode its
-        [..., 1, L, L] output is broadcast over the H series heads.
+        with convex weights, then a causal row softmax; ``prior_softmax``
+        computes both outputs. In ``single_head`` mode the one prior head is
+        broadcast over the H series heads.
 
-        In ``no_phase`` mode the logits are zeros: P is uniform over j <= i.
+        In ``no_phase`` mode the logits are zeros: P is uniform over j <= i,
+        and neither output depends on a parameter.
         """
         L, H = self.cfg.window_length, self.cfg.num_heads
         if self.cfg.prior_mode == "no_phase":
-            logits = Tensor(np.zeros(fields.hurst.shape[:-1] + (H, L, L)))
-            return ad.masked_softmax_rows(logits, self.mask), logits
-        logits = prior_logits(fields, self.lags)
-        if fields.phase_period.shape[0] != H:
-            # single_head: one prior head shared by every series head; the
-            # broadcast sums the head gradients before the kernel backward
-            logits = logits + Tensor(np.zeros((H, 1, 1)))
-        P = ad.masked_softmax_rows(logits, self.mask)
-        return P, logits
+            zeros = np.zeros(fields.hurst.shape[:-1] + (H, L, L))
+            return Tensor(ad._softmax_rows_(zeros, self.mask)), Tensor(0.0)
+        return prior_softmax(fields, self.lags, self.mask, H)
 
     # full forward -----------------------------------------------------------
 
@@ -290,7 +286,7 @@ class PiModel:
         x = self.embed_window(window)
         stack = AttentionStack()
         all_fields = []
-        all_logits = []
+        all_scores = []
         for l in range(cfg.num_layers):
             p = f"layer{l}."
             normed = ad.layer_norm(
@@ -307,26 +303,42 @@ class PiModel:
                               self.params[p + "ff.b2"])
 
             fields = self.prior_fields(normed, l)
-            P, logits = self.prior_attention(fields)
+            P, score = self.prior_attention(fields)
             stack.series.append(S)
             stack.prior.append(P)
             all_fields.append(fields)
-            all_logits.append(logits)
+            all_scores.append(score)
 
         recon = ad.linear(x, self.params["head.W"], self.params["head.b"])
-        return ReconOutput(recon, stack, all_fields, all_logits)
+        return ReconOutput(recon, stack, all_fields, all_scores)
 
 
-def prior_logits(fields: PriorFields, lags: np.ndarray) -> Tensor:
-    """Prior kernel mixture logits [..., n_ph, L, L] as one tape node.
+def prior_softmax(fields: PriorFields, lags: np.ndarray, mask: np.ndarray,
+                  heads: int):
+    """The prior attention P [..., heads, L, L], the causal row softmax of
+    the prior kernel mixture logits, and the score mean(logits²).
 
     The per-position kernels are built as [..., 1, L, L] and broadcast
-    against the per-head parameters shaped [n_ph, 1, 1]. Only the logits
-    are kept: the backward recomputes the kernels from ``lags`` and
-    evaluates the backward expressions of the primitive chain this op
-    replaces (reshape, mul, sub, neg, square, div, cos, getitem, add) in
-    reverse tape order, reducing through ``_unbroadcast`` at the same
-    points, so its gradients are bitwise equal to that chain's.
+    against the per-head parameters shaped [n_ph, 1, 1]; with one prior
+    head (single_head) the logits are then broadcast over the ``heads``
+    series heads, and the mean runs over the broadcast logits.
+
+    Replaces the prior kernel chain (25 primitive nodes: reshape, mul, sub,
+    neg, square, div, cos, getitem, add), the single_head broadcast
+    ``add``, ``masked_softmax_rows`` and ``mean_square``. The logits are
+    never kept: P is computed in their memory, and the backward recomputes
+    them, with the kernels, from ``lags``. It evaluates the chain's
+    backward expressions in reverse tape order, reducing through
+    ``_unbroadcast`` at the same points, so its gradients are bitwise
+    equal to the chain's. The score is the whole-array sum the chain's
+    ``mean_square`` took; a blocked sum would round differently.
+
+    P and the score are two tape nodes over the fields, recorded score
+    first, that share one backward. P's node runs it with both gradients:
+    the score's is final by then, because every consumer of the score is
+    recorded after both nodes, and P's node clears it. When P gets no
+    gradient (it is reached only through ``stop_gradient``), the tape
+    skips P's node and the score's node runs the backward alone.
 
     Both directions work through the batch in blocks (``ad._blocks``); a
     single window is a batch of one. The chain's sums over the batch are
@@ -339,6 +351,8 @@ def prior_logits(fields: PriorFields, lags: np.ndarray) -> Tensor:
     lead = hurst.shape[:-1] or (1,)
     row = lead + (1, L, 1)  # a per-position field indexes the row
     head = (period.shape[0], 1, 1)
+    # single_head: the chain's broadcast add, which also turns -0.0 to +0.0
+    broadcast = np.zeros((heads, 1, 1)) if head[0] != heads else None
     h_row, tau_row = hurst.data.reshape(row), tau.data.reshape(row)
     period_h, gain_h = period.data.reshape(head), gain.data.reshape(head)
     m0, m1, m2 = (mix.data[:, c].reshape(head) for c in range(3))
@@ -356,29 +370,56 @@ def prior_logits(fields: PriorFields, lags: np.ndarray) -> Tensor:
         return (-(2.0 - 2.0 * h_row[sl]) * log_lag, neg_sq / tau_sq2,
                 tau_sq2)
 
-    phase = head_kernels()[0]
-    logits = np.empty(lead + phase.shape)
-    mixed_phase = m2 * phase
+    def mixture(fractal, gaussian, mixed_phase, out):
+        """The logits m0 * fractal + m1 * gaussian + mixed_phase, in out."""
+        np.multiply(m0, fractal, out=out)
+        np.add(out, m1 * gaussian, out=out)
+        return np.add(out, mixed_phase, out=out)
+
+    mixed_phase = m2 * head_kernels()[0]
+    logits = np.empty(lead + mixed_phase.shape)
     for sl in ad._blocks(logits):
-        fractal, gaussian, _ = kernels(sl)
-        np.add(m0 * fractal + m1 * gaussian, mixed_phase, out=logits[sl])
+        mixture(*kernels(sl)[:2], mixed_phase, logits[sl])
         if not np.isfinite(logits[sl]).all():
             raise ad.NumericError("non-finite prior kernel logits")
-    out = Tensor(logits.reshape(hurst.shape[:-1] + phase.shape))
+    if broadcast is not None:
+        logits = logits + broadcast
+    inv_n = 1.0 / float(logits.size)
+    score = Tensor((logits * logits).sum() * inv_n)
+    P = ad._softmax_rows_(logits, mask)  # P owns the logits' memory
+    out = Tensor(P.reshape(hurst.shape[:-1] + P.shape[1:]))
 
-    def backward(G):
+    def backward(gP, g_score):
+        """The fields' gradients from P's and the score's; either can be
+        None. Per block, the logits' gradient is the score's then the
+        softmax's, as the tape added them; single_head sums the heads
+        after that add."""
         unb = ad._unbroadcast
-        phase, angle, wave = head_kernels()
-        G = G.reshape(lead + phase.shape)
+        mixed_phase = m2 * head_kernels()[0]
+        # mean_square's backward scale, g * inv_n * 2.0 in its order
+        c = None if g_score is None else g_score * inv_n * 2.0
+        gP = None if gP is None else gP.reshape(P.shape)
         # G and, for the mixture, G times each kernel summed over the batch
-        g_sum = np.zeros(G.shape[1:])
-        fr_sum = np.zeros(G.shape[1:]) if mix.requires_grad else None
-        ga_sum = np.zeros(G.shape[1:]) if mix.requires_grad else None
+        g_sum = np.zeros(mixed_phase.shape)
+        fr_sum = np.zeros(mixed_phase.shape) if mix.requires_grad else None
+        ga_sum = np.zeros(mixed_phase.shape) if mix.requires_grad else None
         g_tau = np.empty(tau.shape) if tau.requires_grad else None
         g_hurst = np.empty(hurst.shape) if hurst.requires_grad else None
-        for sl in ad._blocks(G):
-            Gb = G[sl]
+        for sl in ad._blocks(P):
             fractal, gaussian, tau_sq2 = kernels(sl)
+            Gb = None
+            if c is not None:
+                Gb = mixture(fractal, gaussian, mixed_phase,
+                             np.empty(fractal.shape[:1] + mixed_phase.shape))
+                if broadcast is not None:
+                    Gb = Gb + broadcast
+                np.multiply(c, Gb, out=Gb)
+            if gP is not None:
+                sm = ad._softmax_rows_grad(gP[sl], P[sl])
+                Gb = sm if Gb is None else np.add(Gb, sm, out=Gb)
+                sm = None
+            if broadcast is not None:
+                Gb = Gb.sum(axis=1, keepdims=True)
             ad._add_rows(g_sum, Gb)
             if mix.requires_grad:
                 ad._add_rows(fr_sum, Gb * fractal)
@@ -391,6 +432,10 @@ def prior_logits(fields: PriorFields, lags: np.ndarray) -> Tensor:
                 # neg, then sub from 2.0: two exact negations
                 g = unb(unb(Gb * m0, fractal.shape) * log_lag, tau_sq2.shape)
                 g_hurst.reshape(row)[sl] = g * 2.0
+            # the block's arrays: freed before the next block's are made
+            Gb = fractal = gaussian = None
+        # made after the loop, so that they add nothing to its peak
+        phase, angle, wave = head_kernels()
         g_phase = unb(g_sum, phase.shape)  # the phase term has no batch
         g_mix = g_period = g_gain = None
         if mix.requires_grad:
@@ -408,7 +453,17 @@ def prior_logits(fields: PriorFields, lags: np.ndarray) -> Tensor:
             g_period = unb(g, head).reshape(period.shape)
         return g_hurst, g_tau, g_mix, g_period, g_gain
 
-    return ad._record(out, (hurst, tau, mix, period, gain), backward)
+    def score_backward(g):
+        # runs only when P got no gradient, so its node was skipped
+        return backward(None, g)
+
+    def p_backward(g):
+        g_score, score.grad = score.grad, None
+        return backward(g, g_score)
+
+    inputs = (hurst, tau, mix, period, gain)
+    ad._record(score, inputs, score_backward)
+    return ad._record(out, inputs, p_backward), score
 
 
 def _swap_axes(ndim: int, a: int, b: int) -> tuple:

@@ -159,11 +159,12 @@ def loss_hurst_distill(fields_per_layer, target: float) -> Tensor:
     return total
 
 
-def loss_prior_score_l2(prior_logits) -> Tensor:
-    """Mean squared magnitude of the unnormalized prior scores."""
+def loss_prior_score_l2(prior_scores) -> Tensor:
+    """Mean squared magnitude of the unnormalized prior scores, summed over
+    layers: each layer's mean is ``ReconOutput.prior_scores``' entry, which
+    the model's prior op computes beside P."""
     total = None
-    for logits in prior_logits:
-        term = ad.mean_square(logits)
+    for term in prior_scores:
         total = term if total is None else total + term
     return total
 
@@ -171,7 +172,7 @@ def loss_prior_score_l2(prior_logits) -> Tensor:
 def _regularizer(out: ReconOutput, cfg: TrainConfig, hurst_target: float):
     smooth = loss_smoothness(out.fields)
     hurst = loss_hurst_distill(out.fields, hurst_target)
-    score = loss_prior_score_l2(out.prior_logits)
+    score = loss_prior_score_l2(out.prior_scores)
     reg = (cfg.lambda_reg * smooth + cfg.lambda_hurst * hurst
            + cfg.lambda_score * score)
     return reg, smooth, hurst, score
@@ -214,6 +215,9 @@ def minmax_step(batch: np.ndarray, model: PiModel, opt: OptimizerState,
         terms = dict(recon=recon.item(), sym_kl=sym.item(),
                      smooth=smooth.item(), hurst=hurst.item(),
                      score_l2=score.item())
+        # from here the tape alone holds this pass's S and P, and frees
+        # each as its backward passes it, so none is alive in the next pass
+        del out
         _check_finite(**terms)
         tape.backward(total)
         opt.step()

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import weakref
 
@@ -496,25 +497,34 @@ def test_fd_gradient_kl():
 @pytest.mark.parametrize("name", ["hurst", "stiffness", "mix_weights",
                                   "phase_period", "phase_gain"])
 def test_fd_gradient_prior_logits(name):
-    # a batch of 2 windows of length 5 and 2 prior heads, each value
-    # inside the range prior_fields squashes it to
+    """The prior kernel logits' gradient reaches each field through
+    prior_softmax's P alone, its score alone and both together, with one
+    prior head per series head (full) and one shared by both (single_head),
+    for one window and for a batch of 2."""
+    # windows of length 5 and 2 series heads, each value inside the range
+    # prior_fields squashes it to
     rng = np.random.default_rng(7)
-    mix = rng.random((2, 3)) + 0.1
-    values = dict(hurst=rng.uniform(0.1, 0.9, (2, 5)),
-                  stiffness=rng.uniform(0.6, 3.0, (2, 5)),
-                  mix_weights=mix / mix.sum(axis=-1, keepdims=True),
-                  phase_period=rng.uniform(2.0, 6.0, 2),
-                  phase_gain=rng.uniform(0.0, 1.5, 2))
-    L = 5
-    weights = RNG.normal(size=(2, 2, L, L))
+    L, H = 5, 2
+    for n_ph, lead in itertools.product((H, 1), ((2,), ())):
+        mix = rng.random((n_ph, 3)) + 0.1
+        values = dict(hurst=rng.uniform(0.1, 0.9, lead + (L,)),
+                      stiffness=rng.uniform(0.6, 3.0, lead + (L,)),
+                      mix_weights=mix / mix.sum(axis=-1, keepdims=True),
+                      phase_period=rng.uniform(2.0, 6.0, n_ph),
+                      phase_gain=rng.uniform(0.0, 1.5, n_ph))
+        weights = Tensor(rng.normal(size=lead + (H, L, L)))
+        for through in ("P", "score", "both"):
+            def build(x):
+                fields = PriorFields(**{k: x if k == name else Tensor(v)
+                                        for k, v in values.items()})
+                P, score = pmodel.prior_softmax(
+                    fields, pmodel.lag_matrix(L), causal_mask(L), H)
+                if through == "score":
+                    return score
+                loss = ad.tsum(P * weights)
+                return loss if through == "P" else loss + score * 3.0
 
-    def build(x):
-        fields = PriorFields(**{k: x if k == name else Tensor(v)
-                                for k, v in values.items()})
-        logits = pmodel.prior_logits(fields, pmodel.lag_matrix(L))
-        return ad.tsum(logits * Tensor(weights))
-
-    check_grad(build, values[name])
+            check_grad(build, values[name])
 
 
 # every input of every fused model op; a weighted sum makes each output
@@ -688,8 +698,18 @@ def reference_prior_logits(fields, lags):
             + per_head(mix[:, 2]) * phase)
 
 
-# each fused op and the reference it is checked against; the first three
-# are looked up in ``ad`` by the model and the losses, the last in ``pmodel``
+def reference_prior_softmax(fields, lags, mask, heads):
+    """The prior as the chain it replaces: the kernel logits, their
+    single_head broadcast over the heads, the softmax and the mean square."""
+    logits = reference_prior_logits(fields, lags)
+    if fields.phase_period.shape[0] != heads:
+        logits = logits + Tensor(np.zeros((heads, 1, 1)))
+    return (reference_masked_softmax_rows(logits, mask),
+            reference_mean_square(logits))
+
+
+# each fused op and the reference it is checked against; these are looked
+# up in ``ad`` by the model and the losses, and prior_softmax in ``pmodel``
 REFERENCES = {
     "sym_kl_rows": reference_sym_kl_rows,
     "masked_softmax_rows": reference_masked_softmax_rows,
@@ -700,8 +720,10 @@ REFERENCES = {
 }
 
 
-def _training_loss_and_grads(model, x):
-    """Both passes' KL sides on one tape, plus every regularizer."""
+def _training_loss_and_grads(model, x, prior_side):
+    """Pass 1's KL side, pass 2's too if ``prior_side``, and every
+    regularizer on one tape. Without pass 2's side P gets no gradient, as
+    in pass 1 with series ascent on."""
     for p in model.parameters():
         p.grad = None
     with Tape() as tape:
@@ -710,11 +732,12 @@ def _training_loss_and_grads(model, x):
                for S, P in zip(out.attn.series, out.attn.prior)]
         loss = (loss_reconstruction(x, out.recon)
                 - 3.0 * loss_sym_kl(out.attn, frozen="prior")
-                + 3.0 * loss_sym_kl(out.attn, frozen="series")
                 + _regularizer(out, TrainConfig(), 0.6)[0])
+        if prior_side:
+            loss = loss + 3.0 * loss_sym_kl(out.attn, frozen="series")
     tape.backward(loss)
     values = [loss, out.recon] + (out.attn.series + out.attn.prior
-                                  + out.prior_logits + kls)
+                                  + out.prior_scores + kls)
     return ([t.data for t in values],
             {n: p.grad for n, p in model.params.items()})
 
@@ -723,24 +746,27 @@ def _training_loss_and_grads(model, x):
 @pytest.mark.parametrize("prior_mode", PRIOR_MODES)
 def test_fused_ops_match_primitive_chains_bitwise(prior_mode, lead,
                                                   monkeypatch):
-    model = tiny_model(prior_mode)
     x = Tensor(np.random.default_rng(8).normal(size=lead + (10, 2)))
-    got_values, got_grads = _training_loss_and_grads(model, x)
-    for name, reference in REFERENCES.items():
-        monkeypatch.setattr(ad, name, reference)
-    monkeypatch.setattr(pmodel, "prior_logits", reference_prior_logits)
-    want_values, want_grads = _training_loss_and_grads(model, x)
-    assert len(got_values) == 2 + 4 * model.cfg.num_layers
-    for got, want in zip(got_values, want_values):
-        # tobytes compares the sign bit of every zero too
-        assert got.tobytes() == want.tobytes()
-    # no_phase trains no mixture or phase parameter
-    unused = {n for n in want_grads if prior_mode == "no_phase" and (
-        "mix_logits" in n or "phase_" in n)}
-    for name, want in want_grads.items():
-        assert (want is None) == (name in unused), name
-        assert want is None or got_grads[name].tobytes() == want.tobytes(), \
-            name
+    for prior_side in (True, False):
+        model = tiny_model(prior_mode)
+        got_values, got_grads = _training_loss_and_grads(model, x, prior_side)
+        with monkeypatch.context() as m:
+            for name, reference in REFERENCES.items():
+                m.setattr(ad, name, reference)
+            m.setattr(pmodel, "prior_softmax", reference_prior_softmax)
+            want_values, want_grads = _training_loss_and_grads(model, x,
+                                                               prior_side)
+        assert len(got_values) == 2 + 4 * model.cfg.num_layers
+        for got, want in zip(got_values, want_values):
+            # tobytes compares the sign bit of every zero too
+            assert got.tobytes() == want.tobytes()
+        # no_phase trains no mixture or phase parameter
+        unused = {n for n in want_grads if prior_mode == "no_phase" and (
+            "mix_logits" in n or "phase_" in n)}
+        for name, want in want_grads.items():
+            assert (want is None) == (name in unused), name
+            assert want is None \
+                or got_grads[name].tobytes() == want.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +779,7 @@ BLOCK_ROW = BLOCK_H * BLOCK_L * BLOCK_L * 8
 # one entry per block, two (so five entries end in a short block), one block
 BUDGETS = {"one": 1, "two": 2 * BLOCK_ROW, "unbounded": 1 << 62}
 BLOCKED_OPS = ["masked_softmax_rows", "attention_scores", "sym_kl_rows",
-               "prior_logits"]
+               "prior_softmax"]
 
 
 def _normalized(x):
@@ -763,7 +789,7 @@ def _normalized(x):
 def _blocked_op_inputs(op, lead, H, L, rng):
     """Leaf tensors for ``op`` over windows ``lead``; only sym_kl_rows' b
     needs no gradient."""
-    if op == "prior_logits":
+    if op == "prior_softmax":
         values = dict(hurst=rng.uniform(0.1, 0.9, lead + (L,)),
                       stiffness=rng.uniform(0.6, 3.0, lead + (L,)),
                       mix_weights=_normalized(rng.random((H, 3)) + 0.1),
@@ -782,14 +808,16 @@ def _blocked_op_inputs(op, lead, H, L, rng):
 
 
 def _blocked_op(op, args, L):
+    """The outputs of ``op``, as a tuple."""
     mask = causal_mask(L)
-    if op == "prior_logits":
-        return pmodel.prior_logits(PriorFields(**args), pmodel.lag_matrix(L))
+    if op == "prior_softmax":
+        return pmodel.prior_softmax(PriorFields(**args), pmodel.lag_matrix(L),
+                                    mask, len(args["phase_period"].data))
     if op == "attention_scores":
-        return ad.attention_scores(args["q"], args["k"], mask)
+        return ad.attention_scores(args["q"], args["k"], mask),
     if op == "sym_kl_rows":
-        return ad.sym_kl_rows(args["a"], args["b"])
-    return ad.masked_softmax_rows(args["logits"], mask)
+        return ad.sym_kl_rows(args["a"], args["b"]),
+    return ad.masked_softmax_rows(args["logits"], mask),
 
 
 @pytest.mark.parametrize("lead", [(5,), ()], ids=["batch", "window"])
@@ -799,18 +827,19 @@ def test_blocked_ops_bitwise_across_block_sizes(op, lead, monkeypatch):
     rng = np.random.default_rng(12)
     args = _blocked_op_inputs(op, lead, H, L, rng)
     weights = {shape: Tensor(rng.normal(size=shape))
-               for shape in (lead + (H, L), lead + (H, L, L))}
+               for shape in ((), lead + (H, L), lead + (H, L, L))}
     results = {}
     for name, budget in BUDGETS.items():
         monkeypatch.setattr(ad, "BLOCK_BYTES", budget)
         for t in args.values():
             t.grad = None
         with Tape() as tape:
-            out = _blocked_op(op, args, L)
-            loss = ad.tsum(out * weights[out.shape])
+            outs = _blocked_op(op, args, L)
+            terms = [ad.tsum(o * weights[o.shape]) for o in outs]
+            loss = sum(terms[1:], terms[0])
         tape.backward(loss)
-        results[name] = [out.data] + [t.grad for t in args.values()
-                                      if t.requires_grad]
+        results[name] = [o.data for o in outs] + [
+            t.grad for t in args.values() if t.requires_grad]
     monkeypatch.setattr(ad, "BLOCK_BYTES", BUDGETS["two"])
     assert len(ad._blocks(np.empty(lead + (H, L, L)))) == (3 if lead else 1)
     want = results.pop("unbounded")
@@ -845,8 +874,11 @@ def test_blocked_backward_allocates_only_a_few_blocks(op):
     assert B * H * L * L * 8 >= 8 * ad.BLOCK_BYTES
     rng = np.random.default_rng(14)
     with Tape() as tape:
-        out = _blocked_op(op, _blocked_op_inputs(op, (B,), H, L, rng), L)
-    backward_fn = tape.nodes[-1][2]
+        outs = _blocked_op(op, _blocked_op_inputs(op, (B,), H, L, rng), L)
+    out, _, backward_fn = tape.nodes[-1]
+    for o in outs:  # the prior's score: P's backward takes its gradient too
+        if o is not out:
+            o.grad = np.array(1.0)
     g = rng.normal(size=out.shape)
     tracemalloc.start()
     try:
@@ -902,8 +934,7 @@ def _held_arrays(node):
 @pytest.mark.parametrize("prior_mode", ["full", "single_head"])
 def test_tape_holds_no_dead_attention_sized_array(prior_mode, monkeypatch):
     """At the start of each training pass's backward, the [..., H, L, L]
-    arrays the tape can reach are, per layer, exactly S, P, the prior logits
-    and the log-ratio that sym_kl_rows keeps."""
+    arrays the tape can reach are, per layer, exactly S and P."""
     model = tiny_model(prior_mode)
     H, L = model.cfg.num_heads, model.cfg.window_length
     forward, backward = PiModel.forward, Tape.backward
@@ -915,33 +946,39 @@ def test_tape_holds_no_dead_attention_sized_array(prior_mode, monkeypatch):
 
     def checking_backward(tape, loss):
         out = outputs[-1]
-        kept = {id(_root(t.data)) for t in
-                out.attn.series + out.attn.prior + out.prior_logits}
-        held, log_ratios = {}, []
-        for node in tape.nodes:
-            for a in _held_arrays(node):
-                if a.shape[-3:] == (H, L, L):
-                    held[id(_root(a))] = a
-                    if node[2].__qualname__.startswith("sym_kl_rows") \
-                            and id(_root(a)) not in kept:
-                        log_ratios.append(a)
-        assert kept <= set(held)
-        assert len(kept) == 3 * model.cfg.num_layers
-        assert set(held) - kept == {id(_root(a)) for a in log_ratios}
-        assert len(log_ratios) == model.cfg.num_layers
-        frozen = "prior" if not checked else "series"
-        for a, S, P in zip(log_ratios, out.attn.series, out.attn.prior):
-            p, q = (S, P) if frozen == "prior" else (P, S)
-            want = (np.log(np.clip(p.data, EPS_PROB, None))
-                    - np.log(np.clip(q.data, EPS_PROB, None)))
-            assert a.tobytes() == want.tobytes()
-        checked.append(frozen)
+        kept = {id(_root(t.data)) for t in out.attn.series + out.attn.prior}
+        held = {id(_root(a)) for node in tape.nodes
+                for a in _held_arrays(node) if a.shape[-3:] == (H, L, L)}
+        assert len(kept) == 2 * model.cfg.num_layers
+        assert held == kept
+        checked.append(loss)
         backward(tape, loss)
 
     monkeypatch.setattr(PiModel, "forward", recording_forward)
     monkeypatch.setattr(Tape, "backward", checking_backward)
     run_one_step(model)
-    assert checked == ["prior", "series"]
+    assert len(checked) == 2
+
+
+@pytest.mark.parametrize("prior_mode", PRIOR_MODES)
+def test_pass_one_attention_freed_before_pass_two_forward(prior_mode,
+                                                          monkeypatch):
+    """minmax_step keeps no reference to pass 1's S and P: when pass 2's
+    forward starts, nothing holds them any more."""
+    model = tiny_model(prior_mode)
+    forward = PiModel.forward
+    refs, alive = [], []
+
+    def watching_forward(self, window):
+        alive.append([r() is not None for r in refs])
+        out = forward(self, window)
+        refs.extend(weakref.ref(_root(t.data))
+                    for t in out.attn.series + out.attn.prior)
+        return out
+
+    monkeypatch.setattr(PiModel, "forward", watching_forward)
+    run_one_step(model)
+    assert alive == [[], [False] * (2 * model.cfg.num_layers)]
 
 
 def test_fd_gradient_broadcast_add():

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -54,8 +55,9 @@ def test_ablation_spec_validation():
         AblationSpec("window_color", [1])
     with pytest.raises(ValueError, match="non-empty"):
         AblationSpec("epochs", [])
-    with pytest.raises(ValueError, match="phase_sync"):
-        AblationSpec("phase_sync", ["half_phase"])
+    # a bad value is checked where it is applied, as every axis's is: it
+    # becomes an error cell, and the other cells still run
+    assert AblationSpec("phase_sync", ["half_phase"]).values == ["half_phase"]
 
 
 def test_apply_ablation_value_copies_configs():
@@ -89,15 +91,16 @@ def test_run_ablation_records_errors_and_continues(tmp_path):
     spec = AblationSpec("model_dim", [16, 15])  # 15 is invalid (2 heads)
     out = run_ablation(spec, synth, mcfg, tcfg, scfg,
                        csv_path=tmp_path / "ablation.csv")
-    assert isinstance(out[16], EvalReport)
-    assert isinstance(out[15], str) and out[15].startswith("error")
+    assert [value for value, _ in out] == [16, 15]
+    assert isinstance(out[0][1], EvalReport)
+    assert isinstance(out[1][1], str) and out[1][1].startswith("error")
     text = (tmp_path / "ablation.csv").read_text()
     assert "ok" in text and "error" in text
 
 
 def test_format_report_table_alignment():
     rep = compute_metrics(np.ones(4, bool), np.ones(4, bool))
-    table = format_report_table({"full": rep, "broken": "error: nope"})
+    table = format_report_table([("full", rep), ("broken", "error: nope")])
     lines = table.splitlines()
     assert "variant" in lines[0] and "f1" in lines[0]
     assert any("full" in ln and "100.00" in ln for ln in lines)
@@ -371,6 +374,36 @@ def test_cli_ablate_takes_channels_and_fails_on_error_cells(tmp_path, capsys):
     assert rows[1].endswith(",ok")
     assert "error: model_dim 7 not divisible by num_heads 2" in rows[2]
     assert "[7]" in capsys.readouterr().err
+
+
+def test_cli_ablate_writes_one_row_per_given_value(tmp_path, capsys):
+    """Values that compare equal keep a cell each: 1 and true (1 == True in
+    Python) give an ok row and an error row, and a repeated value trains
+    twice. A phase_sync value that is no prior mode is an error cell that
+    names prior_mode, beside the cells that ran."""
+    tiny = ["--length", "600", "--channels", "3",
+            "--set", "model.window_length=12", "--set", "model.model_dim=8",
+            "--set", "model.num_layers=1", "--set", "model.num_heads=2",
+            "--set", "model.feedforward_dim=16", "--set", "train.batch_size=64"]
+    runs = {"equal": ("epochs", ["1", "true"], 1),
+            "repeated": ("epochs", ["2", "2"], 0),
+            "bad_mode": ("phase_sync", ["half_phase", "full"], 1)}
+    rows = {}
+    for name, (axis, values, code) in runs.items():
+        assert main(["ablate", "--axis", axis, "--values", *values,
+                     "--out", str(tmp_path / name)] + tiny) == code
+        with open(tmp_path / name / "ablation.csv", newline="") as fh:
+            rows[name] = list(csv.reader(fh))[1:]
+    assert [r[1] for r in rows["equal"]] == ["1", "True"]
+    assert rows["equal"][0][-1] == "ok"
+    assert rows["equal"][1][-1] == "error: max_epochs must be int, got True"
+    assert [r[1] for r in rows["repeated"]] == ["2", "2"]
+    assert rows["repeated"][0] == rows["repeated"][1]
+    assert rows["repeated"][0][-1] == "ok"
+    assert [r[1] for r in rows["bad_mode"]] == ["half_phase", "full"]
+    assert rows["bad_mode"][0][-1].startswith("error: prior_mode must be")
+    assert rows["bad_mode"][1][-1] == "ok"
+    assert "['half_phase']" in capsys.readouterr().err
 
 
 def test_cli_ablate_values_are_type_checked_like_set(tmp_path):

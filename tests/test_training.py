@@ -235,7 +235,7 @@ def _reference_step(batch, model, opt, cfg, hurst_target):
             reg = (cfg.lambda_reg * loss_smoothness(out.fields)
                    + cfg.lambda_hurst * loss_hurst_distill(out.fields,
                                                            hurst_target)
-                   + cfg.lambda_score * loss_prior_score_l2(out.prior_logits))
+                   + cfg.lambda_score * loss_prior_score_l2(out.prior_scores))
             loss = (recon - k * sym if sign < 0 else recon + k * sym) + reg
         tape.backward(loss)
         opt.step()
