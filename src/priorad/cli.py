@@ -19,7 +19,7 @@ from .data import (ParseError, StandardizerStats, _read_matrix,
                    default_synthetic_spec, load_standardizer, read_labels,
                    save_standardizer, standardize, split_min_rows,
                    split_train_val, synth_generate, write_csv, ANOMALY_TYPES)
-from .evaluation import (AblationSpec, compute_metrics, format_report_table,
+from .evaluation import (ABLATION_AXES, compute_metrics, format_report_table,
                          run_ablation)
 from .model import ModelConfig
 from .scoring import (ScoringConfig, detect, point_adjust, read_score_csv,
@@ -112,10 +112,19 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _synthetic_spec(args, kinds):
+    """``default_synthetic_spec`` of --seed, --length and --channels; a size
+    it rejects is a UsageError naming the option."""
+    try:
+        return default_synthetic_spec(args.seed, kinds, args.length,
+                                      args.channels)
+    except ValueError as exc:  # its message opens with the field's name
+        raise UsageError(f"--{exc}") from None
+
+
 def cmd_synth(args) -> int:
-    kinds = ANOMALY_TYPES if args.type == "all" else (args.type,)
-    spec = default_synthetic_spec(seed=args.seed, kinds=kinds,
-                                  length=args.length, channels=args.channels)
+    spec = _synthetic_spec(args, ANOMALY_TYPES if args.type == "all"
+                           else (args.type,))
     train_s, test_s, labels = synth_generate(spec)
     out = _out_dir(args)
     write_csv(out / "train.csv", train_s)
@@ -213,13 +222,11 @@ def cmd_ablate(args) -> int:
     train_cfg = build_config(TrainConfig, sections["train"])
     score_cfg = build_config(ScoringConfig, sections["scoring"],
                              window_length=model_cfg.window_length)
-    values = [_coerce(v) for v in args.values]
-    spec = AblationSpec(args.axis, values)
-    synth_spec = default_synthetic_spec(seed=args.seed, length=args.length,
-                                        channels=args.channels)
+    synth_spec = _synthetic_spec(args, ANOMALY_TYPES)
     out = _out_dir(args)
-    results = run_ablation(spec, synth_spec, model_cfg, train_cfg, score_cfg,
-                           csv_path=out / "ablation.csv")
+    results = run_ablation(args.axis, [_coerce(v) for v in args.values],
+                           synth_spec, model_cfg, train_cfg, score_cfg,
+                           out / "ablation.csv")
     print(format_report_table(results))
     failed = [v for v, rep in results if isinstance(rep, str)]
     if failed:
@@ -278,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("ablate", help="run an ablation axis on synthetic data")
-    sp.add_argument("--axis", required=True)
+    sp.add_argument("--axis", required=True, choices=list(ABLATION_AXES))
     sp.add_argument("--values", nargs="+", required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--length", type=int, default=2000)

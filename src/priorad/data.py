@@ -217,6 +217,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in (("length", self.length),
+                            ("channels", self.channels)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         segs = sorted(self.segments, key=lambda s: s.start)
         prev_end = -1
         for s in segs:
@@ -273,7 +277,6 @@ def synth_generate(spec: SyntheticSpec):
                                      for on, d in phase_breaks])
     labels = np.zeros(spec.length, dtype=bool)
     sigma = spec.noise_sigma
-    period = spec.base_period / 4.0
 
     for s in spec.segments:
         sl = slice(s.start, s.start + s.length)
@@ -306,6 +309,9 @@ def default_synthetic_spec(seed: int = 0, kinds=ANOMALY_TYPES,
                            ) -> SyntheticSpec:
     """Spread one segment of each requested kind across the test span."""
     kinds = list(kinds)
+    if len(kinds) > 1 and length <= len(kinds):
+        raise ValueError(f"length must be >= {len(kinds) + 1} for "
+                         f"{len(kinds)} anomaly kinds, got {length}")
     segments = []
     gap = length // (len(kinds) + 1)
     sizing = {

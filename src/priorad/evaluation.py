@@ -34,9 +34,7 @@ class EvalReport:
     fp: int
     tn: int
     fn: int
-    threshold: float | None = None
-    config_fingerprint: str = ""
-    flagged: bool = False  # set when precision degenerated to 0/0
+    flagged: bool  # set when precision degenerated to 0/0
 
 
 def f1_from_pr(precision: float, recall: float) -> float:
@@ -46,8 +44,7 @@ def f1_from_pr(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def compute_metrics(y_hat, y_true, threshold=None,
-                    fingerprint: str = "") -> EvalReport:
+def compute_metrics(y_hat, y_true) -> EvalReport:
     """Binary metrics in percent; positive class is the anomaly."""
     y_hat = np.asarray(y_hat, dtype=bool)
     y_true = np.asarray(y_true, dtype=bool)
@@ -65,24 +62,12 @@ def compute_metrics(y_hat, y_true, threshold=None,
     accuracy = 100.0 * (tp + tn) / max(len(y_true), 1)
     return EvalReport(accuracy, precision, recall,
                       f1_from_pr(precision, recall),
-                      tp, fp, tn, fn, threshold, fingerprint, flagged)
+                      tp, fp, tn, fn, flagged)
 
 
 # ---------------------------------------------------------------------------
 # Ablation runner
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class AblationSpec:
-    axis: str
-    values: list
-
-    def __post_init__(self):
-        if self.axis not in ABLATION_AXES:
-            raise ValueError(f"unknown ablation axis {self.axis!r}")
-        if not self.values:
-            raise ValueError("ablation values must be non-empty")
 
 
 def apply_ablation_value(axis: str, value, model_cfg: ModelConfig,
@@ -118,9 +103,9 @@ def benchmark_configs(seed: int = 0, prior_mode: str = "full",
 
 
 def run_synthetic_pipeline(spec: SyntheticSpec, model_cfg: ModelConfig,
-                           train_cfg: TrainConfig, score_cfg: ScoringConfig
-                           ) -> EvalReport:
-    """Generate, train, score, point-adjust, and evaluate one variant."""
+                           train_cfg: TrainConfig, score_cfg: ScoringConfig):
+    """Generate, train, score, point-adjust, and evaluate one variant.
+    Returns the test series' Scores and their point-adjusted EvalReport."""
     raw_train, raw_test, labels = synth_generate(spec)
     stats = StandardizerStats.fit(raw_train)
     z_train = standardize(raw_train, stats)
@@ -130,41 +115,40 @@ def run_synthetic_pipeline(spec: SyntheticSpec, model_cfg: ModelConfig,
         z_train, train_cfg.val_fraction, min_length=model_cfg.window_length
     )
     scores = detect(ckpt.model, fit_part, thresh_part, z_test, score_cfg)
-    adjusted = point_adjust(scores.y_hat, labels)
-    fingerprint = (f"prior={model_cfg.prior_mode},layers={model_cfg.num_layers},"
-                   f"dim={model_cfg.model_dim},heads={model_cfg.num_heads},"
-                   f"batch={train_cfg.batch_size},epochs={train_cfg.max_epochs},"
-                   f"seed={model_cfg.seed}")
-    return compute_metrics(adjusted, labels, scores.threshold, fingerprint)
+    return scores, compute_metrics(point_adjust(scores.y_hat, labels), labels)
 
 
-def run_ablation(spec: AblationSpec, synth_spec: SyntheticSpec,
+def run_ablation(axis: str, values: list, synth_spec: SyntheticSpec,
                  model_cfg: ModelConfig, train_cfg: TrainConfig,
-                 score_cfg: ScoringConfig, csv_path=None):
-    """Train and evaluate one variant per value; failures are recorded
+                 score_cfg: ScoringConfig, csv_path):
+    """Train and evaluate one variant per value of ``axis`` (a key of
+    ABLATION_AXES) and write them to ``csv_path``; failures are recorded
     per cell and the run continues. Returns one (value, EvalReport | error
     str) pair per given value, in order: values that compare equal, such
     as 1 and True or a repeated value, keep a cell and a row each."""
+    if axis not in ABLATION_AXES:
+        raise ValueError(f"unknown ablation axis {axis!r}")
+    if not values:
+        raise ValueError("ablation values must be non-empty")
     results = []
-    for value in spec.values:
+    for value in values:
         try:
-            m, t = apply_ablation_value(spec.axis, value, model_cfg, train_cfg)
-            rep = run_synthetic_pipeline(synth_spec, m, t, score_cfg)
+            m, t = apply_ablation_value(axis, value, model_cfg, train_cfg)
+            rep = run_synthetic_pipeline(synth_spec, m, t, score_cfg)[1]
         except Exception as exc:  # record and continue
             rep = f"error: {exc}"
         results.append((value, rep))
-    if csv_path is not None:
-        with open(csv_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["axis", "value", "accuracy", "precision", "recall",
-                        "f1", "status"])
-            for value, rep in results:
-                if isinstance(rep, EvalReport):
-                    w.writerow([spec.axis, value,
-                                f"{rep.accuracy:.4f}", f"{rep.precision:.4f}",
-                                f"{rep.recall:.4f}", f"{rep.f1:.4f}", "ok"])
-                else:
-                    w.writerow([spec.axis, value, "", "", "", "", rep])
+    with open(csv_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["axis", "value", "accuracy", "precision", "recall", "f1",
+                    "status"])
+        for value, rep in results:
+            if isinstance(rep, EvalReport):
+                w.writerow([axis, value,
+                            f"{rep.accuracy:.4f}", f"{rep.precision:.4f}",
+                            f"{rep.recall:.4f}", f"{rep.f1:.4f}", "ok"])
+            else:
+                w.writerow([axis, value, "", "", "", "", rep])
     return results
 
 

@@ -25,16 +25,21 @@ _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
                 "str": str}
 
 
-def check_field_types(cfg) -> None:
+def check_fields(cfg, lows: dict) -> None:
     """Raise ConfigError naming the first field of the config dataclass
-    ``cfg`` whose value lacks its declared type: an int field takes no bool
-    or float, a float field takes an int but no bool, and a bool field takes
-    only a bool."""
+    ``cfg`` whose value lacks its declared type, then the first field named
+    in ``lows`` whose value is below its bound there. An int field takes no
+    bool or float, a float field takes an int but no bool, and a bool field
+    takes only a bool."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if not (isinstance(value, _FIELD_TYPES[f.type])
                 and isinstance(value, bool) == (f.type == "bool")):
             raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+    for name, low in lows.items():
+        if getattr(cfg, name) < low:
+            raise ConfigError(f"{name} must be >= {low}, "
+                              f"got {getattr(cfg, name)}")
 
 
 TAU_FLOOR = 0.5
@@ -58,7 +63,9 @@ class ModelConfig:
     prior_mode: str = "full"  # one of PRIOR_MODES
 
     def __post_init__(self):
-        check_field_types(self)
+        check_fields(self, {"window_length": 2, "channels": 1, "model_dim": 1,
+                            "num_layers": 1, "num_heads": 1,
+                            "feedforward_dim": 1, "seed": 0})
         if self.model_dim % self.num_heads != 0:
             raise ConfigError(
                 f"model_dim {self.model_dim} not divisible by "

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import ParseError, binary_column, read_table, windows
-from .model import PiModel, check_field_types
+from .model import PiModel, check_fields
 
 EPS_IQR = 1e-8
 # scores.csv: one row per global index t; y_true follows when labels are given
@@ -36,13 +36,11 @@ class ScoringConfig:
     batch_size: int = 256
 
     def __post_init__(self):
-        check_field_types(self)
+        check_fields(self, {"batch_size": 1})
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         if not (0.0 < self.anomaly_ratio < 100.0):
             raise ValueError("anomaly_ratio must be in (0, 100)")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass

@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, Tape, OptimizerState, stop_gradient
 from .model import (ConfigError, PiModel, ModelConfig, ReconOutput,
-                    check_field_types, estimate_hurst_rs)
+                    check_fields, estimate_hurst_rs)
 from .data import windows, split_train_val
 
 FORMAT_VERSION = 2  # checkpoint layout written by save_checkpoint
@@ -58,14 +58,11 @@ class TrainConfig:
     series_ascent: bool = True   # keep the -k*symKL term in pass 1
 
     def __post_init__(self):
-        check_field_types(self)
+        check_fields(self, dict.fromkeys(("batch_size", "max_epochs",
+                                          "patience"), 1))
         if min(self.k, self.lambda_reg, self.lambda_hurst,
                self.lambda_score) < 0:
             raise ValueError("loss weights must be nonnegative")
-        for name in ("batch_size", "max_epochs", "patience"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, "
-                                 f"got {getattr(self, name)}")
         for name in ("learning_rate", "clip_norm"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, "

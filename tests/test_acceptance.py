@@ -12,9 +12,9 @@ import pytest
 import priorad.autodiff as ad
 from priorad.autodiff import Tensor, Tape
 from priorad.data import (ANOMALY_TYPES, StandardizerStats,
-                          default_synthetic_spec, split_train_val,
-                          standardize, synth_generate)
-from priorad.evaluation import benchmark_configs, compute_metrics, f1_from_pr
+                          default_synthetic_spec, standardize, synth_generate)
+from priorad.evaluation import (benchmark_configs, f1_from_pr,
+                                run_synthetic_pipeline)
 from priorad.model import ModelConfig, PiModel, causal_mask, estimate_hurst_rs
 from priorad.scoring import (ScoringConfig, alignment_weights, detect, fuse,
                              mismatch_delta, point_adjust, robust_normalize)
@@ -36,22 +36,12 @@ def tiny_model():
 
 
 def detection_run(seed, kinds, epochs=10, prior_mode="full"):
-    """Train and score one synthetic suite; returns everything downstream."""
-    model_cfg, train_cfg, score_cfg = benchmark_configs(
-        seed=seed, prior_mode=prior_mode, epochs=epochs)
+    """One synthetic suite through the pipeline ``priorad ablate`` runs;
+    returns (spec, scores, point-adjusted metrics)."""
     spec = default_synthetic_spec(seed=seed, length=4000, channels=3,
                                   kinds=kinds)
-    raw_train, raw_test, labels = synth_generate(spec)
-    stats = StandardizerStats.fit(raw_train)
-    z_train = standardize(raw_train, stats)
-    z_test = standardize(raw_test, stats)
-    ckpt = train(z_train, model_cfg, train_cfg)
-    fit, thresh = split_train_val(z_train, train_cfg.val_fraction,
-                                  min_length=model_cfg.window_length)
-    scores = detect(ckpt.model, fit, thresh, z_test, score_cfg)
-    adjusted = point_adjust(scores.y_hat, labels)
-    metrics = compute_metrics(adjusted, labels, scores.threshold)
-    return spec, scores, labels, metrics
+    return (spec, *run_synthetic_pipeline(spec, *benchmark_configs(
+        seed=seed, prior_mode=prior_mode, epochs=epochs)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +252,7 @@ def test_criterion_06_synthetic_end_to_end(full_suite_runs):
     runs, elapsed = full_suite_runs
     ok = elapsed < 600
     details = [f"{elapsed:.0f}s"]
-    for seed, (spec, scores, labels, metrics) in runs.items():
+    for seed, (spec, scores, metrics) in runs.items():
         hits = sum(1 for s in spec.segments
                    if scores.y_hat[s.start:s.start + s.length].any())
         ok &= metrics.f1 >= 90.0 and hits == len(spec.segments)
@@ -274,14 +264,14 @@ def test_criterion_06_synthetic_end_to_end(full_suite_runs):
 @pytest.mark.slow
 def test_criterion_07_mechanism_checks():
     L = 25
-    spec, scores, labels, _ = detection_run(0, kinds=("seasonal",))
+    spec, scores, _ = detection_run(0, kinds=("seasonal",))
     seg = spec.segments[0]
     near = scores.d_norm[max(0, seg.start - L): seg.start + seg.length + L]
     nominal = np.r_[scores.d_norm[: seg.start - L],
                     scores.d_norm[seg.start + seg.length + L:]]
     ratio_ok = near.max() >= 5.0 * max(float(np.median(nominal)), 1e-12)
 
-    spec_p, scores_p, _, _ = detection_run(0, kinds=("point",))
+    spec_p, scores_p, _ = detection_run(0, kinds=("point",))
     targets = [s.start for s in spec_p.segments]
     argmax = int(np.argmax(scores_p.e_norm))
     point_ok = any(abs(argmax - t) <= L for t in targets)
@@ -302,8 +292,8 @@ def test_criterion_08_ablation_direction():
     for seed in (1, 2, 3):
         f1 = {}
         for mode in ("full", "no_phase", "single_head"):
-            _, _, _, metrics = detection_run(seed, kinds=("seasonal", "trend"),
-                                             epochs=14, prior_mode=mode)
+            _, _, metrics = detection_run(seed, kinds=("seasonal", "trend"),
+                                          epochs=14, prior_mode=mode)
             f1[mode] = metrics.f1
         direction = f1["no_phase"] < f1["full"]
         between = (min(f1["no_phase"], f1["full"]) <= f1["single_head"]

@@ -196,6 +196,21 @@ def test_spec_validates_segments():
         AnomalySegment("wiggle", 0, 5, 1.0)
 
 
+def test_synthetic_sizes_are_checked():
+    for kwargs, need in ((dict(channels=0), "channels must be >= 1, got 0"),
+                         (dict(length=-1), "length must be >= 1, got -1")):
+        with pytest.raises(ValueError, match=need):
+            SyntheticSpec(**kwargs)
+    # the fewest rows that fit every requested kind: n + 1 for n >= 2 kinds
+    for kinds, need in ((ANOMALY_TYPES, 6), (("seasonal", "trend"), 3),
+                        (("point",), 1)):
+        with pytest.raises(ValueError, match=f"length must be >= {need}"):
+            default_synthetic_spec(kinds=kinds, length=need - 1)
+        synth_generate(default_synthetic_spec(kinds=kinds, length=need))
+    with pytest.raises(ValueError, match="channels must be >= 1"):
+        default_synthetic_spec(channels=0)
+
+
 def test_synth_deterministic_bitwise():
     a = synth_generate(default_synthetic_spec(seed=3, length=1000))
     b = synth_generate(default_synthetic_spec(seed=3, length=1000))

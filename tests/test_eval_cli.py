@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -10,7 +11,7 @@ from priorad.data import (StandardizerStats, _read_matrix,
                           default_synthetic_spec, read_labels,
                           split_train_val, standardize)
 from priorad.evaluation import (
-    AblationSpec, EvalReport, apply_ablation_value, compute_metrics,
+    EvalReport, apply_ablation_value, compute_metrics,
     f1_from_pr, format_report_table, run_ablation,
 )
 from priorad.model import ConfigError, ModelConfig
@@ -31,12 +32,11 @@ def test_f1_degenerate_zero():
 def test_compute_metrics_counts():
     y_true = np.array([1, 1, 0, 0, 1, 0], bool)
     y_hat = np.array([1, 0, 0, 1, 1, 0], bool)
-    rep = compute_metrics(y_hat, y_true, threshold=0.7, fingerprint="cfg")
+    rep = compute_metrics(y_hat, y_true)
     assert (rep.tp, rep.fp, rep.tn, rep.fn) == (2, 1, 2, 1)
     np.testing.assert_allclose(rep.precision, 100 * 2 / 3)
     np.testing.assert_allclose(rep.recall, 100 * 2 / 3)
     np.testing.assert_allclose(rep.accuracy, 100 * 4 / 6)
-    assert rep.threshold == 0.7 and rep.config_fingerprint == "cfg"
     assert not rep.flagged
 
 
@@ -50,14 +50,20 @@ def test_compute_metrics_shape_mismatch():
         compute_metrics(np.zeros(3, bool), np.zeros(4, bool))
 
 
-def test_ablation_spec_validation():
+def test_run_ablation_validates_axis_and_values(tmp_path):
+    mcfg = ModelConfig(window_length=16, channels=3)
+    synth = default_synthetic_spec(length=600)
+    args = (synth, mcfg, TrainConfig(), ScoringConfig(window_length=16),
+            tmp_path / "ablation.csv")
     with pytest.raises(ValueError, match="axis"):
-        AblationSpec("window_color", [1])
+        run_ablation("window_color", [1], *args)
     with pytest.raises(ValueError, match="non-empty"):
-        AblationSpec("epochs", [])
+        run_ablation("epochs", [], *args)
+    assert not (tmp_path / "ablation.csv").exists()
     # a bad value is checked where it is applied, as every axis's is: it
     # becomes an error cell, and the other cells still run
-    assert AblationSpec("phase_sync", ["half_phase"]).values == ["half_phase"]
+    [(value, cell)] = run_ablation("phase_sync", ["half_phase"], *args)
+    assert value == "half_phase" and cell.startswith("error: prior_mode")
 
 
 def test_apply_ablation_value_copies_configs():
@@ -88,9 +94,9 @@ def test_run_ablation_records_errors_and_continues(tmp_path):
                          window_length=16, batch_size=64)
     synth = default_synthetic_spec(seed=0, length=600, channels=3,
                                    kinds=("point",))
-    spec = AblationSpec("model_dim", [16, 15])  # 15 is invalid (2 heads)
-    out = run_ablation(spec, synth, mcfg, tcfg, scfg,
-                       csv_path=tmp_path / "ablation.csv")
+    # 15 is invalid (2 heads)
+    out = run_ablation("model_dim", [16, 15], synth, mcfg, tcfg, scfg,
+                       tmp_path / "ablation.csv")
     assert [value for value, _ in out] == [16, 15]
     assert isinstance(out[0][1], EvalReport)
     assert isinstance(out[1][1], str) and out[1][1].startswith("error")
@@ -142,6 +148,10 @@ def test_load_run_config_rejects_bad_override():
 
 def test_cli_usage_exit_codes(tmp_path, capsys):
     assert main(["synth", "--type", "wiggle", "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
+    assert main(["ablate", "--axis", "wiggle", "--values", "1",
+                 "--out", str(tmp_path)]) == 2
+    assert "phase_sync" in capsys.readouterr().err  # the axes are listed
     assert main(["score", "--checkpoint", "missing.npz",
                  "--train-csv", "x", "--test-csv", "y",
                  "--labels-csv", "z"]) == 1
@@ -212,8 +222,10 @@ def test_cli_full_pipeline_smoke(tmp_path, capsys):
     assert main(["eval", "--scores-csv", str(out / "scores.csv"),
                  "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert set(report) >= {"accuracy", "precision", "recall", "f1",
-                           "tp", "fp", "tn", "fn"}
+    # only what eval measured: no threshold or config fields
+    assert set(report) == {f.name for f in dataclasses.fields(EvalReport)}
+    assert set(report) == {"accuracy", "precision", "recall", "f1",
+                           "tp", "fp", "tn", "fn", "flagged"}
     table = capsys.readouterr().out
     assert "point-adjusted" in table
 
@@ -406,6 +418,27 @@ def test_cli_ablate_writes_one_row_per_given_value(tmp_path, capsys):
     assert "['half_phase']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--channels", "0"], "--channels must be >= 1, got 0"),
+    (["synth", "--channels", "-1"], "--channels must be >= 1, got -1"),
+    (["synth", "--length", "5"],
+     "--length must be >= 6 for 5 anomaly kinds, got 5"),
+    (["synth", "--length", "0", "--type", "point"],
+     "--length must be >= 1, got 0"),
+    (["ablate", "--axis", "epochs", "--values", "1", "--length", "5"],
+     "--length must be >= 6 for 5 anomaly kinds, got 5"),
+    (["ablate", "--axis", "epochs", "--values", "1", "--channels", "0"],
+     "channels must be >= 1, got 0"),
+], ids=["synth_channels_0", "synth_channels_neg", "synth_length_5",
+        "synth_point_length_0", "ablate_length_5", "ablate_channels_0"])
+def test_cli_rejects_unusable_synthetic_sizes(tmp_path, capsys, argv,
+                                              message):
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_ablate_values_are_type_checked_like_set(tmp_path):
     """A value that `--set train.max_epochs=...` rejects is an error cell,
     not a cast: 2.5 does not train 2 epochs, nor true 1."""
@@ -505,14 +538,18 @@ def test_cli_derived_key_in_config_file_is_rejected(tiny_run, tmp_path,
 @pytest.mark.parametrize("key", ["train.batch_size=0", "train.max_epochs=0",
                                  "train.learning_rate=-1",
                                  "train.clip_norm=0",
-                                 "train.val_fraction=1.0"])
+                                 "train.val_fraction=1.0",
+                                 "model.num_layers=0", "model.num_heads=0",
+                                 "model.model_dim=0", "model.seed=-1",
+                                 "model.window_length=1",
+                                 "model.feedforward_dim=0"])
 def test_cli_train_rejects_out_of_range_config(tiny_run, tmp_path, capsys,
                                                key):
     capsys.readouterr()
     assert main(["train", "--train-csv", str(tiny_run / "train.csv"),
                  "--set", key, "--out", str(tmp_path)]) == 2
     field = key.split("=")[0].split(".")[1]
-    assert field in capsys.readouterr().err
+    assert f"{field} must be" in capsys.readouterr().err
     assert not (tmp_path / "checkpoint.npz").exists()
 
 

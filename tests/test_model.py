@@ -35,6 +35,18 @@ def test_config_rejects_indivisible_heads():
         small_cfg(model_dim=10, num_heads=3)
 
 
+@pytest.mark.parametrize("field, value, low", [
+    ("window_length", 1, 2), ("channels", 0, 1), ("model_dim", 0, 1),
+    ("num_layers", 0, 1), ("num_heads", 0, 1), ("feedforward_dim", 0, 1),
+    ("seed", -1, 0)])
+def test_config_rejects_out_of_range_values(field, value, low):
+    # checked before model_dim % num_heads, which num_heads=0 would break
+    with pytest.raises(ConfigError,
+                       match=f"^{field} must be >= {low}, got {value}$"):
+        small_cfg(**{field: value})
+    small_cfg(**{field: low if field != "model_dim" else 2})
+
+
 def test_lag_and_mask_helpers():
     lags = lag_matrix(4)
     assert lags[3, 0] == 3 and lags[2, 2] == 0
