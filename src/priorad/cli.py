@@ -16,12 +16,12 @@ import sys
 from pathlib import Path
 
 from .data import (ParseError, StandardizerStats, _read_matrix,
-                   default_synthetic_spec, load_standardizer, read_labels,
-                   save_standardizer, standardize, split_min_rows,
-                   split_train_val, synth_generate, write_csv, ANOMALY_TYPES)
+                   default_synthetic_spec, read_labels, standardize,
+                   split_min_rows, split_train_val, synth_generate, write_csv,
+                   ANOMALY_TYPES)
 from .evaluation import (ABLATION_AXES, compute_metrics, format_report_table,
                          run_ablation)
-from .model import ModelConfig
+from .model import HURST_MIN_BLOCK, ModelConfig
 from .scoring import (ScoringConfig, detect, point_adjust, read_score_csv,
                       write_score_csv)
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
@@ -151,30 +151,29 @@ def cmd_train(args) -> int:
     model_cfg = build_config(ModelConfig, sections["model"],
                              channels=train_raw.shape[1])
     L, vf = model_cfg.window_length, train_cfg.val_fraction
-    _need_rows(args.train_csv, train_raw, split_min_rows(vf, L),
+    # the fit side also feeds the Hurst estimate, which takes 4 blocks
+    _need_rows(args.train_csv, train_raw,
+               split_min_rows(vf, max(L, 4 * HURST_MIN_BLOCK), L),
                f"training with val_fraction {vf} and window length {L}")
-    stats = StandardizerStats.fit(train_raw)
-    z_train = standardize(train_raw, stats)
+    z_train = standardize(train_raw, StandardizerStats.fit(train_raw))
     out = _out_dir(args)
     ckpt = train(z_train, model_cfg, train_cfg,
                  log_path=out / "training_log.csv")
     save_checkpoint(ckpt, out / "checkpoint.npz")
-    save_standardizer(out / "standardizer.npz", stats)
     print(f"trained {ckpt.epoch} best epoch, "
           f"val recon {ckpt.best_val_recon:.6f}; wrote {out}/checkpoint.npz")
     return EXIT_OK
 
 
 def cmd_score(args) -> int:
-    # the model config and the calibration split come from the checkpoint
+    # the model config and the calibration split come from the checkpoint;
+    # --train-csv is the calibration data and the standardizer's source
     sections = load_run_config(args.config, args.set, "score")
     ckpt = load_checkpoint(args.checkpoint)
     L = ckpt.model.cfg.window_length
     score_cfg = build_config(ScoringConfig, sections["scoring"],
                              window_length=L)
     channels = ckpt.model.cfg.channels
-    stats = load_standardizer(Path(args.checkpoint).parent
-                              / "standardizer.npz", channels)
 
     def read(path, need: int, what: str):
         matrix = _read_matrix(path)
@@ -183,16 +182,20 @@ def cmd_score(args) -> int:
                              f"checkpoint {args.checkpoint} has {channels} "
                              f"channels")
         _need_rows(path, matrix, need, f"{what} with window length {L}")
-        return standardize(matrix, stats)
+        return matrix
 
     vf = ckpt.train_cfg.val_fraction
-    z_train = read(args.train_csv, split_min_rows(vf, L),
-                   f"calibrating on the checkpoint's val_fraction {vf} split")
-    z_test = read(args.test_csv, L, "scoring")
+    train_raw = read(args.train_csv, split_min_rows(vf, L, L),
+                     f"calibrating on the checkpoint's val_fraction {vf} "
+                     f"split")
+    test_raw = read(args.test_csv, L, "scoring")
     labels = (None if args.labels_csv is None
-              else read_labels(args.labels_csv, len(z_test), args.test_csv))
-    fit_part, thresh_part = split_train_val(z_train, vf, min_length=L)
-    scores = detect(ckpt.model, fit_part, thresh_part, z_test, score_cfg)
+              else read_labels(args.labels_csv, len(test_raw), args.test_csv))
+    stats = StandardizerStats.fit(train_raw)
+    fit_part, thresh_part = split_train_val(standardize(train_raw, stats),
+                                            vf, min_length=L)
+    scores = detect(ckpt.model, fit_part, thresh_part,
+                    standardize(test_raw, stats), score_cfg)
     out = _out_dir(args)
     write_score_csv(out / "scores.csv", scores, y_true=labels)
     print(f"threshold {scores.threshold:.6f}; wrote {out}/scores.csv")

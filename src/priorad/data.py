@@ -46,32 +46,6 @@ def standardize(data: np.ndarray, stats: StandardizerStats) -> np.ndarray:
     return (data - stats.mean) / stats.std
 
 
-def save_standardizer(path, stats: StandardizerStats):
-    """Write ``stats`` as an .npz with one ``mean`` and one ``std`` array."""
-    np.savez(path, mean=stats.mean, std=stats.std)
-
-
-def load_standardizer(path, channels: int) -> StandardizerStats:
-    """Read a ``save_standardizer`` file for a ``channels``-channel model.
-
-    Raises ParseError naming the file unless ``mean`` and ``std`` are
-    finite 1-D arrays of ``channels`` entries and every ``std`` is > 0.
-    """
-    with np.load(path) as z:
-        try:
-            mean, std = (np.asarray(z[k], dtype=np.float64)
-                         for k in ("mean", "std"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: {exc}") from None
-    for name, a in (("mean", mean), ("std", std)):
-        if a.shape != (channels,) or not np.isfinite(a).all():
-            raise ParseError(f"{path}: {name} must hold one finite number "
-                             f"per model channel ({channels}), got {a}")
-    if not (std > 0).all():
-        raise ParseError(f"{path}: std must be > 0, got {std}")
-    return StandardizerStats(mean, std)
-
-
 def read_table(path):
     """Read a CSV of finite numbers as (header, [rows, columns] float64).
 
@@ -179,13 +153,14 @@ def split_train_val(series: np.ndarray, val_fraction: float,
     return train, val
 
 
-def split_min_rows(val_fraction: float, min_length: int) -> int:
-    """The fewest rows that ``split_train_val`` splits into two sides of
-    ``min_length`` rows or more. Both sides grow with the row count, so the
-    search counts up from below the real-number bound on it."""
+def split_min_rows(val_fraction: float, fit_rows: int, val_rows: int) -> int:
+    """The fewest rows that ``split_train_val`` splits into a fit side of
+    ``fit_rows`` rows or more and a validation side of ``val_rows`` or more.
+    Both sides grow with the row count, so the search counts up from below
+    the real-number bound on it."""
     keep = 1.0 - val_fraction
-    n = int((min_length - 0.5) / min(val_fraction, keep)) - 1
-    while not min_length <= round(n * keep) <= n - min_length:
+    n = int(max((fit_rows - 0.5) / keep, (val_rows - 0.5) / val_fraction)) - 1
+    while not fit_rows <= round(n * keep) <= n - val_rows:
         n += 1
     return n
 
@@ -217,10 +192,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name, value in (("length", self.length),
-                            ("channels", self.channels)):
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name, value, low in (("length", self.length, 1),
+                                 ("channels", self.channels, 1),
+                                 ("seed", self.seed, 0)):
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         segs = sorted(self.segments, key=lambda s: s.start)
         prev_end = -1
         for s in segs:

@@ -72,7 +72,8 @@ class ModelConfig:
                 f"num_heads {self.num_heads}"
             )
         if self.prior_mode not in PRIOR_MODES:
-            raise ConfigError(f"prior_mode must be one of {PRIOR_MODES}")
+            raise ConfigError(f"prior_mode must be one of {PRIOR_MODES}, "
+                              f"got {self.prior_mode!r}")
 
     @property
     def head_dim(self) -> int:

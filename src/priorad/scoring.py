@@ -38,9 +38,11 @@ class ScoringConfig:
     def __post_init__(self):
         check_fields(self, {"batch_size": 1})
         if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+            raise ValueError(f"temperature must be positive, "
+                             f"got {self.temperature}")
         if not (0.0 < self.anomaly_ratio < 100.0):
-            raise ValueError("anomaly_ratio must be in (0, 100)")
+            raise ValueError(f"anomaly_ratio must be in (0, 100), "
+                             f"got {self.anomaly_ratio}")
 
 
 @dataclass

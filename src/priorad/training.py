@@ -58,11 +58,9 @@ class TrainConfig:
     series_ascent: bool = True   # keep the -k*symKL term in pass 1
 
     def __post_init__(self):
-        check_fields(self, dict.fromkeys(("batch_size", "max_epochs",
-                                          "patience"), 1))
-        if min(self.k, self.lambda_reg, self.lambda_hurst,
-               self.lambda_score) < 0:
-            raise ValueError("loss weights must be nonnegative")
+        check_fields(self, {"batch_size": 1, "max_epochs": 1, "patience": 1,
+                            "k": 0, "lambda_reg": 0, "lambda_hurst": 0,
+                            "lambda_score": 0})
         for name in ("learning_rate", "clip_norm"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, "

@@ -3,8 +3,8 @@ import pytest
 
 from priorad.data import (
     ANOMALY_TYPES, AnomalySegment, ParseError, SplitError, StandardizerStats,
-    SyntheticSpec, default_synthetic_spec, load_standardizer, read_labels,
-    read_table, save_standardizer, split_min_rows, split_train_val,
+    SyntheticSpec, default_synthetic_spec, read_labels, read_table,
+    split_min_rows, split_train_val,
     standardize, synth_generate, windows, write_csv, _read_matrix,
 )
 
@@ -70,13 +70,29 @@ def test_split_rejects_degenerate():
 def test_split_min_rows_is_the_fewest_rows_split_accepts():
     for val_fraction in (0.05, 0.2, 0.25, 0.3, 0.5, 0.7, 0.95):
         for min_length in (1, 5, 16, 25, 100):
-            need = split_min_rows(val_fraction, min_length)
+            need = split_min_rows(val_fraction, min_length, min_length)
             with pytest.raises(SplitError):
                 split_train_val(np.zeros((need - 1, 1)), val_fraction,
                                 min_length)
             for n in range(need, need + 50):
                 split_train_val(np.zeros((n, 1)), val_fraction, min_length)
-    assert split_min_rows(0.2, 16) == 78  # 78 -> 62/16, 77 -> 62/15
+    assert split_min_rows(0.2, 16, 16) == 78  # 78 -> 62/16, 77 -> 62/15
+    # train's fit side also takes the Hurst estimate's 64 rows
+    assert split_min_rows(0.2, 64, 16) == 80  # 80 -> 64/16, 79 -> 63/16
+    assert split_min_rows(0.5, 64, 16) == 127  # round(63.5) == 64
+
+
+@pytest.mark.parametrize("val_fraction", [0.05, 0.2, 0.5, 0.7])
+@pytest.mark.parametrize("fit_rows, val_rows", [(64, 16), (64, 100), (5, 25)])
+def test_split_min_rows_takes_a_minimum_for_each_side(val_fraction, fit_rows,
+                                                      val_rows):
+    def sides(n):
+        fit, val = split_train_val(np.zeros((n, 1)), val_fraction)
+        return len(fit) >= fit_rows and len(val) >= val_rows
+
+    need = split_min_rows(val_fraction, fit_rows, val_rows)
+    assert not sides(need - 1)
+    assert all(sides(n) for n in range(need, need + 50))
 
 
 # ---------------------------------------------------------------------------
@@ -159,26 +175,6 @@ def test_read_table_returns_header_and_checks_its_width(tmp_path):
         read_table(p)
 
 
-def test_standardizer_file_round_trips_and_is_validated(tmp_path):
-    p = tmp_path / "standardizer.npz"
-    stats = StandardizerStats.fit(np.random.default_rng(0).normal(size=(9, 2)))
-    save_standardizer(p, stats)
-    back = load_standardizer(p, channels=2)
-    assert back.mean.tobytes() == stats.mean.tobytes()
-    assert back.std.tobytes() == stats.std.tobytes()
-    for arrays, message in [
-        (dict(mean=np.zeros(1), std=np.ones(1)), r"mean must hold .* \(2\)"),
-        (dict(mean=np.zeros((2, 1)), std=np.ones(2)), "mean must hold"),
-        (dict(mean=np.zeros(2), std=np.array([1.0, 0.0])), "std must be > 0"),
-        (dict(mean=np.array([0.0, np.nan]), std=np.ones(2)), "mean must"),
-        (dict(mean=np.zeros(2)), "std is not a file"),
-    ]:
-        np.savez(p, **arrays)
-        with pytest.raises(ParseError, match=message) as info:
-            load_standardizer(p, channels=2)
-        assert str(p) in str(info.value)
-
-
 # ---------------------------------------------------------------------------
 # synthetic benchmark
 # ---------------------------------------------------------------------------
@@ -198,7 +194,8 @@ def test_spec_validates_segments():
 
 def test_synthetic_sizes_are_checked():
     for kwargs, need in ((dict(channels=0), "channels must be >= 1, got 0"),
-                         (dict(length=-1), "length must be >= 1, got -1")):
+                         (dict(length=-1), "length must be >= 1, got -1"),
+                         (dict(seed=-1), "seed must be >= 0, got -1")):
         with pytest.raises(ValueError, match=need):
             SyntheticSpec(**kwargs)
     # the fewest rows that fit every requested kind: n + 1 for n >= 2 kinds

@@ -244,18 +244,25 @@ def test_cli_score_rescored_bitwise(tmp_path):
                  "--set", "train.batch_size=64",
                  "--set", "train.k=0.0",
                  "--set", "train.learning_rate=0.001"]
+    run = out / "run"
     main(["train", "--train-csv", str(out / "train.csv"),
-          "--out", str(out)] + overrides)
+          "--out", str(run)] + overrides)
+    # score standardizes with --train-csv: train writes no standardizer,
+    # and one left beside the checkpoint is ignored
+    assert sorted(p.name for p in run.iterdir()) == ["checkpoint.npz",
+                                                     "training_log.csv"]
     texts = []
     for sub in ("s1", "s2"):
         d = out / sub
         d.mkdir()
-        assert main(["score", "--checkpoint", str(out / "checkpoint.npz"),
+        assert main(["score", "--checkpoint", str(run / "checkpoint.npz"),
                      "--train-csv", str(out / "train.csv"),
                      "--test-csv", str(out / "test.csv"),
                      "--labels-csv", str(out / "labels.csv"),
                      "--out", str(d)]) == 0
-        texts.append((d / "scores.csv").read_text())
+        texts.append((d / "scores.csv").read_bytes())
+        np.savez(run / "standardizer.npz", mean=np.full(2, 100.0),
+                 std=np.full(2, 1e-3))
     assert texts[0] == texts[1]
 
 
@@ -290,8 +297,7 @@ def test_cli_score_reads_split_from_checkpoint(tmp_path, capsys):
     train, test = (_read_matrix(out / f"{name}.csv")
                    for name in ("train", "test"))
     labels = read_labels(out / "labels.csv", len(test), out / "test.csv")
-    with np.load(out / "standardizer.npz") as z:
-        stats = StandardizerStats(z["mean"], z["std"])
+    stats = StandardizerStats.fit(train)
     fit, thresh = split_train_val(standardize(train, stats), 0.5,
                                   min_length=16)
     scores = detect(ckpt.model, fit, thresh, standardize(test, stats),
@@ -429,8 +435,12 @@ def test_cli_ablate_writes_one_row_per_given_value(tmp_path, capsys):
      "--length must be >= 6 for 5 anomaly kinds, got 5"),
     (["ablate", "--axis", "epochs", "--values", "1", "--channels", "0"],
      "channels must be >= 1, got 0"),
+    (["synth", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["ablate", "--axis", "epochs", "--values", "1", "--seed", "-2"],
+     "--seed must be >= 0, got -2"),
 ], ids=["synth_channels_0", "synth_channels_neg", "synth_length_5",
-        "synth_point_length_0", "ablate_length_5", "ablate_channels_0"])
+        "synth_point_length_0", "ablate_length_5", "ablate_channels_0",
+        "synth_seed_neg", "ablate_seed_neg"])
 def test_cli_rejects_unusable_synthetic_sizes(tmp_path, capsys, argv,
                                               message):
     capsys.readouterr()
@@ -539,6 +549,9 @@ def test_cli_derived_key_in_config_file_is_rejected(tiny_run, tmp_path,
                                  "train.learning_rate=-1",
                                  "train.clip_norm=0",
                                  "train.val_fraction=1.0",
+                                 "train.k=-1", "train.lambda_reg=-1",
+                                 "train.lambda_hurst=-1",
+                                 "train.lambda_score=-1",
                                  "model.num_layers=0", "model.num_heads=0",
                                  "model.model_dim=0", "model.seed=-1",
                                  "model.window_length=1",
@@ -548,9 +561,30 @@ def test_cli_train_rejects_out_of_range_config(tiny_run, tmp_path, capsys,
     capsys.readouterr()
     assert main(["train", "--train-csv", str(tiny_run / "train.csv"),
                  "--set", key, "--out", str(tmp_path)]) == 2
-    field = key.split("=")[0].split(".")[1]
-    assert f"{field} must be" in capsys.readouterr().err
+    dotted, value = key.split("=")
+    field = dotted.split(".")[1]
+    err = capsys.readouterr().err
+    assert f"{field} must be" in err and err.rstrip().endswith(f"got {value}")
     assert not (tmp_path / "checkpoint.npz").exists()
+
+
+@pytest.mark.parametrize("command, key, message", [
+    ("score", "scoring.temperature=0", "temperature must be positive, got 0"),
+    ("score", "scoring.anomaly_ratio=150",
+     "anomaly_ratio must be in (0, 100), got 150"),
+    ("train", 'model.prior_mode="half_phase"',
+     "prior_mode must be one of ('full', 'no_phase', 'single_head'), "
+     "got 'half_phase'"),
+], ids=["temperature", "anomaly_ratio", "prior_mode"])
+def test_cli_range_errors_name_the_value_given(tiny_run, tmp_path, capsys,
+                                               command, key, message):
+    argv = (["train", "--train-csv", str(tiny_run / "train.csv"),
+             "--out", str(tmp_path)] if command == "train"
+            else _score_argv(tiny_run, tmp_path))
+    capsys.readouterr()
+    assert main(argv + ["--set", key]) == 2
+    assert f"usage error: {message}\n" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command, key", [
@@ -608,38 +642,24 @@ def test_cli_eval_validates_scores_csv(tmp_path, capsys, text, where):
     assert not (tmp_path / "report.json").exists()
 
 
-@pytest.mark.parametrize("arrays, problem", [
-    (dict(mean=np.zeros(1), std=np.ones(1)), "per model channel (2)"),
-    (dict(mean=np.zeros(2), std=np.array([1.0, 0.0])), "std must be > 0"),
-    (dict(mean=np.array([0.0, np.inf]), std=np.ones(2)), "mean must hold"),
-], ids=["one_entry", "zero_std", "inf_mean"])
-def test_cli_score_validates_standardizer(tiny_run, tmp_path, capsys,
-                                          arrays, problem):
-    run = tmp_path / "run"
-    run.mkdir()
-    for name in ("checkpoint.npz", "train.csv", "test.csv", "labels.csv",
-                 "run.json"):
-        (run / name).write_bytes((tiny_run / name).read_bytes())
-    np.savez(run / "standardizer.npz", **arrays)
-    capsys.readouterr()
-    assert main(_score_argv(run, tmp_path / "out")) == 1
-    err = capsys.readouterr().err
-    assert str(run / "standardizer.npz") in err and problem in err
-    assert not (tmp_path / "out" / "scores.csv").exists()
-
-
 def test_cli_train_names_a_csv_too_short_to_split(tiny_run, tmp_path,
                                                   capsys):
+    """Both sides of the split take a window, and the fit side also takes
+    the 64 rows of the Hurst estimate: 80 rows split 64/16 at 0.2."""
     short = tmp_path / "short.csv"
-    short.write_text("".join(
-        (tiny_run / "train.csv").read_text().splitlines(True)[:20]))
-    capsys.readouterr()
-    assert main(["train", "--train-csv", str(short),
-                 "--config", str(tiny_run / "run.json"),
-                 "--out", str(tmp_path / "out")]) == 1
-    assert (f"{short} has 20 rows, but training with val_fraction 0.2 and "
-            f"window length 16 needs at least 78") in capsys.readouterr().err
-    assert not (tmp_path / "out" / "checkpoint.npz").exists()
+    for rows, val_fraction, need in ((20, 0.2, 80), (78, 0.2, 80),
+                                     (79, 0.2, 80), (78, 0.5, 127)):
+        short.write_text("".join(
+            (tiny_run / "train.csv").read_text().splitlines(True)[:rows]))
+        capsys.readouterr()
+        assert main(["train", "--train-csv", str(short),
+                     "--config", str(tiny_run / "run.json"),
+                     "--set", f"train.val_fraction={val_fraction}",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert (f"{short} has {rows} rows, but training with val_fraction "
+                f"{val_fraction} and window length 16 needs at least "
+                f"{need}\n") in capsys.readouterr().err
+        assert not (tmp_path / "out" / "checkpoint.npz").exists()
 
 
 @pytest.mark.parametrize("name, rows, message", [

@@ -240,6 +240,8 @@ def test_single_head_mode_shares_prior_across_heads():
         np.testing.assert_array_equal(P.data[0], P.data[1])
 
 
+@pytest.mark.filterwarnings(
+    "ignore:invalid value encountered in logaddexp:RuntimeWarning")
 @pytest.mark.parametrize("mode", ["full", "single_head"])
 def test_non_finite_prior_logits_raise(mode, monkeypatch):
     """A NaN field bias makes every prior logit NaN; a NaN in the last

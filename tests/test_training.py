@@ -266,6 +266,8 @@ def test_minmax_step_matches_two_pass_reference_bitwise(tcfg):
         assert np.array_equal(opt.v[i], ref_opt.v[i]), i
 
 
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered in multiply:RuntimeWarning")
 def test_diverged_step_raises_with_term_name():
     model = PiModel(small_cfg())
     opt = OptimizerState(model.parameters(), lr=1e-4)
@@ -284,9 +286,10 @@ def test_train_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("batch_size", 0), ("max_epochs", 0), ("learning_rate", 0.0),
     ("learning_rate", -1.0), ("clip_norm", 0.0), ("val_fraction", 0.0),
-    ("val_fraction", 1.0)])
+    ("val_fraction", 1.0), ("k", -1.0), ("lambda_reg", -0.1),
+    ("lambda_hurst", -1.0), ("lambda_score", -1e-9)])
 def test_train_config_rejects_out_of_range_values(field, value):
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=f"{field} must be .*, got {value}"):
         TrainConfig(**{field: value})
 
 
