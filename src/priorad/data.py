@@ -306,13 +306,16 @@ def default_synthetic_spec(seed: int = 0, kinds=ANOMALY_TYPES,
                          segments=segments, seed=seed)
 
 
-def write_csv(path, matrix: np.ndarray):
-    """Write a matrix (a vector as one column) without a header; ``repr``
-    keeps every float64 exact."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim == 1:
-        matrix = matrix[:, None]
+def write_csv(path, rows, header=None):
+    """Write ``rows``, an array (a vector as one column) or an iterable of
+    row sequences, after an optional header line. A float cell is written
+    as ``repr(float(v))``, which keeps a float64 exact, and any other cell
+    as ``csv`` writes it. Rows are streamed, never collected."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 1:
+        rows = rows[:, None]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        for row in matrix:
-            w.writerow([repr(float(v)) for v in row])
+        if header is not None:
+            w.writerow(header)
+        w.writerows([repr(float(v)) if isinstance(v, float) else v
+                     for v in row] for row in rows)

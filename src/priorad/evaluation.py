@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass
 
@@ -10,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import (SyntheticSpec, StandardizerStats, standardize,
-                   split_train_val, synth_generate)
+                   split_train_val, synth_generate, write_csv)
 from .model import ModelConfig
 from .scoring import ScoringConfig, detect, point_adjust
 from .training import TrainConfig, train
@@ -138,17 +137,13 @@ def run_ablation(axis: str, values: list, synth_spec: SyntheticSpec,
         except Exception as exc:  # record and continue
             rep = f"error: {exc}"
         results.append((value, rep))
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["axis", "value", "accuracy", "precision", "recall", "f1",
-                    "status"])
-        for value, rep in results:
-            if isinstance(rep, EvalReport):
-                w.writerow([axis, value,
-                            f"{rep.accuracy:.4f}", f"{rep.precision:.4f}",
-                            f"{rep.recall:.4f}", f"{rep.f1:.4f}", "ok"])
-            else:
-                w.writerow([axis, value, "", "", "", "", rep])
+    metrics = ("accuracy", "precision", "recall", "f1")
+    write_csv(csv_path, ([axis, value, *(f"{getattr(rep, m):.4f}"
+                                         for m in metrics), "ok"]
+                         if isinstance(rep, EvalReport)
+                         else [axis, value, *[""] * len(metrics), rep]
+                         for value, rep in results),
+              header=["axis", "value", *metrics, "status"])
     return results
 
 

@@ -12,14 +12,14 @@ thresholded at a percentile of pooled calibration scores.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import ParseError, binary_column, read_table, windows
+from .data import (ParseError, binary_column, read_table, windows,
+                   write_csv)
 from .model import PiModel, check_fields
 
 EPS_IQR = 1e-8
@@ -240,16 +240,11 @@ def write_score_csv(path, scores: ScoreSeries, y_true=None):
     if scores.y_hat is None:
         raise ad.ContractError("scores without y_hat; detect labels them")
     cols = SCORE_COLUMNS if y_true is not None else SCORE_COLUMNS[:-1]
-    streams = [getattr(scores, name) for name in SCORE_STREAMS]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for t in range(len(scores.f)):
-            row = [t] + [repr(float(v[t])) for v in streams]
-            row.append(int(scores.y_hat[t]))
-            if y_true is not None:
-                row.append(int(y_true[t]))
-            writer.writerow(row)
+    labels = () if y_true is None else (map(int, y_true),)
+    write_csv(path, zip(range(len(scores.f)),
+                        *(getattr(scores, name) for name in SCORE_STREAMS),
+                        map(int, scores.y_hat), *labels, strict=True),
+              header=cols)
 
 
 def read_score_csv(path):

@@ -20,7 +20,6 @@ prior towards the frozen series.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, Tape, OptimizerState, stop_gradient
 from .model import (ConfigError, PiModel, ModelConfig, ReconOutput,
                     check_fields, estimate_hurst_rs)
-from .data import windows, split_train_val
+from .data import split_min_rows, split_train_val, windows, write_csv
 
 FORMAT_VERSION = 2  # checkpoint layout written by save_checkpoint
 # windows per validation forward; fixed, because the batch sets the order in
@@ -291,11 +290,7 @@ def train(train_series: np.ndarray, model_cfg: ModelConfig,
     if not np.isfinite(best.best_val_recon):
         best.best_val_recon = validation_recon_loss(model, val_w)
     if log_path is not None:
-        with open(log_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["step", *LossBreakdown.FIELDS])
-            for row in log_rows:
-                w.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
+        write_csv(log_path, log_rows, header=["step", *LossBreakdown.FIELDS])
     return best
 
 
