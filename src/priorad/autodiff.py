@@ -311,7 +311,7 @@ def tsum(a: Tensor, axis=None) -> Tensor:
     def backward(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
+        return (np.broadcast_to(g, a.data.shape),)
 
     return _record(out, (a,), backward)
 
@@ -471,7 +471,7 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
         gvar = _unbroadcast(-gn * xc / (sd * sd), sd.shape) * 0.5 / sd * inv_n
         gxc = gn / sd + gvar * 2.0 * xc
         gmean = _unbroadcast(-gxc, sd.shape) * inv_n
-        return gxc, np.broadcast_to(gmean, xc.shape).copy(), gg, gb
+        return gxc, np.broadcast_to(gmean, xc.shape), gg, gb
 
     return _record(out, (x, x, g, b), backward)
 

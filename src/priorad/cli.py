@@ -21,10 +21,11 @@ from .data import (ParseError, StandardizerStats, _read_matrix,
                    ANOMALY_TYPES)
 from .evaluation import (ABLATION_AXES, compute_metrics, format_report_table,
                          run_ablation)
-from .model import HURST_MIN_BLOCK, ModelConfig
+from .model import ModelConfig
 from .scoring import (ScoringConfig, detect, point_adjust, read_score_csv,
                       write_score_csv)
-from .training import TrainConfig, load_checkpoint, save_checkpoint, train
+from .training import (TrainConfig, load_checkpoint, min_train_rows,
+                       save_checkpoint, train)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -68,8 +69,11 @@ def load_run_config(config_path, overrides, command) -> dict:
     reads, why = READS[command]
     sections = {name: {} for name in SECTIONS}
     if config_path:
-        with open(config_path) as fh:
-            loaded = json.load(fh)
+        try:
+            with open(config_path) as fh:
+                loaded = json.load(fh)
+        except ValueError as exc:  # not JSON, or not readable text
+            raise UsageError(f"{config_path}: {exc}") from None
         if (not isinstance(loaded, dict) or set(loaded) - set(SECTIONS)
                 or not all(isinstance(v, dict) for v in loaded.values())):
             raise UsageError(f"{config_path}: a config file is a JSON object "
@@ -151,9 +155,7 @@ def cmd_train(args) -> int:
     model_cfg = build_config(ModelConfig, sections["model"],
                              channels=train_raw.shape[1])
     L, vf = model_cfg.window_length, train_cfg.val_fraction
-    # the fit side also feeds the Hurst estimate, which takes 4 blocks
-    _need_rows(args.train_csv, train_raw,
-               split_min_rows(vf, max(L, 4 * HURST_MIN_BLOCK), L),
+    _need_rows(args.train_csv, train_raw, min_train_rows(model_cfg, train_cfg),
                f"training with val_fraction {vf} and window length {L}")
     z_train = standardize(train_raw, StandardizerStats.fit(train_raw))
     out = _out_dir(args)
@@ -226,6 +228,12 @@ def cmd_ablate(args) -> int:
     score_cfg = build_config(ScoringConfig, sections["scoring"],
                              window_length=model_cfg.window_length)
     synth_spec = _synthetic_spec(args, ANOMALY_TYPES)
+    # no axis sets window_length or val_fraction: one check covers each cell
+    need, L = min_train_rows(model_cfg, train_cfg), model_cfg.window_length
+    if args.length < need:
+        raise UsageError(f"--length must be >= {need} for training with "
+                         f"val_fraction {train_cfg.val_fraction} and window "
+                         f"length {L}, got {args.length}")
     out = _out_dir(args)
     results = run_ablation(args.axis, [_coerce(v) for v in args.values],
                            synth_spec, model_cfg, train_cfg, score_cfg,

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, Tape, OptimizerState, stop_gradient
-from .model import (ConfigError, PiModel, ModelConfig, ReconOutput,
-                    check_fields, estimate_hurst_rs)
+from .model import (HURST_MIN_BLOCK, ConfigError, PiModel, ModelConfig,
+                    ReconOutput, check_fields, estimate_hurst_rs)
 from .data import split_min_rows, split_train_val, windows, write_csv
 
 FORMAT_VERSION = 2  # checkpoint layout written by save_checkpoint
@@ -238,6 +239,13 @@ def dataset_hurst_target(train_series: np.ndarray) -> float:
     return float(np.clip(np.mean(est), 0.01, 0.99))
 
 
+def min_train_rows(model_cfg: ModelConfig, cfg: TrainConfig) -> int:
+    """The fewest rows ``train`` splits: both sides take a window, and the
+    fit side also feeds the Hurst estimate, which takes 4 blocks."""
+    L = model_cfg.window_length
+    return split_min_rows(cfg.val_fraction, max(L, 4 * HURST_MIN_BLOCK), L)
+
+
 def train(train_series: np.ndarray, model_cfg: ModelConfig,
           cfg: TrainConfig, log_path=None) -> Checkpoint:
     """Fit on a standardized series; early stop on validation recon loss.
@@ -312,20 +320,26 @@ def save_checkpoint(ckpt: Checkpoint, path):
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by ``save_checkpoint``.
 
-    Raises ConfigError naming the file if its format version is not
-    FORMAT_VERSION, a config or field is missing or invalid, or the stored
-    parameters do not match the model's names and shapes.
+    Raises ConfigError naming the file if it is not an .npz archive that
+    reads whole, its format version is not FORMAT_VERSION, a config or
+    field is missing or invalid, or the stored parameters do not match the
+    model's names and shapes.
     """
     def fail(problem):
         return ConfigError(f"checkpoint {path}: {problem}")
 
-    with np.load(path) as z:
-        try:
-            meta = json.loads(bytes(z["__meta__"]).decode())
-        except (KeyError, ValueError) as exc:
-            raise fail(f"unreadable __meta__ record: {exc!r}") from None
-        stored = {k[len("param::"):]: z[k] for k in z.files
-                  if k.startswith("param::")}
+    try:
+        # np.load leaves a path it opened open when the archive is broken
+        with open(path, "rb") as fh, np.load(fh) as z:
+            stored = {k: z[k] for k in z.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise fail(f"unreadable .npz archive: {exc!r}") from None
+    try:
+        meta = json.loads(bytes(stored.pop("__meta__")).decode())
+    except (KeyError, ValueError) as exc:
+        raise fail(f"unreadable __meta__ record: {exc!r}") from None
+    stored = {k[len("param::"):]: v for k, v in stored.items()
+              if k.startswith("param::")}
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
         raise fail(f"format_version {version!r} is not supported "

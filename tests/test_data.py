@@ -156,10 +156,15 @@ def test_write_csv_rereads_bitwise(tmp_path):
     rng = np.random.default_rng(1)
     m = rng.normal(size=(50, 3))
     p = tmp_path / "m.csv"
-    write_csv(p, m)
-    p.write_text("a,b,c\n" + p.read_text())
+    write_csv(p, m, header=["a", "b", "c"])
+    assert p.read_bytes().startswith(b"a,b,c\r\n")
     back = _read_matrix(p)
     assert np.array_equal(back, m)  # repr() round-trips float64 exactly
+    write_csv(p, m[:, 0])  # a vector is one column
+    assert np.array_equal(_read_matrix(p), m[:, :1])
+    # a float cell, NumPy's too, is its exact repr; any other as csv writes it
+    write_csv(p, [[3, np.int64(4), 0.1, np.float64(1.5), "ok", True]])
+    assert p.read_bytes() == b"3,4,0.1,1.5,ok,True\r\n"
 
 
 def test_read_table_returns_header_and_checks_its_width(tmp_path):

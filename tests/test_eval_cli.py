@@ -433,13 +433,21 @@ def test_cli_ablate_writes_one_row_per_given_value(tmp_path, capsys):
      "--length must be >= 1, got 0"),
     (["ablate", "--axis", "epochs", "--values", "1", "--length", "5"],
      "--length must be >= 6 for 5 anomaly kinds, got 5"),
+    (["ablate", "--axis", "epochs", "--values", "1", "--length", "70"],
+     "--length must be >= 498 for training with val_fraction 0.2 and "
+     "window length 100, got 70"),
+    (["ablate", "--axis", "epochs", "--values", "1", "--length", "122",
+      "--set", "model.window_length=25"],
+     "--length must be >= 123 for training with val_fraction 0.2 and "
+     "window length 25, got 122"),
     (["ablate", "--axis", "epochs", "--values", "1", "--channels", "0"],
      "channels must be >= 1, got 0"),
     (["synth", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["ablate", "--axis", "epochs", "--values", "1", "--seed", "-2"],
      "--seed must be >= 0, got -2"),
 ], ids=["synth_channels_0", "synth_channels_neg", "synth_length_5",
-        "synth_point_length_0", "ablate_length_5", "ablate_channels_0",
+        "synth_point_length_0", "ablate_length_5", "ablate_length_70",
+        "ablate_length_122_window_25", "ablate_channels_0",
         "synth_seed_neg", "ablate_seed_neg"])
 def test_cli_rejects_unusable_synthetic_sizes(tmp_path, capsys, argv,
                                               message):
@@ -543,6 +551,23 @@ def test_cli_derived_key_in_config_file_is_rejected(tiny_run, tmp_path,
     assert main(["train", "--train-csv", str(tiny_run / "train.csv"),
                  "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "model.channels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"{bad", "Expecting property name enclosed in double quotes: line 1 "
+              "column 2 (char 1)"),
+    (b"\xff{}", "can't decode byte 0xff in position 0"),
+], ids=["malformed_json", "not_utf8"])
+def test_cli_names_an_unreadable_config_file(tiny_run, tmp_path, capsys,
+                                             content, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(content)
+    capsys.readouterr()
+    assert main(["train", "--train-csv", str(tiny_run / "train.csv"),
+                 "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: {cfg}: " in err and message in err
+    assert not (tmp_path / "checkpoint.npz").exists()
 
 
 @pytest.mark.parametrize("key", ["train.batch_size=0", "train.max_epochs=0",

@@ -420,6 +420,18 @@ def _bad_config(meta, arrays):
     meta["model"]["dropout"] = 0.1
 
 
+def _not_npz(src, dst):
+    dst.write_text("1.0,2.0\n3.0,4.0\n")
+
+
+def _truncated(src, dst):
+    dst.write_bytes(src.read_bytes()[:2000])
+
+
+def _empty(src, dst):
+    dst.write_bytes(b"")
+
+
 @pytest.fixture(scope="module")
 def saved_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("ck") / "ck.npz"
@@ -428,18 +440,25 @@ def saved_checkpoint(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("edit, problem", [
-    (_as_format_1, "format_version 1 is not supported"),
-    (_drop_param, r"missing parameters \['layer0.Wq'\]"),
-    (_unknown_param, r"unknown parameters \['layer9.Wq'\]"),
-    (_reshape_param, r"'head.b' has shape \(3,\)"),
-    (_bad_config, "dropout"),
+def _rewritten(edit):
+    return lambda src, dst: _rewrite_checkpoint(src, dst, edit)
+
+
+@pytest.mark.parametrize("write, problem", [
+    (_rewritten(_as_format_1), "format_version 1 is not supported"),
+    (_rewritten(_drop_param), r"missing parameters \['layer0.Wq'\]"),
+    (_rewritten(_unknown_param), r"unknown parameters \['layer9.Wq'\]"),
+    (_rewritten(_reshape_param), r"'head.b' has shape \(3,\)"),
+    (_rewritten(_bad_config), "dropout"),
+    (_not_npz, "unreadable .npz archive: ValueError"),
+    (_truncated, "unreadable .npz archive: BadZipFile"),
+    (_empty, "unreadable .npz archive: EOFError"),
 ], ids=["format_1", "dropped_param", "unknown_param", "reshaped_param",
-        "bad_config"])
-def test_load_checkpoint_rejects(saved_checkpoint, tmp_path, capsys, edit,
+        "bad_config", "not_npz", "truncated", "empty"])
+def test_load_checkpoint_rejects(saved_checkpoint, tmp_path, capsys, write,
                                  problem):
     bad = tmp_path / "bad.npz"
-    _rewrite_checkpoint(saved_checkpoint, bad, edit)
+    write(saved_checkpoint, bad)
     with pytest.raises(ConfigError, match=re.escape(str(bad))) as err:
         load_checkpoint(bad)
     assert re.search(problem, str(err.value))
@@ -447,6 +466,7 @@ def test_load_checkpoint_rejects(saved_checkpoint, tmp_path, capsys, edit,
                  "--test-csv", "y", "--labels-csv", "z",
                  "--out", str(tmp_path)]) == 1
     assert f"checkpoint {bad}" in capsys.readouterr().err
+    assert not (tmp_path / "scores.csv").exists()
 
 
 def test_non_collapse_after_training():
