@@ -49,13 +49,13 @@ def standardize(data: np.ndarray, stats: StandardizerStats) -> np.ndarray:
 def read_table(path):
     """Read a CSV of finite numbers as (header, [rows, columns] float64).
 
-    A first line that does not parse as numbers is the header, returned as
-    a list of names (None when there is none). Rows in error messages count
-    data rows from 0, header and blank lines excluded.
+    A first non-blank line that does not parse as numbers is the header,
+    returned as a list of names (None when there is none). Rows in error
+    messages count data rows from 0, header and blank lines excluded.
     """
     header, rows = None, []
     with open(path, newline="") as fh:
-        for line, row in enumerate(csv.reader(fh)):
+        for row in csv.reader(fh):
             if not row:
                 continue
             vals = []
@@ -63,7 +63,7 @@ def read_table(path):
                 try:
                     vals.append(float(cell))
                 except ValueError:
-                    if line == 0:
+                    if header is None and not rows:
                         header = row
                         break
                     raise ParseError(

@@ -69,18 +69,6 @@ def compute_metrics(y_hat, y_true) -> EvalReport:
 # ---------------------------------------------------------------------------
 
 
-def apply_ablation_value(axis: str, value, model_cfg: ModelConfig,
-                         train_cfg: TrainConfig):
-    """Return (model_cfg, train_cfg) copies with one axis overridden; the
-    value passes the field's checks as a ``--set`` of it would."""
-    cfgs = {"model": model_cfg, "train": train_cfg}
-    section, name = ABLATION_AXES[axis]
-    cfgs[section] = dataclasses.replace(cfgs[section], **{name: value})
-    if axis == "phase_sync" and value == "no_phase":  # prior pathway inert
-        cfgs["train"] = dataclasses.replace(cfgs["train"], k=0.0)
-    return cfgs["model"], cfgs["train"]
-
-
 def benchmark_configs(seed: int = 0, prior_mode: str = "full",
                       epochs: int = 10):
     """Desk-scale configuration for the synthetic benchmark suite.
@@ -89,12 +77,12 @@ def benchmark_configs(seed: int = 0, prior_mode: str = "full",
     (series_ascent off): the ascent term destabilizes at this scale and
     starves the reconstruction signal.
     """
-    model_cfg, train_cfg = apply_ablation_value(
-        "phase_sync", prior_mode,
-        ModelConfig(window_length=25, channels=3, model_dim=32, num_layers=1,
-                    num_heads=2, feedforward_dim=64, seed=seed),
-        TrainConfig(k=3.0, series_ascent=False, max_epochs=epochs,
-                    patience=epochs, batch_size=128, learning_rate=3e-3))
+    model_cfg = ModelConfig(window_length=25, channels=3, model_dim=32,
+                            num_layers=1, num_heads=2, feedforward_dim=64,
+                            seed=seed, prior_mode=prior_mode)
+    train_cfg = TrainConfig(k=3.0, series_ascent=False, max_epochs=epochs,
+                            patience=epochs, batch_size=128,
+                            learning_rate=3e-3)
     score_cfg = ScoringConfig(temperature=10.0, anomaly_ratio=0.25,
                               window_length=model_cfg.window_length,
                               batch_size=128)
@@ -129,11 +117,14 @@ def run_ablation(axis: str, values: list, synth_spec: SyntheticSpec,
         raise ValueError(f"unknown ablation axis {axis!r}")
     if not values:
         raise ValueError("ablation values must be non-empty")
+    section, name = ABLATION_AXES[axis]
     results = []
     for value in values:
-        try:
-            m, t = apply_ablation_value(axis, value, model_cfg, train_cfg)
-            rep = run_synthetic_pipeline(synth_spec, m, t, score_cfg)[1]
+        try:  # the value passes the field's checks, as a --set of it would
+            cfgs = {"model": model_cfg, "train": train_cfg}
+            cfgs[section] = dataclasses.replace(cfgs[section], **{name: value})
+            rep = run_synthetic_pipeline(synth_spec, cfgs["model"],
+                                         cfgs["train"], score_cfg)[1]
         except Exception as exc:  # record and continue
             rep = f"error: {exc}"
         results.append((value, rep))

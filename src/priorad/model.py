@@ -27,15 +27,17 @@ _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
 
 def check_fields(cfg, lows: dict) -> None:
     """Raise ConfigError naming the first field of the config dataclass
-    ``cfg`` whose value lacks its declared type, then the first field named
-    in ``lows`` whose value is below its bound there. An int field takes no
-    bool or float, a float field takes an int but no bool, and a bool field
-    takes only a bool."""
+    ``cfg`` whose value lacks its declared type or is a non-finite float,
+    then the first field named in ``lows`` whose value is below its bound
+    there. An int field takes no bool or float, a float field takes an int
+    but no bool, and a bool field takes only a bool."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if not (isinstance(value, _FIELD_TYPES[f.type])
                 and isinstance(value, bool) == (f.type == "bool")):
             raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
     for name, low in lows.items():
         if getattr(cfg, name) < low:
             raise ConfigError(f"{name} must be >= {low}, "
@@ -47,7 +49,7 @@ TAU_FLOOR = 0.5
 HURST_MIN_BLOCK, HURST_NUM_SCALES = 16, 6
 
 # full: one prior head per series head; single_head: one shared by all heads;
-# no_phase: the uniform causal prior, trained with k = 0 (apply_ablation_value)
+# no_phase: the uniform causal prior, which no parameter reaches
 PRIOR_MODES = ("full", "no_phase", "single_head")
 
 
@@ -276,13 +278,14 @@ class PiModel:
         computes both outputs. In ``single_head`` mode the one prior head is
         broadcast over the H series heads.
 
-        In ``no_phase`` mode the logits are zeros: P is uniform over j <= i,
-        and neither output depends on a parameter.
+        In ``no_phase`` mode P is uniform over j <= i, broadcast from one
+        [L, L] array, and neither output depends on a parameter.
         """
         L, H = self.cfg.window_length, self.cfg.num_heads
         if self.cfg.prior_mode == "no_phase":
-            zeros = np.zeros(fields.hurst.shape[:-1] + (H, L, L))
-            return Tensor(ad._softmax_rows_(zeros, self.mask)), Tensor(0.0)
+            uniform = self.mask / self.mask.sum(axis=-1, keepdims=True)
+            shape = fields.hurst.shape[:-1] + (H, L, L)
+            return Tensor(np.broadcast_to(uniform, shape)), Tensor(0.0)
         return prior_softmax(fields, self.lags, self.mask, H)
 
     # full forward -----------------------------------------------------------

@@ -177,8 +177,6 @@ def window_streams(model: PiModel, series: np.ndarray, cfg: ScoringConfig):
     """
     L = cfg.window_length
     n = len(series)
-    if n < L:
-        raise ad.ContractError(f"series length {n} < window length {L}")
     wins = windows(series, L)
     streams = tuple(np.empty(n) for _ in range(4))
     for i in range(0, len(wins), cfg.batch_size):

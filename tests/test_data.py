@@ -175,6 +175,13 @@ def test_read_table_returns_header_and_checks_its_width(tmp_path):
     np.testing.assert_array_equal(m, [[1, 2], [3, 4]])
     p.write_text("1,2\n3,4\n")
     assert read_table(p)[0] is None
+    p.write_text("\na,b\n1,2\n3,4\n")  # blank lines before the header
+    header, m = read_table(p)
+    assert header == ["a", "b"]
+    np.testing.assert_array_equal(m, [[1, 2], [3, 4]])
+    p.write_text("1,2\na,b\n")  # a name line after data is an error
+    with pytest.raises(ParseError, match="non-numeric cell at row 1"):
+        read_table(p)
     p.write_text("x,y,z\n1,2\n")
     with pytest.raises(ParseError, match="header has 3 columns, rows have 2"):
         read_table(p)

@@ -10,11 +10,12 @@ from priorad.cli import UsageError, build_config, load_run_config, main
 from priorad.data import (StandardizerStats, _read_matrix,
                           default_synthetic_spec, read_labels,
                           split_train_val, standardize)
+from priorad import evaluation
 from priorad.evaluation import (
-    EvalReport, apply_ablation_value, compute_metrics,
+    EvalReport, benchmark_configs, compute_metrics,
     f1_from_pr, format_report_table, run_ablation,
 )
-from priorad.model import ConfigError, ModelConfig
+from priorad.model import ModelConfig
 from priorad.training import TrainConfig, load_checkpoint
 from priorad.scoring import ScoringConfig, detect, write_score_csv
 
@@ -66,23 +67,60 @@ def test_run_ablation_validates_axis_and_values(tmp_path):
     assert value == "half_phase" and cell.startswith("error: prior_mode")
 
 
-def test_apply_ablation_value_copies_configs():
-    mcfg = ModelConfig(window_length=16, channels=2, model_dim=16,
-                       num_layers=1, num_heads=2, feedforward_dim=32, seed=0)
+def _record_pipeline(monkeypatch):
+    """Replace the synthetic pipeline with one that records the configs it
+    is handed and returns a fixed report; returns (calls, report)."""
+    calls = []
+    report = compute_metrics(np.ones(4, bool), np.ones(4, bool))
+
+    def record(spec, model_cfg, train_cfg, score_cfg):
+        calls.append((model_cfg, train_cfg))
+        return None, report
+    monkeypatch.setattr(evaluation, "run_synthetic_pipeline", record)
+    return calls, report
+
+
+def test_phase_sync_cells_change_the_prior_mode_only(tmp_path, monkeypatch):
+    calls, report = _record_pipeline(monkeypatch)
+    mcfg = ModelConfig(window_length=16, channels=3)
     tcfg = TrainConfig(k=3.0)
-    m, t = apply_ablation_value("phase_sync", "no_phase", mcfg, tcfg)
-    assert m.prior_mode == "no_phase" and t.k == 0.0
-    assert mcfg.prior_mode == "full" and tcfg.k == 3.0  # originals untouched
-    m2, t2 = apply_ablation_value("epochs", 7, mcfg, tcfg)
-    assert t2.max_epochs == 7 and m2.prior_mode == "full"
-    with pytest.raises(ValueError, match="divisible"):
-        apply_ablation_value("model_dim", 15, mcfg, tcfg)
-    # a value passes the field's type check, as a --set of it would
-    for axis, value, field in (("model_dim", 32.9, "model_dim"),
-                               ("epochs", True, "max_epochs"),
-                               ("phase_sync", 1, "prior_mode")):
-        with pytest.raises(ConfigError, match=f"{field} must be"):
-            apply_ablation_value(axis, value, mcfg, tcfg)
+    modes = ["full", "no_phase", "single_head"]
+    out = run_ablation("phase_sync", modes, default_synthetic_spec(length=600),
+                       mcfg, tcfg, ScoringConfig(window_length=16),
+                       tmp_path / "ablation.csv")
+    assert out == [(mode, report) for mode in modes]
+    assert [m for m, _ in calls] == [
+        dataclasses.replace(mcfg, prior_mode=mode) for mode in modes]
+    assert all(t == tcfg for _, t in calls)  # no_phase keeps its k
+    assert mcfg.prior_mode == "full"  # the caller's configs are untouched
+
+
+def test_benchmark_configs_train_every_prior_mode_alike():
+    full, no_phase, single = (benchmark_configs(prior_mode=mode)
+                              for mode in ("full", "no_phase", "single_head"))
+    assert full[1] == no_phase[1] == single[1]
+    assert no_phase[0] == dataclasses.replace(full[0], prior_mode="no_phase")
+
+
+@pytest.mark.parametrize("axis, value, message", [
+    ("model_dim", 32.9, "model_dim must be int, got 32.9"),
+    ("model_dim", 15, "model_dim 15 not divisible by num_heads 4"),
+    ("epochs", True, "max_epochs must be int, got True"),
+    ("phase_sync", 1, "prior_mode must be str, got 1"),
+], ids=["model_dim_float", "model_dim_indivisible", "epochs_bool",
+        "phase_sync_int"])
+def test_run_ablation_checks_each_value_as_its_field(tmp_path, monkeypatch,
+                                                     axis, value, message):
+    """A value passes the field's checks, as a --set of it would: a bad one
+    is an error cell with the field's message, and nothing trains."""
+    calls, _ = _record_pipeline(monkeypatch)
+    [(got, cell)] = run_ablation(axis, [value],
+                                 default_synthetic_spec(length=600),
+                                 ModelConfig(window_length=16, channels=3),
+                                 TrainConfig(), ScoringConfig(window_length=16),
+                                 tmp_path / "ablation.csv")
+    assert got is value and cell == f"error: {message}"
+    assert calls == []
 
 
 def test_run_ablation_records_errors_and_continues(tmp_path):
@@ -600,7 +638,13 @@ def test_cli_train_rejects_out_of_range_config(tiny_run, tmp_path, capsys,
     ("train", 'model.prior_mode="half_phase"',
      "prior_mode must be one of ('full', 'no_phase', 'single_head'), "
      "got 'half_phase'"),
-], ids=["temperature", "anomaly_ratio", "prior_mode"])
+    ("train", "train.k=NaN", "k must be finite, got nan"),
+    ("train", "train.learning_rate=Infinity",
+     "learning_rate must be finite, got inf"),
+    ("score", "scoring.temperature=Infinity",
+     "temperature must be finite, got inf"),
+], ids=["temperature", "anomaly_ratio", "prior_mode", "k_nan",
+        "learning_rate_inf", "temperature_inf"])
 def test_cli_range_errors_name_the_value_given(tiny_run, tmp_path, capsys,
                                                command, key, message):
     argv = (["train", "--train-csv", str(tiny_run / "train.csv"),
@@ -610,6 +654,18 @@ def test_cli_range_errors_name_the_value_given(tiny_run, tmp_path, capsys,
     assert main(argv + ["--set", key]) == 2
     assert f"usage error: {message}\n" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_config_file_rejects_a_non_finite_float(tiny_run, tmp_path,
+                                                   capsys):
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps({"train": {"lambda_reg": float("nan")}}))
+    capsys.readouterr()
+    assert main(["train", "--train-csv", str(tiny_run / "train.csv"),
+                 "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert ("usage error: lambda_reg must be finite, got nan\n"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, key", [

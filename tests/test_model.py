@@ -229,6 +229,8 @@ def test_no_phase_mode_uses_uniform_prior():
         for P in out.attn.prior:
             assert P.shape == shape[:-2] + (2, 16, 16)
             assert np.array_equal(P.data, np.broadcast_to(uniform, P.shape))
+            # one [L, L] array: every leading axis, heads too, has stride 0
+            assert P.data.strides[:-2] == (0,) * (P.data.ndim - 2)
 
 
 def test_single_head_mode_shares_prior_across_heads():

@@ -13,7 +13,7 @@ from priorad.scoring import (
     robust_normalize, score_series, threshold_and_label, window_streams,
     write_score_csv,
 )
-from priorad.data import ParseError
+from priorad.data import ParseError, SplitError
 
 
 def test_alignment_weights_fixture():
@@ -353,5 +353,5 @@ def test_scoring_config_rejects_empty_batches():
 
 
 def test_series_shorter_than_window_rejected(tiny_model):
-    with pytest.raises(ad.ContractError):
+    with pytest.raises(SplitError, match="series length 5 < window length"):
         window_streams(tiny_model, np.zeros((5, 2)), tiny_scfg())
