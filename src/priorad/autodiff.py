@@ -1,8 +1,10 @@
 """Minimal dense-tensor autodiff core.
 
 Reverse-mode differentiation over 64-bit numpy arrays with an explicit
-operation tape. Single-threaded per tape; tensors created outside a tape
-are plain immutable values.
+operation tape. The tape is single-threaded: ops are recorded and run
+backward on the thread that holds it. Only the block math of the ops on
+attention-sized arrays may run on one pool thread (``_blockwise``), on
+plain arrays. Tensors created outside a tape are plain immutable values.
 
 Gradient ownership: a gradient array may be shared (``add`` hands the same
 array to both inputs, and a C-contiguous gradient is stored without a
@@ -13,6 +15,12 @@ as parameters) survive it.
 """
 
 from __future__ import annotations
+
+import contextvars
+import numbers
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -137,17 +145,117 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # temporaries stay in the L2 cache and no temporary is as large as the
 # whole array. A cache budget, measured once (see README, "Autodiff").
 BLOCK_BYTES = 512 * 1024
+# Threads that run those blocks, the calling thread included: the two cores
+# of the reference machine. With 1, every block runs on the calling thread.
+WORKERS = 2
 
 
 def _blocks(x: np.ndarray) -> list:
     """Slices of ``x``'s leading axis, each holding as many entries as fit
-    in BLOCK_BYTES and at least one. An array of at most three axes, such
-    as one window's [H, L, L], has no batch axis and is one block."""
+    in a WORKERS-th of BLOCK_BYTES and at least one, so that the blocks in
+    flight at once hold what one serial block did. An array of at most
+    three axes, such as one window's [H, L, L], has no batch axis and is one
+    block."""
     if x.ndim <= 3:
         return [...]
     n = len(x)
-    step = max(1, BLOCK_BYTES * n // max(x.nbytes, 1))
-    return [slice(i, i + step) for i in range(0, n, step)]
+    step = max(1, BLOCK_BYTES // WORKERS * n // max(x.nbytes, 1))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _block_pool() -> ThreadPoolExecutor:
+    """The pool of one thread that runs blocks beside the calling thread,
+    made on first use: importing priorad starts no thread."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="priorad-blocks")
+        return _pool
+
+
+def _forget_pool():
+    # a forked child has no copy of the pool's thread, and a task queued to
+    # the copied pool would never run: the child makes its own pool
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _no_scratch(sl):
+    return []
+
+
+def _pooled(ctx, work, scratch: list):
+    """``work(scratch)`` in the caller's context ``ctx`` (numpy's error state
+    is a context variable), on the pool thread. The list is emptied first:
+    the pool keeps its task until after the caller has seen it end, and
+    the scratch must not outlive the work."""
+    own = scratch.copy()
+    scratch.clear()
+    return ctx.run(work, own)
+
+
+def _cut(bufs: list, sl) -> list:
+    """A thread's scratch, made for the first (largest) block, cut to the
+    length of block ``sl``."""
+    return bufs if sl is ... else [b[:sl.stop - sl.start] for b in bufs]
+
+
+def _blockwise(x: np.ndarray, fn, scratch=_no_scratch, carry=None) -> list:
+    """``fn(sl, *bufs)`` over the blocks ``sl`` of ``x`` (``_blocks``): the
+    one block executor. Returns the results in block order, or, given
+    ``carry``, what ``carry`` returns for each.
+
+    The calling thread and the pool thread each take the next block when
+    they are free, so at most WORKERS blocks are in flight. ``fn`` takes
+    and returns arrays and touches no Tensor. It writes only into its
+    block's share of the op's output and into its scratch ``bufs``, and
+    allocates nothing larger than a row reduction. Each thread has one set
+    of scratch arrays, with the block's leading axis first, for all its
+    blocks: ``scratch(sl)`` makes them here, on the calling thread. So a
+    result must not hold its scratch, unless ``carry`` takes it: then the
+    calling thread runs every block itself and carries each result, in
+    block order, before the next block starts. If a block raises, the error
+    reaches the caller once the blocks in flight have finished, and no
+    block starts after it.
+    """
+    blocks = _blocks(x)
+    if carry is not None:
+        bufs = scratch(blocks[0])
+        return [carry(fn(sl, *_cut(bufs, sl))) for sl in blocks]
+    results = [None] * len(blocks)
+    order = iter(range(len(blocks)))  # shared; next() holds the GIL
+    failed = []  # once a block has raised, no block starts
+
+    def work(bufs):
+        for i in order:
+            if failed:
+                return
+            try:
+                results[i] = fn(blocks[i], *_cut(bufs, blocks[i]))
+            except BaseException:
+                failed.append(i)
+                raise
+
+    pooled = []
+    if WORKERS > 1 and len(blocks) > 1:
+        pooled.append(_block_pool().submit(
+            _pooled, contextvars.copy_context(), work,
+            list(scratch(blocks[0]))))
+    try:
+        work(scratch(blocks[0]))
+    finally:
+        wait(pooled)  # a block in flight finishes before any error is raised
+    for f in pooled:
+        f.result()
+    return results
 
 
 def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
@@ -294,12 +402,22 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _record(out, (a,), lambda g: (g.reshape(old),))
 
 
+_BASIC_INDEX = (numbers.Integral, slice, type(Ellipsis), type(None))
+
+
 def getitem(a: Tensor, idx) -> Tensor:
+    """``a[idx]`` for a basic index: ints, slices, ``...`` and ``None``."""
+    if not all(isinstance(i, _BASIC_INDEX) and not isinstance(i, bool)
+               for i in (idx if isinstance(idx, tuple) else (idx,))):
+        raise ContractError(f"getitem takes a basic index (ints, slices, "
+                            f"... and None), got {idx!r}")
     out = Tensor(a.data[idx])
 
     def backward(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
+        # a basic index reaches each entry once; + 0.0 turns a -0.0 into
+        # +0.0, as adding into the zeros did
+        ga[idx] = g + 0.0
         return (ga,)
 
     return _record(out, (a,), backward)
@@ -363,7 +481,8 @@ def _softmax_rows_(z: np.ndarray, mask) -> np.ndarray:
     if not np.atleast_1d(mask).any(axis=-1).all():
         raise DegenerateRowError("softmax row with no permitted entries")
     masked = np.broadcast_to(~mask, z.shape)
-    for sl in _blocks(z):
+
+    def block(sl):
         zb, mb = z[sl], masked[sl]
         np.copyto(zb, -np.inf, where=mb)
         np.subtract(zb, zb.max(axis=-1, keepdims=True), out=zb)
@@ -371,22 +490,29 @@ def _softmax_rows_(z: np.ndarray, mask) -> np.ndarray:
         np.exp(zb, out=zb)
         np.copyto(zb, 0.0, where=mb)
         np.divide(zb, zb.sum(axis=-1, keepdims=True), out=zb)
+
+    _blockwise(z, block)
     return z
 
 
-def _softmax_rows_grad(g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Gradient of the logits of row softmax ``s`` from its gradient ``g``.
+def _softmax_grad_into(g: np.ndarray, s: np.ndarray,
+                       out: np.ndarray) -> np.ndarray:
+    """Gradient of the logits of row softmax ``s`` from its gradient ``g``,
+    written in ``out`` and returned: one block's work.
 
     ds/dz = diag(s) - s s^T per row, so the result is s * (g - <g, s>);
-    masked entries carry no gradient. Built block by block in the result.
+    masked entries carry no gradient.
     """
+    np.multiply(g, s, out=out)
+    dot = out.sum(axis=-1, keepdims=True)
+    np.subtract(g, dot, out=out)
+    return np.multiply(s, out, out=out)
+
+
+def _softmax_rows_grad(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``_softmax_grad_into`` over whole arrays, block by block."""
     out = np.empty(s.shape)
-    for sl in _blocks(out):
-        t = out[sl]
-        np.multiply(g[sl], s[sl], out=t)
-        dot = t.sum(axis=-1, keepdims=True)
-        np.subtract(g[sl], dot, out=t)
-        np.multiply(s[sl], t, out=t)
+    _blockwise(out, lambda sl: _softmax_grad_into(g[sl], s[sl], out[sl]))
     return out
 
 
@@ -437,13 +563,16 @@ def attention_scores(q: Tensor, k: Tensor, mask: np.ndarray) -> Tensor:
             if k.requires_grad else None
         qs = np.broadcast_to(q.data, s.shape[:-1] + q.data.shape[-1:])
         ks = np.broadcast_to(k.data, s.shape[:-2] + k.data.shape[-2:])
-        for sl in _blocks(s):
-            gz = _softmax_rows_grad(g[sl], s[sl])
+
+        def block(sl, gz):
+            _softmax_grad_into(g[sl], s[sl], gz)
             np.multiply(gz, scale, out=gz)
             if gq is not None:
                 np.matmul(gz, ks[sl], out=gq[sl])
             if gkT is not None:
                 np.matmul(np.swapaxes(qs[sl], -1, -2), gz, out=gkT[sl])
+
+        _blockwise(s, block, lambda sl: [np.empty(s[sl].shape)])
         return gq, None if gkT is None else np.swapaxes(gkT, -1, -2)
 
     return _record(out, (q, k), backward)
@@ -524,19 +653,23 @@ def sym_kl_rows(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"sym_kl_rows needs equal shapes, got "
                          f"{a.data.shape} and {b.data.shape}")
     kl = np.empty(a.data.shape[:-1])
-    worst = ([], [])  # per block, for a and for b
-    for sl in _blocks(a.data):
+
+    def block(sl, pc, qc, d, log_q):
         ab, bb = a.data[sl], b.data[sl]
-        for w, t in zip(worst, (ab, bb)):
-            w.append(np.abs(t.sum(axis=-1) - 1.0).max())
-        pc = np.clip(ab, EPS_PROB, None)
-        qc = np.clip(bb, EPS_PROB, None)
-        d = np.log(pc)  # the log-ratio
-        np.subtract(d, np.log(qc), out=d)
+        worst = [np.abs(t.sum(axis=-1) - 1.0).max() for t in (ab, bb)]
+        np.clip(ab, EPS_PROB, None, out=pc)
+        np.clip(bb, EPS_PROB, None, out=qc)
+        np.log(pc, out=d)  # the log-ratio
+        np.subtract(d, np.log(qc, out=log_q), out=d)
         # KL(b||a) sums qc * (log qc - log pc) = -(qc * d) exactly
         np.subtract(np.multiply(pc, d, out=pc).sum(axis=-1),
                     np.multiply(qc, d, out=qc).sum(axis=-1), out=kl[sl])
-    for name, w in zip("ab", worst):
+        return worst
+
+    # per block, the worst row of a and of b
+    worst = _blockwise(a.data, block, lambda sl: [
+        np.empty(a.data[sl].shape) for _ in range(4)])
+    for name, w in zip("ab", zip(*worst)):
         w = np.max(w)
         if w > NORM_TOL:
             raise NormalizationError(
@@ -550,12 +683,13 @@ def sym_kl_rows(a: Tensor, b: Tensor) -> Tensor:
         # product before (G*pc)/pc from the log. Each block works in pc, d
         # and its share of the result, which is scratch until it is set.
         ga = np.empty(a.data.shape)
-        for sl in _blocks(ga):
+
+        def block(sl, inside, pc, d):
             G = g[sl][..., None]
             ab, bb, gb = a.data[sl], b.data[sl], ga[sl]
-            inside = ab >= EPS_PROB
-            pc = np.clip(ab, EPS_PROB, None)
-            d = np.log(pc)  # the forward's log-ratio, as it took it
+            np.greater_equal(ab, EPS_PROB, out=inside)
+            np.clip(ab, EPS_PROB, None, out=pc)
+            np.log(pc, out=d)  # the forward's log-ratio, as it took it
             np.log(np.clip(bb, EPS_PROB, None, out=gb), out=gb)
             np.subtract(d, gb, out=d)
             np.multiply(G, d, out=d)
@@ -569,6 +703,10 @@ def sym_kl_rows(a: Tensor, b: Tensor) -> Tensor:
             np.divide(rev, pc, out=rev)
             np.multiply(rev, inside, out=rev)
             np.add(rev, d, out=rev)
+
+        _blockwise(ga, block, lambda sl: [
+            np.empty(ga[sl].shape, bool), np.empty(ga[sl].shape),
+            np.empty(ga[sl].shape)])
         return (ga,)
 
     return _record(out, (a,), backward)

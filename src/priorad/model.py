@@ -8,6 +8,7 @@ from encoder features. A linear head reconstructs the input window.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 
@@ -27,16 +28,21 @@ _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
 
 def check_fields(cfg, lows: dict) -> None:
     """Raise ConfigError naming the first field of the config dataclass
-    ``cfg`` whose value lacks its declared type or is a non-finite float,
-    then the first field named in ``lows`` whose value is below its bound
-    there. An int field takes no bool or float, a float field takes an int
-    but no bool, and a bool field takes only a bool."""
+    ``cfg`` whose value lacks its declared type or is not finite (a NaN or
+    infinite float, or an int too large for a float), then the first field
+    named in ``lows`` whose value is below its bound there. An int field
+    takes no bool or float, a float field takes an int but no bool, and a
+    bool field takes only a bool."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if not (isinstance(value, _FIELD_TYPES[f.type])
                 and isinstance(value, bool) == (f.type == "bool")):
             raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-        if isinstance(value, float) and not np.isfinite(value):
+        try:
+            finite = f.type not in ("int", "float") or math.isfinite(value)
+        except OverflowError:  # an int that no float can hold
+            finite = False
+        if not finite:
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
     for name, low in lows.items():
         if getattr(cfg, name) < low:
@@ -351,10 +357,13 @@ def prior_softmax(fields: PriorFields, lags: np.ndarray, mask: np.ndarray,
     gradient (it is reached only through ``stop_gradient``), the tape
     skips P's node and the score's node runs the backward alone.
 
-    Both directions work through the batch in blocks (``ad._blocks``); a
-    single window is a batch of one. The chain's sums over the batch are
-    carried from block to block in numpy's row order (``ad._add_rows``).
-    A block holding a non-finite logit raises NumericError once written.
+    Both directions work through the batch in blocks (``ad._blockwise``);
+    a single window is a batch of one. The backward builds the logits'
+    gradient G head by head, so that a block's scratch holds one
+    [heads, L, L] array per window. The chain's sums over the batch are
+    carried from block to block on the calling thread, in numpy's row
+    order (``ad._add_rows``). A block holding a non-finite logit raises
+    NumericError once written.
     """
     hurst, tau, mix = fields.hurst, fields.stiffness, fields.mix_weights
     period, gain = fields.phase_period, fields.phase_gain
@@ -375,24 +384,39 @@ def prior_softmax(fields: PriorFields, lags: np.ndarray, mask: np.ndarray,
         wave = np.cos(angle)
         return gain_h * wave, angle, wave
 
-    def kernels(sl):
-        """The per-position kernels of the windows in block ``sl``."""
+    def kernels(sl, fractal, gaussian):
+        """The per-position kernels of the windows in block ``sl``, written
+        in ``fractal`` and ``gaussian``; returns 2 tau² per row."""
         tau_sq2 = 2.0 * (tau_row[sl] * tau_row[sl])
-        return (-(2.0 - 2.0 * h_row[sl]) * log_lag, neg_sq / tau_sq2,
-                tau_sq2)
+        np.multiply(-(2.0 - 2.0 * h_row[sl]), log_lag, out=fractal)
+        np.divide(neg_sq, tau_sq2, out=gaussian)
+        return tau_sq2
 
-    def mixture(fractal, gaussian, mixed_phase, out):
-        """The logits m0 * fractal + m1 * gaussian + mixed_phase, in out."""
-        np.multiply(m0, fractal, out=out)
-        np.add(out, m1 * gaussian, out=out)
+    def mixture(fractal, gaussian, mixed_phase, out, product, h=...):
+        """The logits m0 * fractal + m1 * gaussian + mixed_phase, in out;
+        of prior head ``h`` alone if given."""
+        np.multiply(m0[h], fractal, out=out)
+        np.add(out, np.multiply(m1[h], gaussian, out=product), out=out)
         return np.add(out, mixed_phase, out=out)
 
+    def block_arrays(sl, heads, dtype=np.float64):
+        """Scratch for block ``sl``, made on the calling thread: one
+        [n, h, L, L] array per entry h of ``heads`` for its n windows."""
+        return [np.empty(h_row[sl].shape[:-3] + (h, L, L), dtype)
+                for h in heads]
+
+    n_ph = period.shape[0]
     mixed_phase = m2 * head_kernels()[0]
     logits = np.empty(lead + mixed_phase.shape)
-    for sl in ad._blocks(logits):
-        mixture(*kernels(sl)[:2], mixed_phase, logits[sl])
-        if not np.isfinite(logits[sl]).all():
+
+    def forward_block(sl, fractal, gaussian, product, finite):
+        kernels(sl, fractal, gaussian)
+        mixture(fractal, gaussian, mixed_phase, logits[sl], product)
+        if not np.isfinite(logits[sl], out=finite).all():
             raise ad.NumericError("non-finite prior kernel logits")
+
+    ad._blockwise(logits, forward_block, lambda sl: (
+        block_arrays(sl, (1, 1, n_ph)) + block_arrays(sl, (n_ph,), bool)))
     if broadcast is not None:
         logits = logits + broadcast
     inv_n = 1.0 / float(logits.size)
@@ -416,35 +440,68 @@ def prior_softmax(fields: PriorFields, lags: np.ndarray, mask: np.ndarray,
         ga_sum = np.zeros(mixed_phase.shape) if mix.requires_grad else None
         g_tau = np.empty(tau.shape) if tau.requires_grad else None
         g_hurst = np.empty(hurst.shape) if hurst.requires_grad else None
-        for sl in ad._blocks(P):
-            fractal, gaussian, tau_sq2 = kernels(sl)
-            Gb = None
-            if c is not None:
-                Gb = mixture(fractal, gaussian, mixed_phase,
-                             np.empty(fractal.shape[:1] + mixed_phase.shape))
-                if broadcast is not None:
-                    Gb = Gb + broadcast
-                np.multiply(c, Gb, out=Gb)
+
+        def block(sl, fractal, gaussian, g_heads, acc, t):
+            """G for block ``sl`` and the block's kernels, for the caller to
+            carry into the batch sums; writes the block's tau and H
+            gradients. G is built head by head in g_heads [n, heads, L, L],
+            with acc and t [n, 1, L, L] for one head's terms."""
+            tau_sq2 = kernels(sl, fractal, gaussian)
             if gP is not None:
-                sm = ad._softmax_rows_grad(gP[sl], P[sl])
-                Gb = sm if Gb is None else np.add(Gb, sm, out=Gb)
-                sm = None
-            if broadcast is not None:
-                Gb = Gb.sum(axis=1, keepdims=True)
-            ad._add_rows(g_sum, Gb)
-            if mix.requires_grad:
-                ad._add_rows(fr_sum, Gb * fractal)
-                ad._add_rows(ga_sum, Gb * gaussian)
+                ad._softmax_grad_into(gP[sl], P[sl], g_heads)
+            for h in range(heads if c is not None else 0):
+                if h < n_ph:  # single_head's one mixture serves every head
+                    mixture(fractal, gaussian, mixed_phase[h], acc, t,
+                            h=h)
+                    if broadcast is not None:
+                        np.add(acc, 0.0, out=acc)
+                    np.multiply(c, acc, out=acc)
+                dst = g_heads[..., h:h + 1, :, :]
+                if gP is None:
+                    np.copyto(dst, acc)
+                else:
+                    np.add(acc, dst, out=dst)
+            Gb = g_heads if broadcast is None else np.sum(
+                g_heads, axis=-3, keepdims=True, out=acc)
+
+            def per_position(weight):
+                """unb(Gb * weight, fractal.shape): with n_ph heads, their
+                sum, taken as numpy sums an axis, from +0.0 in head order."""
+                if n_ph == 1:
+                    return np.multiply(Gb, weight, out=t)
+                acc.fill(0.0)
+                for h in range(n_ph):
+                    np.multiply(Gb[..., h:h + 1, :, :], weight[h], out=t)
+                    np.add(acc, t, out=acc)
+                return acc
+
             if tau.requires_grad:
-                g = unb(Gb * m1, gaussian.shape)
-                g = unb(-g * neg_sq / (tau_sq2 * tau_sq2), tau_sq2.shape)
+                g = per_position(m1)
+                np.negative(g, out=g)
+                np.multiply(g, neg_sq, out=g)
+                g = unb(np.divide(g, tau_sq2 * tau_sq2, out=g), tau_sq2.shape)
                 g_tau.reshape(row)[sl] = g * 2.0 * 2.0 * tau_row[sl]
             if hurst.requires_grad:
                 # neg, then sub from 2.0: two exact negations
-                g = unb(unb(Gb * m0, fractal.shape) * log_lag, tau_sq2.shape)
+                g = per_position(m0)
+                g = unb(np.multiply(g, log_lag, out=g), tau_sq2.shape)
                 g_hurst.reshape(row)[sl] = g * 2.0
-            # the block's arrays: freed before the next block's are made
-            Gb = fractal = gaussian = None
+            return Gb, fractal, gaussian
+
+        product = np.empty(mixed_phase.shape) if mix.requires_grad else None
+
+        def carry(result):
+            Gb, fractal, gaussian = result
+            ad._add_rows(g_sum, Gb)
+            if mix.requires_grad:
+                # _add_rows of Gb * fractal and of Gb * gaussian, one
+                # window's product at a time
+                for G, fr, ga in zip(Gb, fractal, gaussian):
+                    np.add(fr_sum, np.multiply(G, fr, out=product), out=fr_sum)
+                    np.add(ga_sum, np.multiply(G, ga, out=product), out=ga_sum)
+
+        ad._blockwise(P, block,
+                      lambda sl: block_arrays(sl, (1, 1, heads, 1, 1)), carry)
         # made after the loop, so that they add nothing to its peak
         phase, angle, wave = head_kernels()
         g_phase = unb(g_sum, phase.shape)  # the phase term has no batch

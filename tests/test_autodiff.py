@@ -1,6 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
+from concurrent.futures import wait
 
 import numpy as np
 import pytest
@@ -776,8 +782,14 @@ def test_fused_ops_match_primitive_chains_bitwise(prior_mode, lead,
 BLOCK_H, BLOCK_L = 3, 6
 # one batch entry's [H, L, L] slice, which every blocked op's array shares
 BLOCK_ROW = BLOCK_H * BLOCK_L * BLOCK_L * 8
-# one entry per block, two (so five entries end in a short block), one block
-BUDGETS = {"one": 1, "two": 2 * BLOCK_ROW, "unbounded": 1 << 62}
+# one entry per block, two (so five entries end in a short block), four,
+# one block; with two workers each block gets half the budget
+BUDGETS = {"one": 1, "two": 2 * BLOCK_ROW, "four": 4 * BLOCK_ROW,
+           "unbounded": 1 << 62}
+# blocks of a batch of five per (workers, budget)
+BLOCK_COUNTS = {(1, "one"): 5, (1, "two"): 3, (1, "four"): 2,
+                (1, "unbounded"): 1, (2, "one"): 5, (2, "two"): 5,
+                (2, "four"): 3, (2, "unbounded"): 1}
 BLOCKED_OPS = ["masked_softmax_rows", "attention_scores", "sym_kl_rows",
                "prior_softmax"]
 
@@ -823,14 +835,18 @@ def _blocked_op(op, args, L):
 @pytest.mark.parametrize("lead", [(5,), ()], ids=["batch", "window"])
 @pytest.mark.parametrize("op", BLOCKED_OPS)
 def test_blocked_ops_bitwise_across_block_sizes(op, lead, monkeypatch):
+    """Every block size, run serially and on two threads, gives the
+    outputs and gradients of one serial block by bytes."""
     H, L = BLOCK_H, BLOCK_L
     rng = np.random.default_rng(12)
     args = _blocked_op_inputs(op, lead, H, L, rng)
     weights = {shape: Tensor(rng.normal(size=shape))
                for shape in ((), lead + (H, L), lead + (H, L, L))}
-    results = {}
-    for name, budget in BUDGETS.items():
+    results, counts = {}, {}
+    for workers, (name, budget) in itertools.product((1, 2), BUDGETS.items()):
+        monkeypatch.setattr(ad, "WORKERS", workers)
         monkeypatch.setattr(ad, "BLOCK_BYTES", budget)
+        counts[workers, name] = len(ad._blocks(np.empty(lead + (H, L, L))))
         for t in args.values():
             t.grad = None
         with Tape() as tape:
@@ -838,11 +854,10 @@ def test_blocked_ops_bitwise_across_block_sizes(op, lead, monkeypatch):
             terms = [ad.tsum(o * weights[o.shape]) for o in outs]
             loss = sum(terms[1:], terms[0])
         tape.backward(loss)
-        results[name] = [o.data for o in outs] + [
+        results[workers, name] = [o.data for o in outs] + [
             t.grad for t in args.values() if t.requires_grad]
-    monkeypatch.setattr(ad, "BLOCK_BYTES", BUDGETS["two"])
-    assert len(ad._blocks(np.empty(lead + (H, L, L)))) == (3 if lead else 1)
-    want = results.pop("unbounded")
+    assert counts == (BLOCK_COUNTS if lead else dict.fromkeys(counts, 1))
+    want = results.pop((1, "unbounded"))
     for got in results.values():
         for g, w in zip(got, want, strict=True):
             # tobytes compares the sign bit of every zero too
@@ -854,7 +869,8 @@ def test_minmax_step_bitwise_across_block_sizes(prior_mode, monkeypatch):
     batch = np.random.default_rng(13).normal(size=(5, 10, 2))
     cfg = TrainConfig(series_ascent=True)
     runs = []
-    for budget in (1, 1 << 62):
+    for workers, budget in itertools.product((1, 2), (1, 1 << 62)):
+        monkeypatch.setattr(ad, "WORKERS", workers)
         monkeypatch.setattr(ad, "BLOCK_BYTES", budget)
         model = tiny_model(prior_mode)
         opt = OptimizerState(model.parameters(), lr=1e-3, clip_norm=5.0)
@@ -863,7 +879,7 @@ def test_minmax_step_bitwise_across_block_sizes(prior_mode, monkeypatch):
                             for b in losses])]
         arrays += [p.data for p in model.parameters()] + opt.m + opt.v
         runs.append([a.tobytes() for a in arrays])
-    assert runs[0] == runs[1]
+    assert all(run == runs[0] for run in runs[1:])
 
 
 @pytest.mark.parametrize("op", BLOCKED_OPS)
@@ -888,6 +904,208 @@ def test_blocked_backward_allocates_only_a_few_blocks(op):
         tracemalloc.stop()
     returned = sum(a.nbytes for a in grads if a is not None)
     assert peak - returned < 4 * ad.BLOCK_BYTES
+
+
+# ---------------------------------------------------------------------------
+# the block executor: two blocks in flight, one on the pool thread
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("batch", [4, 5])
+def test_numeric_error_in_the_last_block_reaches_the_caller(batch,
+                                                            monkeypatch):
+    """One window per block, the last window's H a NaN."""
+    monkeypatch.setattr(ad, "WORKERS", 2)
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
+    args = _blocked_op_inputs("prior_softmax", (batch,), BLOCK_H, BLOCK_L,
+                              np.random.default_rng(16))
+    _blocked_op("prior_softmax", args, BLOCK_L)
+    args["hurst"].data[-1, 2] = np.nan
+    with pytest.raises(ad.NumericError, match="non-finite prior kernel"):
+        _blocked_op("prior_softmax", args, BLOCK_L)
+
+
+@pytest.mark.parametrize("pool_fails", [False, True],
+                         ids=["calling_thread", "pool_thread"])
+def test_blockwise_waits_for_the_other_block_before_raising(pool_fails,
+                                                            monkeypatch):
+    """Six blocks. The two threads meet at a barrier in their first block
+    and again in their second, where the failing thread's block raises.
+    The other thread's second block is still running then: it finishes
+    before the error reaches the caller, and no fifth block starts."""
+    monkeypatch.setattr(ad, "WORKERS", 2)
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
+    calling = threading.current_thread()
+    rounds = {True: threading.Barrier(2), False: threading.Barrier(2)}
+    finished = []
+
+    def fn(sl):
+        first = sl.start < 2
+        rounds[first].wait(timeout=10)
+        if not first:
+            if (threading.current_thread() is not calling) == pool_fails:
+                raise ValueError("block failed")
+            time.sleep(0.1)
+        finished.append(sl.start)
+
+    with pytest.raises(ValueError, match="block failed"):
+        ad._blockwise(np.zeros((6, 1, 1, 1)), fn)
+    assert len(finished) == 3 and set(finished) - {2, 3} == {0, 1}
+
+
+def test_blockwise_returns_results_in_block_order(monkeypatch):
+    """Whichever thread ran a block; with a carry, each result is carried on
+    the calling thread in block order."""
+    monkeypatch.setattr(ad, "WORKERS", 2)
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
+    x = np.zeros((7, 1, 1, 1))
+    assert ad._blockwise(x, lambda sl: sl.start) == list(range(7))
+    calling, carried = threading.current_thread(), []
+    assert ad._blockwise(x, lambda sl: sl.start, carry=lambda r: carried.append(
+        (r, threading.current_thread() is calling))) == [None] * 7
+    assert carried == [(i, True) for i in range(7)]
+
+
+def test_pooled_blocks_run_in_the_callers_error_state(monkeypatch):
+    """Two blocks that meet at a barrier, so that one runs on each thread,
+    each take inf - inf: numpy warns unless the caller's np.errstate says
+    otherwise."""
+    monkeypatch.setattr(ad, "WORKERS", 2)
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
+    calling = threading.current_thread()
+    x = np.full((2, 1, 1, 1), np.inf)
+
+    def run():
+        barrier, pooled, out = threading.Barrier(2), [], np.empty(x.shape)
+
+        def fn(sl):
+            barrier.wait(timeout=10)
+            pooled.append(threading.current_thread() is not calling)
+            np.subtract(x[sl], x[sl], out=out[sl])
+
+        ad._blockwise(x, fn)
+        assert sorted(pooled) == [False, True]
+        return out
+
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(run()).all()
+    with pytest.warns(RuntimeWarning, match="invalid value") as caught:
+        run()
+    assert len(caught) == 2
+
+
+def test_block_pool_thread_is_made_once(monkeypatch):
+    monkeypatch.setattr(ad, "WORKERS", 2)
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
+    logits = Tensor(np.random.default_rng(17).normal(size=(4, 2, 5, 5)))
+    masked_softmax_rows(logits, causal_mask(5))  # made here, if not before
+    threads, started = threading.active_count(), []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    for _ in range(50):
+        masked_softmax_rows(logits, causal_mask(5))
+    assert threading.active_count() == threads and started == []
+
+
+def test_importing_starts_no_thread():
+    """Nor does an op of one block; the first op of two blocks starts the
+    pool thread."""
+    code = "; ".join([
+        "import threading, numpy as np, priorad.cli, priorad.autodiff as ad",
+        "print(threading.active_count())",
+        "ad.masked_softmax_rows(ad.Tensor(np.zeros((1, 2, 3, 3))), True)",
+        "print(threading.active_count())",
+        "ad.masked_softmax_rows(ad.Tensor(np.zeros((2, 1, 256, 256))), True)",
+        "print(threading.active_count())"])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(ad.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.split() == ["1", "1", "2"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork, threads
+def test_forked_child_makes_its_own_pool_thread(monkeypatch):
+    """The parent's pool thread is not copied into a child, so the child's
+    first op of two blocks must start a pool of its own, not hang."""
+    monkeypatch.setattr(ad, "WORKERS", 2)
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
+    logits = Tensor(np.random.default_rng(19).normal(size=(4, 2, 5, 5)))
+    want = masked_softmax_rows(logits, causal_mask(5)).data  # parent's pool
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child writes its result and exits at once
+        try:
+            os.write(write, masked_softmax_rows(logits,
+                                                causal_mask(5)).data.tobytes())
+        finally:
+            os._exit(0)
+    os.close(write)
+    deadline = time.monotonic() + 60
+    while not os.waitpid(pid, os.WNOHANG)[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung in its first op")
+        time.sleep(0.05)
+    with os.fdopen(read, "rb") as fh:
+        assert fh.read() == want.tobytes()
+
+
+class _MeasuredPool:
+    """Runs each pooled block on the pool thread alone, the calling thread
+    waiting for it, and records the peak of what the block allocated."""
+
+    def __init__(self, pool):
+        self.pool, self.peaks = pool, []
+
+    def submit(self, fn, *args):
+        def measured():
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            try:
+                return fn(*args)
+            finally:
+                self.peaks.append(tracemalloc.get_traced_memory()[1] - base)
+
+        future = self.pool.submit(measured)
+        wait([future])
+        return future
+
+
+@pytest.mark.parametrize("op", BLOCKED_OPS)
+def test_pooled_blocks_allocate_no_block_sized_array(op, monkeypatch):
+    """Blocks of four [H, L, L] windows, 2 MB: a block on the pool thread
+    allocates less than a sixteenth of that, room for its row reductions
+    [..., H, L] but not for a [..., 1, L, L] kernel or a bool mask. The
+    prior's backward carries its batch sums, so the calling thread runs
+    all its blocks."""
+    B, H, L = 8, 4, 128
+    block = B // 2 * H * L * L * 8
+    monkeypatch.setattr(ad, "WORKERS", 2)
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 2 * block)
+    pool = _MeasuredPool(ad._block_pool())
+    monkeypatch.setattr(ad, "_block_pool", lambda: pool)
+    args = _blocked_op_inputs(op, (B,), H, L, np.random.default_rng(18))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            outs = _blocked_op(op, args, L)
+            terms = [ad.tsum(o) for o in outs]
+            loss = sum(terms[1:], terms[0])
+        forward = len(pool.peaks)
+        tape.backward(loss)
+    finally:
+        tracemalloc.stop()
+    assert forward >= 1
+    assert (len(pool.peaks) == forward) == (op == "prior_softmax")
+    assert max(pool.peaks) < block / 16
 
 
 # ---------------------------------------------------------------------------
@@ -979,6 +1197,31 @@ def test_pass_one_attention_freed_before_pass_two_forward(prior_mode,
     monkeypatch.setattr(PiModel, "forward", watching_forward)
     run_one_step(model)
     assert alive == [[], [False] * (2 * model.cfg.num_layers)]
+
+
+@pytest.mark.parametrize("idx", [(..., 0), (..., 1), (..., slice(1, None)),
+                                 0, (1, 0, 1)],
+                         ids=["last_0", "last_1", "last_tail", "first",
+                              "one_entry"])
+def test_getitem_backward_equals_a_scatter_add_into_zeros(idx):
+    """By bytes, with -0.0, NaN and infinities in the gradient; the first
+    three are the indices prior_fields and loss_smoothness take."""
+    a = Tensor(np.ones((2, 3, 2)), requires_grad=True)
+    with Tape() as tape:
+        out = a[idx]
+    _, _, backward_fn = tape.nodes[-1]
+    g = np.resize([-0.0, np.nan, np.inf, -np.inf, 1.5, -2.0], out.shape)
+    want = np.zeros(a.shape)
+    np.add.at(want, idx, g)
+    assert backward_fn(g)[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("idx", [np.array([0, 1]), [0, 1],
+                                 (..., np.array([True, False])), True],
+                         ids=["int_array", "list", "bool_array", "bool"])
+def test_getitem_takes_only_a_basic_index(idx):
+    with pytest.raises(ContractError, match="basic index"):
+        Tensor(np.ones((2, 2)))[idx]
 
 
 def test_fd_gradient_broadcast_add():

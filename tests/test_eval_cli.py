@@ -631,6 +631,10 @@ def test_cli_train_rejects_out_of_range_config(tiny_run, tmp_path, capsys,
     assert not (tmp_path / "checkpoint.npz").exists()
 
 
+# JSON reads this as an int that no float can hold
+HUGE_INT = "1" + "0" * 400
+
+
 @pytest.mark.parametrize("command, key, message", [
     ("score", "scoring.temperature=0", "temperature must be positive, got 0"),
     ("score", "scoring.anomaly_ratio=150",
@@ -643,8 +647,13 @@ def test_cli_train_rejects_out_of_range_config(tiny_run, tmp_path, capsys,
      "learning_rate must be finite, got inf"),
     ("score", "scoring.temperature=Infinity",
      "temperature must be finite, got inf"),
+    ("train", f"train.learning_rate={HUGE_INT}",
+     f"learning_rate must be finite, got {HUGE_INT}"),
+    ("train", f"model.window_length={HUGE_INT}",
+     f"window_length must be finite, got {HUGE_INT}"),
 ], ids=["temperature", "anomaly_ratio", "prior_mode", "k_nan",
-        "learning_rate_inf", "temperature_inf"])
+        "learning_rate_inf", "temperature_inf", "learning_rate_huge_int",
+        "window_length_huge_int"])
 def test_cli_range_errors_name_the_value_given(tiny_run, tmp_path, capsys,
                                                command, key, message):
     argv = (["train", "--train-csv", str(tiny_run / "train.csv"),

@@ -14,6 +14,7 @@ from priorad.scoring import (
     write_score_csv,
 )
 from priorad.data import ParseError, SplitError
+from priorad.evaluation import benchmark_configs
 
 
 def test_alignment_weights_fixture():
@@ -278,6 +279,23 @@ def test_detect_forwards_each_split_once(tiny_model, monkeypatch):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
     assert np.array_equal(got.y_hat, y_hat)
     assert got.threshold == tau
+
+
+def test_desk_detect_bitwise_with_one_and_two_workers(monkeypatch):
+    """At desk scale a batch of 128 windows spans several blocks, which two
+    workers run two at a time."""
+    model_cfg, _, cfg = benchmark_configs()
+    model = PiModel(model_cfg)
+    H, L = model_cfg.num_heads, model_cfg.window_length
+    rng = np.random.default_rng(19)
+    train, thresh, test = (rng.normal(size=(n, 3)) for n in (300, 200, 300))
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(ad, "WORKERS", workers)
+        assert len(ad._blocks(np.empty((cfg.batch_size, H, L, L)))) > 2
+        scores = detect(model, train, thresh, test, cfg)
+        runs.append(scores.f.tobytes() + scores.y_hat.tobytes())
+    assert runs[0] == runs[1]
 
 
 def test_score_series_deterministic(tiny_model):

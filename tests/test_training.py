@@ -288,7 +288,8 @@ def test_train_config_validation():
     ("learning_rate", -1.0), ("clip_norm", 0.0), ("val_fraction", 0.0),
     ("val_fraction", 1.0), ("k", -1.0), ("lambda_reg", -0.1),
     ("lambda_hurst", -1.0), ("lambda_score", -1e-9), ("k", float("nan")),
-    ("learning_rate", float("inf")), ("lambda_reg", float("nan"))])
+    ("learning_rate", float("inf")), ("lambda_reg", float("nan")),
+    ("learning_rate", 10 ** 400), ("batch_size", 10 ** 400)])
 def test_train_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=f"{field} must be .*, got {value}"):
         TrainConfig(**{field: value})
