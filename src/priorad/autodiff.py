@@ -208,10 +208,9 @@ def _cut(bufs: list, sl) -> list:
     return bufs if sl is ... else [b[:sl.stop - sl.start] for b in bufs]
 
 
-def _blockwise(x: np.ndarray, fn, scratch=_no_scratch, carry=None) -> list:
+def _blockwise(x: np.ndarray, fn, scratch=_no_scratch) -> list:
     """``fn(sl, *bufs)`` over the blocks ``sl`` of ``x`` (``_blocks``): the
-    one block executor. Returns the results in block order, or, given
-    ``carry``, what ``carry`` returns for each.
+    one block executor. Returns the results in block order.
 
     The calling thread and the pool thread each take the next block when
     they are free, so at most WORKERS blocks are in flight. ``fn`` takes
@@ -220,16 +219,11 @@ def _blockwise(x: np.ndarray, fn, scratch=_no_scratch, carry=None) -> list:
     allocates nothing larger than a row reduction. Each thread has one set
     of scratch arrays, with the block's leading axis first, for all its
     blocks: ``scratch(sl)`` makes them here, on the calling thread. So a
-    result must not hold its scratch, unless ``carry`` takes it: then the
-    calling thread runs every block itself and carries each result, in
-    block order, before the next block starts. If a block raises, the error
-    reaches the caller once the blocks in flight have finished, and no
-    block starts after it.
+    result must never hold its scratch: the thread's next block overwrites
+    it. If a block raises, the error reaches the caller once the blocks in
+    flight have finished, and no block starts after it.
     """
     blocks = _blocks(x)
-    if carry is not None:
-        bufs = scratch(blocks[0])
-        return [carry(fn(sl, *_cut(bufs, sl))) for sl in blocks]
     results = [None] * len(blocks)
     order = iter(range(len(blocks)))  # shared; next() holds the GIL
     failed = []  # once a block has raised, no block starts

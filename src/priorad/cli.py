@@ -55,7 +55,7 @@ class UsageError(ValueError):
 def _coerce(value: str):
     try:
         return json.loads(value)
-    except json.JSONDecodeError:
+    except ValueError:  # JSONDecodeError, or an int over Python's digit limit
         return value
 
 

@@ -54,7 +54,9 @@ def read_table(path):
     messages count data rows from 0, header and blank lines excluded.
     """
     header, rows = None, []
-    with open(path, newline="") as fh:
+    # utf-8-sig drops a byte-order mark, which would otherwise turn the
+    # first row into a header
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for row in csv.reader(fh):
             if not row:
                 continue

@@ -338,6 +338,9 @@ def load_checkpoint(path) -> Checkpoint:
         meta = json.loads(bytes(stored.pop("__meta__")).decode())
     except (KeyError, ValueError) as exc:
         raise fail(f"unreadable __meta__ record: {exc!r}") from None
+    if not isinstance(meta, dict):
+        raise fail(f"unreadable __meta__ record: a "
+                   f"{type(meta).__name__}, not an object")
     stored = {k[len("param::"):]: v for k, v in stored.items()
               if k.startswith("param::")}
     version = meta.get("format_version")

@@ -790,8 +790,10 @@ BUDGETS = {"one": 1, "two": 2 * BLOCK_ROW, "four": 4 * BLOCK_ROW,
 BLOCK_COUNTS = {(1, "one"): 5, (1, "two"): 3, (1, "four"): 2,
                 (1, "unbounded"): 1, (2, "one"): 5, (2, "two"): 5,
                 (2, "four"): 3, (2, "unbounded"): 1}
+# prior_softmax_score: the prior whose P is reached only through
+# stop_gradient, so that its backward starts from the score's gradient alone
 BLOCKED_OPS = ["masked_softmax_rows", "attention_scores", "sym_kl_rows",
-               "prior_softmax"]
+               "prior_softmax", "prior_softmax_score"]
 
 
 def _normalized(x):
@@ -801,7 +803,7 @@ def _normalized(x):
 def _blocked_op_inputs(op, lead, H, L, rng):
     """Leaf tensors for ``op`` over windows ``lead``; only sym_kl_rows' b
     needs no gradient."""
-    if op == "prior_softmax":
+    if op.startswith("prior_softmax"):
         values = dict(hurst=rng.uniform(0.1, 0.9, lead + (L,)),
                       stiffness=rng.uniform(0.6, 3.0, lead + (L,)),
                       mix_weights=_normalized(rng.random((H, 3)) + 0.1),
@@ -822,9 +824,11 @@ def _blocked_op_inputs(op, lead, H, L, rng):
 def _blocked_op(op, args, L):
     """The outputs of ``op``, as a tuple."""
     mask = causal_mask(L)
-    if op == "prior_softmax":
-        return pmodel.prior_softmax(PriorFields(**args), pmodel.lag_matrix(L),
-                                    mask, len(args["phase_period"].data))
+    if op.startswith("prior_softmax"):
+        P, score = pmodel.prior_softmax(PriorFields(**args),
+                                        pmodel.lag_matrix(L), mask,
+                                        len(args["phase_period"].data))
+        return (P if op == "prior_softmax" else ad.stop_gradient(P)), score
     if op == "attention_scores":
         return ad.attention_scores(args["q"], args["k"], mask),
     if op == "sym_kl_rows":
@@ -891,7 +895,9 @@ def test_blocked_backward_allocates_only_a_few_blocks(op):
     rng = np.random.default_rng(14)
     with Tape() as tape:
         outs = _blocked_op(op, _blocked_op_inputs(op, (B,), H, L, rng), L)
-    out, _, backward_fn = tape.nodes[-1]
+    # the first output with a gradient: the prior's P, unless it is stopped
+    out = next(o for o in outs if o.requires_grad)
+    backward_fn = next(fn for o, _, fn in tape.nodes if o is out)
     for o in outs:  # the prior's score: P's backward takes its gradient too
         if o is not out:
             o.grad = np.array(1.0)
@@ -954,16 +960,11 @@ def test_blockwise_waits_for_the_other_block_before_raising(pool_fails,
 
 
 def test_blockwise_returns_results_in_block_order(monkeypatch):
-    """Whichever thread ran a block; with a carry, each result is carried on
-    the calling thread in block order."""
+    """Whichever thread ran a block."""
     monkeypatch.setattr(ad, "WORKERS", 2)
     monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
     x = np.zeros((7, 1, 1, 1))
     assert ad._blockwise(x, lambda sl: sl.start) == list(range(7))
-    calling, carried = threading.current_thread(), []
-    assert ad._blockwise(x, lambda sl: sl.start, carry=lambda r: carried.append(
-        (r, threading.current_thread() is calling))) == [None] * 7
-    assert carried == [(i, True) for i in range(7)]
 
 
 def test_pooled_blocks_run_in_the_callers_error_state(monkeypatch):
@@ -1084,8 +1085,7 @@ def test_pooled_blocks_allocate_no_block_sized_array(op, monkeypatch):
     """Blocks of four [H, L, L] windows, 2 MB: a block on the pool thread
     allocates less than a sixteenth of that, room for its row reductions
     [..., H, L] but not for a [..., 1, L, L] kernel or a bool mask. The
-    prior's backward carries its batch sums, so the calling thread runs
-    all its blocks."""
+    prior's backward is a plain loop on the calling thread."""
     B, H, L = 8, 4, 128
     block = B // 2 * H * L * L * 8
     monkeypatch.setattr(ad, "WORKERS", 2)
@@ -1104,7 +1104,7 @@ def test_pooled_blocks_allocate_no_block_sized_array(op, monkeypatch):
     finally:
         tracemalloc.stop()
     assert forward >= 1
-    assert (len(pool.peaks) == forward) == (op == "prior_softmax")
+    assert (len(pool.peaks) == forward) == op.startswith("prior_softmax")
     assert max(pool.peaks) < block / 16
 
 

@@ -187,6 +187,20 @@ def test_read_table_returns_header_and_checks_its_width(tmp_path):
         read_table(p)
 
 
+def test_read_table_drops_a_byte_order_mark(tmp_path):
+    """A UTF-8 BOM before a matrix does not make its first row a header."""
+    bom = b"\xef\xbb\xbf"
+    p = tmp_path / "bom.csv"
+    p.write_bytes(bom + b"1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+    header, m = read_table(p)
+    assert header is None
+    np.testing.assert_array_equal(m, [[1, 2], [3, 4], [5, 6]])
+    p.write_bytes(bom + "x,\u00e9t\u00e9\n1,2\n".encode())
+    header, m = read_table(p)
+    assert header == ["x", "\u00e9t\u00e9"]
+    np.testing.assert_array_equal(m, [[1, 2]])
+
+
 # ---------------------------------------------------------------------------
 # synthetic benchmark
 # ---------------------------------------------------------------------------

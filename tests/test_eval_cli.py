@@ -497,12 +497,15 @@ def test_cli_rejects_unusable_synthetic_sizes(tmp_path, capsys, argv,
 
 def test_cli_ablate_values_are_type_checked_like_set(tmp_path):
     """A value that `--set train.max_epochs=...` rejects is an error cell,
-    not a cast: 2.5 does not train 2 epochs, nor true 1."""
+    not a cast: 2.5 does not train 2 epochs, nor true 1, and an int too
+    long to read is the string given."""
     assert main(["ablate", "--axis", "epochs", "--values", "2.5", "true",
-                 "--out", str(tmp_path)]) == 1
+                 OVER_DIGIT_LIMIT, "--out", str(tmp_path)]) == 1
     rows = (tmp_path / "ablation.csv").read_text().splitlines()
     assert "error: max_epochs must be int, got 2.5" in rows[1]
     assert "error: max_epochs must be int, got True" in rows[2]
+    assert (f"error: max_epochs must be int, got '{OVER_DIGIT_LIMIT}'"
+            in rows[3])
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +636,9 @@ def test_cli_train_rejects_out_of_range_config(tiny_run, tmp_path, capsys,
 
 # JSON reads this as an int that no float can hold
 HUGE_INT = "1" + "0" * 400
+# more digits than Python converts to an int: JSON cannot read it, and it
+# stays a string
+OVER_DIGIT_LIMIT = "1" + "0" * 5000
 
 
 @pytest.mark.parametrize("command, key, message", [
@@ -651,9 +657,11 @@ HUGE_INT = "1" + "0" * 400
      f"learning_rate must be finite, got {HUGE_INT}"),
     ("train", f"model.window_length={HUGE_INT}",
      f"window_length must be finite, got {HUGE_INT}"),
+    ("train", f"train.learning_rate={OVER_DIGIT_LIMIT}",
+     f"learning_rate must be float, got '{OVER_DIGIT_LIMIT}'"),
 ], ids=["temperature", "anomaly_ratio", "prior_mode", "k_nan",
         "learning_rate_inf", "temperature_inf", "learning_rate_huge_int",
-        "window_length_huge_int"])
+        "window_length_huge_int", "learning_rate_over_digit_limit"])
 def test_cli_range_errors_name_the_value_given(tiny_run, tmp_path, capsys,
                                                command, key, message):
     argv = (["train", "--train-csv", str(tiny_run / "train.csv"),

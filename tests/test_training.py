@@ -422,6 +422,14 @@ def _bad_config(meta, arrays):
     meta["model"]["dropout"] = 0.1
 
 
+def _meta_not_object(src, dst):
+    """Valid JSON in __meta__, but a list where an object belongs."""
+    with np.load(src) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays["__meta__"] = np.frombuffer(b"[1, 2]", dtype=np.uint8)
+    np.savez(dst, **arrays)
+
+
 def _not_npz(src, dst):
     dst.write_text("1.0,2.0\n3.0,4.0\n")
 
@@ -452,11 +460,12 @@ def _rewritten(edit):
     (_rewritten(_unknown_param), r"unknown parameters \['layer9.Wq'\]"),
     (_rewritten(_reshape_param), r"'head.b' has shape \(3,\)"),
     (_rewritten(_bad_config), "dropout"),
+    (_meta_not_object, "unreadable __meta__ record: a list, not an object"),
     (_not_npz, "unreadable .npz archive: ValueError"),
     (_truncated, "unreadable .npz archive: BadZipFile"),
     (_empty, "unreadable .npz archive: EOFError"),
 ], ids=["format_1", "dropped_param", "unknown_param", "reshaped_param",
-        "bad_config", "not_npz", "truncated", "empty"])
+        "bad_config", "meta_not_object", "not_npz", "truncated", "empty"])
 def test_load_checkpoint_rejects(saved_checkpoint, tmp_path, capsys, write,
                                  problem):
     bad = tmp_path / "bad.npz"
