@@ -21,6 +21,7 @@ import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -326,6 +327,33 @@ def _record(out: Tensor, inputs, backward_fn):
     return out
 
 
+def _record_outputs(outs, inputs, backward):
+    """Record the outputs of one op as one tape node each, all over the op's
+    ``inputs`` and sharing ``backward(grads)``, which takes one gradient per
+    output (None for an output that got none) and returns one per input.
+
+    ``outs`` pairs each output with the inputs its value depends on; an
+    output none of whose inputs needs a gradient is not recorded. The node
+    recorded last among those whose output gets a gradient runs
+    ``backward`` with every output's gradient: each is final by then,
+    because every consumer of an output is recorded after the op. It clears
+    the others, so the tape skips their nodes.
+    """
+    tensors = [out for out, _ in outs]
+    for i, (out, needs) in enumerate(outs):
+        if _ACTIVE_TAPE is None or not any(t.requires_grad for t in needs):
+            continue
+
+        def run(g, i=i):
+            grads = [t.grad for t in tensors[:i]] + [g]
+            for t in tensors[:i]:
+                t.grad = None
+            return backward(grads + [None] * (len(tensors) - 1 - i))
+
+        out.requires_grad = True
+        _ACTIVE_TAPE.record(out, inputs, run)
+
+
 # ---------------------------------------------------------------------------
 # Primitive operations
 # ---------------------------------------------------------------------------
@@ -464,26 +492,37 @@ def stop_gradient(a: Tensor) -> Tensor:
     return Tensor(a.data)
 
 
-def _softmax_rows_(z: np.ndarray, mask) -> np.ndarray:
-    """Row softmax of ``z`` over its last axis restricted to ``mask``,
-    computed in z's own memory, block by block. Stabilized by per-row max
-    subtraction over permitted entries; masked entries come out exactly
-    +0.0, as exp(-inf) would give, but never reach exp: numpy's vector exp
-    takes a slow path on input that holds -inf."""
+def _inverse_mask(mask) -> np.ndarray:
+    """``~mask`` as a bool array, after checking that every row permits an
+    entry: each row of the broadcast mask is a row of mask, so checking it
+    suffices."""
     mask = np.asarray(mask, dtype=bool)
-    # each row of the broadcast mask is a row of mask, so checking it suffices
     if not np.atleast_1d(mask).any(axis=-1).all():
         raise DegenerateRowError("softmax row with no permitted entries")
-    masked = np.broadcast_to(~mask, z.shape)
+    return ~mask
+
+
+def _softmax_block_(zb: np.ndarray, masked) -> np.ndarray:
+    """Row softmax of block ``zb`` over its last axis, restricted to the
+    entries that ``masked`` (which broadcasts against zb) does not mark, in
+    zb's own memory. Stabilized by per-row max subtraction over permitted
+    entries; masked entries come out exactly +0.0, as exp(-inf) would give,
+    but never reach exp: numpy's vector exp takes a slow path on input that
+    holds -inf."""
+    np.copyto(zb, -np.inf, where=masked)
+    np.subtract(zb, zb.max(axis=-1, keepdims=True), out=zb)
+    np.copyto(zb, 0.0, where=masked)
+    np.exp(zb, out=zb)
+    np.copyto(zb, 0.0, where=masked)
+    return np.divide(zb, zb.sum(axis=-1, keepdims=True), out=zb)
+
+
+def _softmax_rows_(z: np.ndarray, mask) -> np.ndarray:
+    """``_softmax_block_`` over the whole of ``z``, block by block."""
+    masked = np.broadcast_to(_inverse_mask(mask), z.shape)
 
     def block(sl):
-        zb, mb = z[sl], masked[sl]
-        np.copyto(zb, -np.inf, where=mb)
-        np.subtract(zb, zb.max(axis=-1, keepdims=True), out=zb)
-        np.copyto(zb, 0.0, where=mb)
-        np.exp(zb, out=zb)
-        np.copyto(zb, 0.0, where=mb)
-        np.divide(zb, zb.sum(axis=-1, keepdims=True), out=zb)
+        _softmax_block_(z[sl], masked[sl])
 
     _blockwise(z, block)
     return z
@@ -532,13 +571,27 @@ def masked_softmax_rows(logits: Tensor, mask: np.ndarray) -> Tensor:
 LN_EPS = 1e-6
 
 
+def _attention_grad_into(g, s, scale, q, k, gq, gkT, gz) -> None:
+    """One block of attention weights ``s`` = softmax(q k^T * scale): from
+    their gradient ``g``, the logits' gradient in ``gz``, then q's in ``gq``
+    and k's, as [..., d, Lk], in ``gkT`` (either may be None)."""
+    _softmax_grad_into(g, s, gz)
+    np.multiply(gz, scale, out=gz)
+    if gq is not None:
+        np.matmul(gz, k, out=gq)
+    if gkT is not None:
+        np.matmul(np.swapaxes(q, -1, -2), gz, out=gkT)
+
+
 def attention_scores(q: Tensor, k: Tensor, mask: np.ndarray) -> Tensor:
     """Scaled dot-product attention weights softmax(q k^T / sqrt(d)) over
     the ``mask`` entries of each row: [..., Lq, d], [..., Lk, d] ->
     [..., Lq, Lk].
 
     Replaces matmul(q, transpose(k)), the scaling mul and
-    masked_softmax_rows; keeps q, k and the weights.
+    masked_softmax_rows; keeps q, k and the weights. With ``sym_kl_rows``
+    and the model's ``prior_softmax`` it is the chain ``dual_attention``
+    is checked against.
     """
     if q.data.shape[-1] != k.data.shape[-1]:
         raise ShapeError(f"query and key widths disagree: {q.data.shape} "
@@ -559,12 +612,9 @@ def attention_scores(q: Tensor, k: Tensor, mask: np.ndarray) -> Tensor:
         ks = np.broadcast_to(k.data, s.shape[:-2] + k.data.shape[-2:])
 
         def block(sl, gz):
-            _softmax_grad_into(g[sl], s[sl], gz)
-            np.multiply(gz, scale, out=gz)
-            if gq is not None:
-                np.matmul(gz, ks[sl], out=gq[sl])
-            if gkT is not None:
-                np.matmul(np.swapaxes(qs[sl], -1, -2), gz, out=gkT[sl])
+            _attention_grad_into(g[sl], s[sl], scale, qs[sl], ks[sl],
+                                 None if gq is None else gq[sl],
+                                 None if gkT is None else gkT[sl], gz)
 
         _blockwise(s, block, lambda sl: [np.empty(s[sl].shape)])
         return gq, None if gkT is None else np.swapaxes(gkT, -1, -2)
@@ -628,6 +678,62 @@ def mean_square(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g * inv_n * 2.0 * a.data,))
 
 
+def _kl_rows_into(a, b, kl, pc, qc, d, log_q) -> list:
+    """One block's symmetric KL(a || b) + KL(b || a) per row, in ``kl``;
+    returns the worst |row sum - 1| of a and of b. ``pc`` and ``qc`` take
+    the floored a and b and may be a and b themselves; d and log_q are
+    scratch."""
+    worst = [np.abs(t.sum(axis=-1) - 1.0).max() for t in (a, b)]
+    np.clip(a, EPS_PROB, None, out=pc)
+    np.clip(b, EPS_PROB, None, out=qc)
+    np.log(pc, out=d)  # the log-ratio
+    np.subtract(d, np.log(qc, out=log_q), out=d)
+    # KL(b||a) sums qc * (log qc - log pc) = -(qc * d) exactly
+    np.subtract(np.multiply(pc, d, out=pc).sum(axis=-1),
+                np.multiply(qc, d, out=qc).sum(axis=-1), out=kl)
+    return worst
+
+
+def _check_normalized(worst: list, names) -> None:
+    """Raise NormalizationError naming the first input whose worst row,
+    over every block's (``worst`` holds one pair per block), is further
+    than NORM_TOL from summing to 1."""
+    for name, w in zip(names, zip(*worst)):
+        w = np.max(w)
+        if w > NORM_TOL:
+            raise NormalizationError(
+                f"{name} rows not normalized: max |sum-1| = {w:.3e}"
+            )
+
+
+def _kl_grad_into(g, a, b, out, inside, pc, d) -> np.ndarray:
+    """One block's gradient of the symmetric row KL into ``a`` from the KL
+    rows' gradient ``g``, in ``out``, which is returned; a and b are only
+    read, and inside (bool), pc and d are scratch.
+
+    ((-(G*qc)) / pc) * inside + (G*d + (G*pc) / pc) * inside: KL(b||a)'s
+    chain runs first, then KL(a||b)'s, whose pc gets G*d from the product
+    before (G*pc)/pc from the log.
+    """
+    G = g[..., None]
+    np.greater_equal(a, EPS_PROB, out=inside)
+    np.clip(a, EPS_PROB, None, out=pc)
+    np.log(pc, out=d)  # the forward's log-ratio, as it took it
+    np.log(np.clip(b, EPS_PROB, None, out=out), out=out)
+    np.subtract(d, out, out=d)
+    np.multiply(G, d, out=d)
+    fwd = np.multiply(G, pc, out=out)
+    np.divide(fwd, pc, out=fwd)
+    np.add(d, fwd, out=d)
+    np.multiply(d, inside, out=d)
+    rev = np.clip(b, EPS_PROB, None, out=out)
+    np.multiply(G, rev, out=rev)
+    np.negative(rev, out=rev)
+    np.divide(rev, pc, out=rev)
+    np.multiply(rev, inside, out=rev)
+    return np.add(rev, d, out=rev)
+
+
 def sym_kl_rows(a: Tensor, b: Tensor) -> Tensor:
     """Per-row symmetric KL(a_i || b_i) + KL(b_i || a_i) over the last axis.
 
@@ -648,55 +754,21 @@ def sym_kl_rows(a: Tensor, b: Tensor) -> Tensor:
                          f"{a.data.shape} and {b.data.shape}")
     kl = np.empty(a.data.shape[:-1])
 
-    def block(sl, pc, qc, d, log_q):
-        ab, bb = a.data[sl], b.data[sl]
-        worst = [np.abs(t.sum(axis=-1) - 1.0).max() for t in (ab, bb)]
-        np.clip(ab, EPS_PROB, None, out=pc)
-        np.clip(bb, EPS_PROB, None, out=qc)
-        np.log(pc, out=d)  # the log-ratio
-        np.subtract(d, np.log(qc, out=log_q), out=d)
-        # KL(b||a) sums qc * (log qc - log pc) = -(qc * d) exactly
-        np.subtract(np.multiply(pc, d, out=pc).sum(axis=-1),
-                    np.multiply(qc, d, out=qc).sum(axis=-1), out=kl[sl])
-        return worst
+    def block(sl, *bufs):
+        return _kl_rows_into(a.data[sl], b.data[sl], kl[sl], *bufs)
 
     # per block, the worst row of a and of b
-    worst = _blockwise(a.data, block, lambda sl: [
-        np.empty(a.data[sl].shape) for _ in range(4)])
-    for name, w in zip("ab", zip(*worst)):
-        w = np.max(w)
-        if w > NORM_TOL:
-            raise NormalizationError(
-                f"{name} rows not normalized: max |sum-1| = {w:.3e}"
-            )
+    _check_normalized(_blockwise(a.data, block, lambda sl: [
+        np.empty(a.data[sl].shape) for _ in range(4)]), "ab")
     out = Tensor(kl)
 
     def backward(g):
-        # ((-(G*qc)) / pc) * inside + (G*d + (G*pc) / pc) * inside: KL(b||a)'s
-        # chain runs first, then KL(a||b)'s, whose pc gets G*d from the
-        # product before (G*pc)/pc from the log. Each block works in pc, d
-        # and its share of the result, which is scratch until it is set.
+        # each block works in its share of the result, which is scratch
+        # until it is set
         ga = np.empty(a.data.shape)
 
-        def block(sl, inside, pc, d):
-            G = g[sl][..., None]
-            ab, bb, gb = a.data[sl], b.data[sl], ga[sl]
-            np.greater_equal(ab, EPS_PROB, out=inside)
-            np.clip(ab, EPS_PROB, None, out=pc)
-            np.log(pc, out=d)  # the forward's log-ratio, as it took it
-            np.log(np.clip(bb, EPS_PROB, None, out=gb), out=gb)
-            np.subtract(d, gb, out=d)
-            np.multiply(G, d, out=d)
-            fwd = np.multiply(G, pc, out=gb)
-            np.divide(fwd, pc, out=fwd)
-            np.add(d, fwd, out=d)
-            np.multiply(d, inside, out=d)
-            rev = np.clip(bb, EPS_PROB, None, out=gb)
-            np.multiply(G, rev, out=rev)
-            np.negative(rev, out=rev)
-            np.divide(rev, pc, out=rev)
-            np.multiply(rev, inside, out=rev)
-            np.add(rev, d, out=rev)
+        def block(sl, *bufs):
+            _kl_grad_into(g[sl], a.data[sl], b.data[sl], ga[sl], *bufs)
 
         _blockwise(ga, block, lambda sl: [
             np.empty(ga[sl].shape, bool), np.empty(ga[sl].shape),
@@ -704,6 +776,270 @@ def sym_kl_rows(a: Tensor, b: Tensor) -> Tensor:
         return (ga,)
 
     return _record(out, (a,), backward)
+
+
+def _broadcast_heads(z: np.ndarray, heads: int) -> np.ndarray:
+    """Prior logits z [..., h, L, L] over ``heads`` heads: z itself, or its
+    one head broadcast by adding zeros, which also turns a -0.0 into +0.0,
+    as the chain's broadcast add did."""
+    return z if z.shape[-3] == heads else z + np.zeros((heads, 1, 1))
+
+
+def _prior_logits(prior, heads: int) -> np.ndarray:
+    """The whole logits of a logits prior (see ``dual_attention``) over
+    ``heads`` heads, made block by block on the executor. A block holding a
+    non-finite logit raises NumericError once written."""
+    z = np.empty(prior.shape)
+
+    def block(sl, finite, *bufs):
+        prior.logits_into(sl, z[sl], *bufs)
+        if not np.isfinite(z[sl], out=finite).all():
+            raise NumericError("non-finite prior kernel logits")
+
+    _blockwise(z, block, lambda sl: [np.empty(z[sl].shape, bool),
+                                     *prior.scratch(sl)])
+    return _broadcast_heads(z, heads)
+
+
+def _prior_logits_grad(zb, c, sm, prior_heads: int) -> np.ndarray:
+    """One block's gradient of the prior logits ``zb`` (broadcast over the
+    series heads) from the score's scale ``c`` and the softmax's part
+    ``sm``, either of which may be None: c * zb, then + sm, as the tape
+    added them, summed over the series heads after that add when one prior
+    head was broadcast over them. Works in zb's memory."""
+    G = None if c is None else np.multiply(c, zb, out=zb)
+    if sm is not None:
+        G = sm if G is None else np.add(G, sm, out=G)
+    return G if zb.shape[-3] == prior_heads \
+        else G.sum(axis=-3, keepdims=True)
+
+
+@dataclass
+class DualAttention:
+    """One layer's ``dual_attention``. Its two KL tensors hold the same
+    values: the gradient of ``kl_series`` reaches the series attention S
+    only, as sym_kl_rows(S, stop_gradient(P)) sends it, and that of
+    ``kl_prior`` the prior attention P only. ``maps()`` recomputes S and P
+    whole, off the tape, for inspection."""
+
+    context: Tensor    # S @ v, [..., H, L, dv]
+    kl_series: Tensor  # symmetric KL per row, [..., H, L]
+    kl_prior: Tensor   # the same rows
+    score: Tensor      # mean square of the prior logits, a scalar
+    maps: object       # () -> (S, P), both [..., H, L, L] arrays
+
+
+def dual_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
+                   prior) -> DualAttention:
+    """One layer's series attention S = softmax(q k^T / sqrt(d)) and prior
+    attention P, over the ``mask`` [L, L] entries of each row, met in their
+    per-row symmetric KL: one tape op over q, k, v [..., H, L, d] (one
+    window or a batch) and the prior's inputs, which keeps no array as
+    large as S.
+
+    ``prior`` is either a constant attention, an array that broadcasts to
+    S's shape (its score is 0 and no input reaches it), or a logits prior,
+    an object with
+    - ``inputs``, the tensors its logits depend on;
+    - ``heads``, its number of heads: H, or 1 broadcast over the H series
+      heads;
+    - ``shape``, [n, heads, L, L] for n windows (one window is a batch of
+      one);
+    - ``scratch(sl)`` and ``logits_into(sl, out, *scratch)``, which writes
+      the logits of the windows in block ``sl`` in ``out`` and returns it;
+    - ``backward(blocks, logits_grad)``, the inputs' gradients, from
+      ``logits_grad(sl, z)``: the logits' gradient of each of ``blocks`` in
+      turn, given its logits z, which it may overwrite.
+    P is the row softmax of the logits broadcast over the series heads, and
+    the score is the mean square of those broadcast logits.
+
+    Replaces the chain attention_scores, matmul(S, v), the model's
+    prior_softmax and sym_kl_rows on either side, evaluating their
+    expressions in their order, so its values and gradients are bitwise
+    theirs: S's gradient is the KL's plus the product's, as the tape added
+    them, and the KL is computed once (KL(S||P) and KL(P||S) are the same
+    bits).
+
+    Forward and backward make S and P a block of windows at a time on the
+    executor, and the backward recomputes them. Each forward block writes
+    its logits into one whole array for the score, whose whole-array sum a
+    blocked sum would round differently; it is freed once the score is
+    taken. The prior side of the backward is one loop on the calling
+    thread, in ``prior.backward``, so that its sums over the batch go in
+    row order; it recomputes S too when P's KL has a gradient. A block
+    holding a non-finite prior logit raises NumericError once written.
+    """
+    if q.data.shape[-1] != k.data.shape[-1]:
+        raise ShapeError(f"query and key widths disagree: {q.data.shape} "
+                         f"vs {k.data.shape}")
+    if not (q.ndim in (3, 4) and q.shape[:-1] == k.shape[:-1]
+            == v.shape[:-1]):
+        raise ShapeError(f"dual_attention takes q, k and v [..., H, L, d] "
+                         f"over one window or a batch, got {q.shape}, "
+                         f"{k.shape} and {v.shape}")
+    lead, (H, L, dk), dv = q.shape[:-3], q.shape[-3:], v.shape[-1]
+    qd, kd, vd = (t.data.reshape((-1,) + t.shape[-3:]) for t in (q, k, v))
+    n = len(qd)
+    shape = (n, H, L, L)
+    masked = _inverse_mask(mask)
+    scale = 1.0 / np.sqrt(dk)
+    const = isinstance(prior, np.ndarray)
+    P0 = np.broadcast_to(prior, lead + (H, L, L)).reshape(shape) \
+        if const else None
+    pin = () if const else tuple(prior.inputs)
+    if not const and prior.shape[0] != n:
+        raise ShapeError(f"the prior covers {prior.shape[0]} windows, "
+                         f"q {n}")
+    # A block here holds about six [H, L, L] arrays at once where a single
+    # op's holds three, so the op's blocks get half the executor's budget:
+    # the stand-in has S's windows at twice S's bytes each.
+    stand = np.broadcast_to(0.0, (n, 2 * H, L, L))
+    blocks = _blocks(stand)
+
+    def arrays(sl, count, dtype=np.float64):
+        return [np.empty((sl.stop - sl.start, H, L, L), dtype)
+                for _ in range(count)]
+
+    def scores_into(sl, s):
+        np.matmul(qd[sl], np.swapaxes(kd[sl], -1, -2), out=s)
+        return _softmax_block_(np.multiply(s, scale, out=s), masked)
+
+    def probs_scratch(sl):
+        if const:
+            return []
+        own = [] if prior.heads == H else \
+            [np.empty((sl.stop - sl.start, prior.heads, L, L))]
+        return prior.scratch(sl) + own
+
+    def logits_into(sl, out, *bufs):
+        """The prior's logits of block ``sl`` over the series heads, in
+        ``out``; bufs are ``probs_scratch``'s."""
+        if prior.heads == H:
+            return prior.logits_into(sl, out, *bufs)
+        return np.add(prior.logits_into(sl, bufs[-1], *bufs[:-1]),
+                      np.zeros((H, 1, 1)), out=out)
+
+    def probs_into(sl, p, *bufs):
+        """P of block ``sl``, recomputed in p."""
+        if const:
+            np.copyto(p, P0[sl])
+            return p
+        return _softmax_block_(logits_into(sl, p, *bufs), masked)
+
+    ctx = np.empty((n, H, L, dv))
+    kl = np.empty((n, H, L))
+    # the whole logits over the series heads, for the score's sum only
+    z = None if const else np.empty(shape)
+
+    def forward_block(sl, s, p, d, log_q, finite, *bufs):
+        scores_into(sl, s)
+        np.matmul(s, vd[sl], out=ctx[sl])
+        if const:
+            np.copyto(p, P0[sl])
+        else:
+            logits_into(sl, p, *bufs)
+            if not np.isfinite(p, out=finite).all():
+                raise NumericError("non-finite prior kernel logits")
+            np.copyto(z[sl], p)
+            _softmax_block_(p, masked)
+        # the KL floors S and P in their own blocks: neither is read again
+        return _kl_rows_into(s, p, kl[sl], s, p, d, log_q)
+
+    _check_normalized(_blockwise(stand, forward_block, lambda sl: (
+        arrays(sl, 4) + arrays(sl, 1, bool) + probs_scratch(sl))),
+        ("series attention", "prior attention"))
+    if const:
+        score, inv_n = Tensor(0.0), None
+    else:
+        # the sum mean_square took over the chain's whole logits
+        inv_n = 1.0 / float(z.size)
+        score = Tensor(np.multiply(z, z, out=z).sum() * inv_n)
+    z = None  # the logits are freed here
+    context = Tensor(ctx.reshape(lead + (H, L, dv)))
+    kl_series = Tensor(kl.reshape(lead + (H, L)))
+    kl_prior = Tensor(kl_series.data)
+
+    def backward(grads):
+        g_ctx, g_kls, g_klp, g_score = grads
+        g_ctx = None if g_ctx is None else g_ctx.reshape(ctx.shape)
+        g_kls = None if g_kls is None else g_kls.reshape(kl.shape)
+        g_klp = None if g_klp is None else g_klp.reshape(kl.shape)
+        reached = g_ctx is not None or g_kls is not None
+        gq = np.empty(qd.shape) if q.requires_grad and reached else None
+        # built as [..., d, L] and handed on transposed, as the matmul left it
+        gkT = np.empty((n, H, dk, L)) if k.requires_grad and reached \
+            else None
+        gv = np.empty(vd.shape) if v.requires_grad and g_ctx is not None \
+            else None
+        need_qk = gq is not None or gkT is not None
+
+        def series_block(sl, s, gs, d, *kl_bufs):
+            scores_into(sl, s)
+            gS = None
+            if kl_bufs:  # S's KL has a gradient, and q or k needs one
+                p, pc, inside, *pbufs = kl_bufs
+                gS = _kl_grad_into(g_kls[sl], s, probs_into(sl, p, *pbufs),
+                                   gs, inside, pc, d)
+            if g_ctx is not None:
+                gc = g_ctx[sl]
+                if gv is not None:
+                    np.matmul(np.swapaxes(s, -1, -2), gc, out=gv[sl])
+                if need_qk:
+                    # the product's gradient, added to the KL's as the tape
+                    # added S's two
+                    gm = np.matmul(gc, np.swapaxes(vd[sl], -1, -2),
+                                   out=gs if gS is None else d)
+                    gS = gm if gS is None else np.add(gS, gm, out=gS)
+            if need_qk:
+                _attention_grad_into(
+                    gS, s, scale, qd[sl], kd[sl],
+                    None if gq is None else gq[sl],
+                    None if gkT is None else gkT[sl], d)
+
+        def series_scratch(sl):
+            if g_kls is None or not need_qk:
+                return arrays(sl, 3)
+            return arrays(sl, 5) + arrays(sl, 1, bool) + probs_scratch(sl)
+
+        if need_qk or gv is not None:
+            _blockwise(stand, series_block, series_scratch)
+
+        prior_grads = [None] * len(pin)
+        if any(t.requires_grad for t in pin) and (
+                g_score is not None or g_klp is not None):
+            # mean_square's backward scale, g * inv_n * 2.0 in its order
+            c = None if g_score is None else g_score * inv_n * 2.0
+
+            def logits_grad(sl, z):
+                zb = _broadcast_heads(z, H)
+                sm = None
+                if g_klp is not None:
+                    p, s, gP = arrays(sl, 3)
+                    np.copyto(p, zb)
+                    _kl_grad_into(g_klp[sl], _softmax_block_(p, masked),
+                                  scores_into(sl, s), gP,
+                                  *arrays(sl, 1, bool), *arrays(sl, 2))
+                    sm = _softmax_grad_into(gP, p, s)
+                    p = gP = None
+                return _prior_logits_grad(zb, c, sm, prior.heads)
+
+            prior_grads = prior.backward(blocks, logits_grad)
+        return (None if gq is None else gq.reshape(q.shape),
+                None if gkT is None
+                else np.swapaxes(gkT, -1, -2).reshape(k.shape),
+                None if gv is None else gv.reshape(v.shape), *prior_grads)
+
+    def maps():
+        S = np.empty(shape)
+        for sl in blocks:
+            scores_into(sl, S[sl])
+        P = P0 if const else _softmax_rows_(_prior_logits(prior, H), mask)
+        return (S.reshape(lead + (H, L, L)), P.reshape(lead + (H, L, L)))
+
+    _record_outputs([(context, (q, k, v)), (kl_series, (q, k)),
+                     (kl_prior, pin), (score, pin)], (q, k, v, *pin),
+                    backward)
+    return DualAttention(context, kl_series, kl_prior, score, maps)
 
 
 # ---------------------------------------------------------------------------

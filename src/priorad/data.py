@@ -51,29 +51,38 @@ def read_table(path):
 
     A first non-blank line that does not parse as numbers is the header,
     returned as a list of names (None when there is none). Rows in error
-    messages count data rows from 0, header and blank lines excluded.
+    messages count data rows from 0, header and blank lines excluded. A
+    file that is not UTF-8 text is a ParseError naming it.
     """
     header, rows = None, []
     # utf-8-sig drops a byte-order mark, which would otherwise turn the
     # first row into a header
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            vals = []
-            for c, cell in enumerate(row):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    if header is None and not rows:
-                        header = row
-                        break
-                    raise ParseError(
-                        f"{path}: non-numeric cell at row {len(rows)}, "
-                        f"column {c}: {cell!r}"
-                    ) from None
-            else:
-                rows.append(vals)
+        try:
+            for row in csv.reader(fh):
+                if not row:
+                    continue
+                vals = []
+                for c, cell in enumerate(row):
+                    try:
+                        vals.append(float(cell))
+                    except ValueError:
+                        if header is None and not rows:
+                            header = row
+                            break
+                        raise ParseError(
+                            f"{path}: non-numeric cell at row {len(rows)}, "
+                            f"column {c}: {cell!r}"
+                        ) from None
+                else:
+                    rows.append(vals)
+        except UnicodeDecodeError as exc:
+            # the text is decoded a chunk at a time: exc.start counts
+            # from the chunk, so only the byte is named
+            raise ParseError(
+                f"{path}: not UTF-8 text: {exc.reason} "
+                f"(byte 0x{exc.object[exc.start]:02x})"
+            ) from None
     if not rows:
         raise ParseError(f"{path}: no data rows")
     width = len(rows[0])

@@ -101,7 +101,8 @@ class PriorFields:
 
 @dataclass
 class AttentionStack:
-    """Row-stochastic attentions per layer: lists of [..., H, L, L] tensors."""
+    """Row-stochastic attentions per layer: lists of [..., H, L, L] tensors,
+    from ``PiModel.attention_maps``."""
 
     series: list = field(default_factory=list)
     prior: list = field(default_factory=list)
@@ -110,9 +111,13 @@ class AttentionStack:
 @dataclass
 class ReconOutput:
     recon: Tensor              # [..., L, C]
-    attn: AttentionStack
+    attention: list            # ad.DualAttention per layer
     fields: list               # PriorFields per layer
-    prior_scores: list         # per layer, mean(logits²) of the prior: a scalar
+
+    @property
+    def prior_scores(self) -> list:
+        """Per layer, mean(logits²) of the prior: a scalar."""
+        return [a.score for a in self.attention]
 
 
 def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
@@ -239,18 +244,20 @@ class PiModel:
         x = ad.transpose(x, _swap_axes(x.ndim, -3, -2))
         return ad.reshape(x, x.shape[:-2] + (self.cfg.model_dim,))
 
-    def series_attention(self, features: Tensor, layer: int):
-        """Causal multi-head scaled dot-product attention.
+    def series_attention(self, features: Tensor, layer: int, prior):
+        """Causal multi-head scaled dot-product attention, met with the
+        ``prior`` in ``ad.dual_attention``.
 
-        Returns (S, context) where S is [..., H, L, L] row-stochastic.
+        Returns the layer's DualAttention, whose context heads are merged
+        and projected here into the second value, [..., L, D].
         """
         p = f"layer{layer}."
         q = self._split_heads(ad.matmul(features, self.params[p + "Wq"]))
         k = self._split_heads(ad.matmul(features, self.params[p + "Wk"]))
         v = self._split_heads(ad.matmul(features, self.params[p + "Wv"]))
-        S = ad.attention_scores(q, k, self.mask)
-        ctx = self._merge_heads(ad.matmul(S, v))
-        return S, ad.linear(ctx, self.params[p + "Wo"], self.params[p + "bo"])
+        att = ad.dual_attention(q, k, v, self.mask, prior)
+        return att, ad.linear(self._merge_heads(att.context),
+                              self.params[p + "Wo"], self.params[p + "bo"])
 
     def prior_fields(self, features: Tensor, layer: int) -> PriorFields:
         """Predict per-position H/tau and expose per-head kernel parameters.
@@ -273,26 +280,15 @@ class PiModel:
         return PriorFields(hurst, stiffness, mix, period, gain)
 
     def prior_attention(self, fields: PriorFields):
-        """Row-stochastic causal prior attention P [..., H, L, L] and the
-        mean square of its logits, a scalar.
-
-        Per head h and lag delta = i - j >= 0 the logit mixes
-        fractal   -(2 - 2 H_i) ln(1 + delta),
-        gaussian  -delta^2 / (2 tau_i^2),
-        phase     kappa_h cos(2 pi delta / p_h)
-        with convex weights, then a causal row softmax; ``prior_softmax``
-        computes both outputs. In ``single_head`` mode the one prior head is
-        broadcast over the H series heads.
-
-        In ``no_phase`` mode P is uniform over j <= i, broadcast from one
-        [L, L] array, and neither output depends on a parameter.
+        """The prior that ``ad.dual_attention`` meets the series attention
+        with: the kernel mixture of ``fields`` (``KernelPrior``), with one
+        prior head per series head, or in ``single_head`` mode one head
+        broadcast over them. In ``no_phase`` mode it is the uniform causal
+        attention over j <= i, one [L, L] array that no parameter reaches.
         """
-        L, H = self.cfg.window_length, self.cfg.num_heads
         if self.cfg.prior_mode == "no_phase":
-            uniform = self.mask / self.mask.sum(axis=-1, keepdims=True)
-            shape = fields.hurst.shape[:-1] + (H, L, L)
-            return Tensor(np.broadcast_to(uniform, shape)), Tensor(0.0)
-        return prior_softmax(fields, self.lags, self.mask, H)
+            return self.mask / self.mask.sum(axis=-1, keepdims=True)
+        return KernelPrior(fields, self.lags)
 
     # full forward -----------------------------------------------------------
 
@@ -301,15 +297,16 @@ class PiModel:
         [..., L, C]: one window [L, C] or a batch [B, L, C]."""
         cfg = self.cfg
         x = self.embed_window(window)
-        stack = AttentionStack()
+        attention = []
         all_fields = []
-        all_scores = []
         for l in range(cfg.num_layers):
             p = f"layer{l}."
             normed = ad.layer_norm(
                 x, self.params[p + "ln1.g"], self.params[p + "ln1.b"]
             )
-            S, ctx = self.series_attention(normed, l)
+            fields = self.prior_fields(normed, l)
+            att, ctx = self.series_attention(normed, l,
+                                             self.prior_attention(fields))
             x = x + ctx
             normed2 = ad.layer_norm(
                 x, self.params[p + "ln2.g"], self.params[p + "ln2.b"]
@@ -318,144 +315,126 @@ class PiModel:
                                        self.params[p + "ff.b1"]))
             x = x + ad.linear(hidden, self.params[p + "ff.W2"],
                               self.params[p + "ff.b2"])
-
-            fields = self.prior_fields(normed, l)
-            P, score = self.prior_attention(fields)
-            stack.series.append(S)
-            stack.prior.append(P)
+            attention.append(att)
             all_fields.append(fields)
-            all_scores.append(score)
 
         recon = ad.linear(x, self.params["head.W"], self.params["head.b"])
-        return ReconOutput(recon, stack, all_fields, all_scores)
+        return ReconOutput(recon, attention, all_fields)
+
+    def attention_maps(self, window: Tensor) -> AttentionStack:
+        """The series and prior attention S and P [..., H, L, L] of every
+        layer for ``window``, recomputed whole off the tape, for inspection:
+        training and scoring never make them whole."""
+        stack = AttentionStack()
+        for att in self.forward(window).attention:
+            S, P = att.maps()
+            stack.series.append(Tensor(S))
+            stack.prior.append(Tensor(P))
+        return stack
 
 
-def prior_softmax(fields: PriorFields, lags: np.ndarray, mask: np.ndarray,
-                  heads: int):
-    """The prior attention P [..., heads, L, L], the causal row softmax of
-    the prior kernel mixture logits, and the score mean(logits²).
+class KernelPrior:
+    """The prior attention's logits for one layer's fields, a block of
+    windows at a time: the logits prior ``ad.dual_attention`` takes, and
+    that ``prior_softmax`` softmaxes whole.
 
-    The per-position kernels are built as [..., 1, L, L] and broadcast
-    against the per-head parameters shaped [n_ph, 1, 1]; with one prior
-    head (single_head) the logits are then broadcast over the ``heads``
-    series heads, and the mean runs over the broadcast logits.
+    Per head h and lag delta = i - j >= 0 the logit mixes
+    fractal   -(2 - 2 H_i) ln(1 + delta),
+    gaussian  -delta^2 / (2 tau_i^2),
+    phase     kappa_h cos(2 pi delta / p_h)
+    with convex weights. The per-position kernels are built as [n, 1, L, L]
+    and broadcast against the per-head parameters shaped [heads, 1, 1]; a
+    single window is a batch of one.
 
     Replaces the prior kernel chain (25 primitive nodes: reshape, mul, sub,
-    neg, square, div, cos, getitem, add), the single_head broadcast
-    ``add``, ``masked_softmax_rows`` and ``mean_square``. The logits are
-    never kept: P is computed in their memory, and the backward recomputes
-    them, with the kernels, from ``lags``. It evaluates the chain's
-    backward expressions in reverse tape order, reducing through
-    ``_unbroadcast`` at the same points, so its gradients are bitwise
-    equal to the chain's. The score is the whole-array sum the chain's
-    ``mean_square`` took; a blocked sum would round differently.
-
-    P and the score are two tape nodes over the fields, recorded score
-    first, that share one backward. P's node runs it with both gradients:
-    the score's is final by then, because every consumer of the score is
-    recorded after both nodes, and P's node clears it. When P gets no
-    gradient (it is reached only through ``stop_gradient``), the tape
-    skips P's node and the score's node runs the backward alone.
-
-    Both directions work through the batch in blocks; a single window is
-    a batch of one. The forward runs on the block executor
-    (``ad._blockwise``). The backward is one loop on the calling thread
-    that makes its own block arrays: the chain's sums over the batch are
-    carried from block to block in numpy's row order (``ad._add_rows``).
-    A block holding a non-finite logit raises NumericError once written.
+    neg, square, div, cos, getitem, add). The logits are never kept: the
+    backward recomputes them, with the kernels, from ``lags``. It evaluates
+    the chain's backward expressions in reverse tape order, reducing
+    through ``_unbroadcast`` at the same points, so its gradients are
+    bitwise equal to the chain's.
     """
-    hurst, tau, mix = fields.hurst, fields.stiffness, fields.mix_weights
-    period, gain = fields.phase_period, fields.phase_gain
-    L = lags.shape[-1]
-    lead = hurst.shape[:-1] or (1,)
-    row = lead + (1, L, 1)  # a per-position field indexes the row
-    head = (period.shape[0], 1, 1)
-    # single_head: the chain's broadcast add, which also turns -0.0 to +0.0
-    broadcast = np.zeros((heads, 1, 1)) if head[0] != heads else None
-    h_row, tau_row = hurst.data.reshape(row), tau.data.reshape(row)
-    period_h, gain_h = period.data.reshape(head), gain.data.reshape(head)
-    m0, m1, m2 = (mix.data[:, c].reshape(head) for c in range(3))
-    log_lag, neg_sq = np.log1p(lags), -(lags * lags)
-    turns = lags * (2.0 * np.pi)
 
-    def head_kernels():
-        angle = turns / period_h
+    def __init__(self, fields: PriorFields, lags: np.ndarray):
+        hurst, tau, mix = fields.hurst, fields.stiffness, fields.mix_weights
+        period, gain = fields.phase_period, fields.phase_gain
+        self.inputs = (hurst, tau, mix, period, gain)  # PriorFields' order
+        self.heads = period.shape[0]
+        L = lags.shape[-1]
+        lead = hurst.shape[:-1] or (1,)
+        self.shape = lead + (self.heads, L, L)
+        self._row = lead + (1, L, 1)  # a per-position field indexes the row
+        self._head = (self.heads, 1, 1)
+        self._h_row = hurst.data.reshape(self._row)
+        self._tau_row = tau.data.reshape(self._row)
+        self._period = period.data.reshape(self._head)
+        self._gain = gain.data.reshape(self._head)
+        self._m = [mix.data[:, c].reshape(self._head) for c in range(3)]
+        self._log_lag, self._neg_sq = np.log1p(lags), -(lags * lags)
+        self._turns = lags * (2.0 * np.pi)
+        self._mixed_phase = self._m[2] * self._head_kernels()[0]
+
+    def _head_kernels(self):
+        angle = self._turns / self._period
         wave = np.cos(angle)
-        return gain_h * wave, angle, wave
+        return self._gain * wave, angle, wave
 
-    def kernels(sl, fractal, gaussian):
+    def _kernels(self, sl, fractal, gaussian):
         """The per-position kernels of the windows in block ``sl``, written
         in ``fractal`` and ``gaussian``; returns 2 tau² per row."""
-        tau_sq2 = 2.0 * (tau_row[sl] * tau_row[sl])
-        np.multiply(-(2.0 - 2.0 * h_row[sl]), log_lag, out=fractal)
-        np.divide(neg_sq, tau_sq2, out=gaussian)
+        tau_sq2 = 2.0 * (self._tau_row[sl] * self._tau_row[sl])
+        np.multiply(-(2.0 - 2.0 * self._h_row[sl]), self._log_lag,
+                    out=fractal)
+        np.divide(self._neg_sq, tau_sq2, out=gaussian)
         return tau_sq2
 
-    def mixture(fractal, gaussian, mixed_phase, out, product):
-        """The logits m0 * fractal + m1 * gaussian + mixed_phase, in out."""
-        np.multiply(m0, fractal, out=out)
-        np.add(out, np.multiply(m1, gaussian, out=product), out=out)
-        return np.add(out, mixed_phase, out=out)
-
-    def block_arrays(sl, heads, dtype=np.float64):
-        """Arrays for block ``sl``: one [n, h, L, L] array per entry h of
-        ``heads`` for its n windows."""
-        return [np.empty(h_row[sl].shape[:-3] + (h, L, L), dtype)
+    def _arrays(self, sl, heads):
+        """One [n, h, L, L] array for the n windows of block ``sl`` per
+        entry h of ``heads``."""
+        return [np.empty(self._h_row[sl].shape[:-3] + (h,) + self.shape[-2:])
                 for h in heads]
 
-    n_ph = period.shape[0]
-    mixed_phase = m2 * head_kernels()[0]
-    logits = np.empty(lead + mixed_phase.shape)
+    def scratch(self, sl) -> list:
+        """The fractal and Gaussian kernels and a product, for block sl."""
+        return self._arrays(sl, (1, 1, self.heads))
 
-    def forward_block(sl, fractal, gaussian, product, finite):
-        kernels(sl, fractal, gaussian)
-        mixture(fractal, gaussian, mixed_phase, logits[sl], product)
-        if not np.isfinite(logits[sl], out=finite).all():
-            raise ad.NumericError("non-finite prior kernel logits")
+    def logits_into(self, sl, out, fractal, gaussian, product):
+        """m0 * fractal + m1 * gaussian + mixed_phase for block ``sl``, in
+        ``out``, which is returned."""
+        self._kernels(sl, fractal, gaussian)
+        m0, m1, _ = self._m
+        np.multiply(m0, fractal, out=out)
+        np.add(out, np.multiply(m1, gaussian, out=product), out=out)
+        return np.add(out, self._mixed_phase, out=out)
 
-    ad._blockwise(logits, forward_block, lambda sl: (
-        block_arrays(sl, (1, 1, n_ph)) + block_arrays(sl, (n_ph,), bool)))
-    if broadcast is not None:
-        logits = logits + broadcast
-    inv_n = 1.0 / float(logits.size)
-    score = Tensor((logits * logits).sum() * inv_n)
-    P = ad._softmax_rows_(logits, mask)  # P owns the logits' memory
-    out = Tensor(P.reshape(hurst.shape[:-1] + P.shape[1:]))
+    def backward(self, blocks, logits_grad):
+        """The fields' gradients, from ``logits_grad(sl, z)``: the logits'
+        gradient of block ``sl`` given its logits ``z``.
 
-    def backward(gP, g_score):
-        """The fields' gradients from P's and the score's; either can be
-        None. Per block, the logits' gradient is the score's then the
-        softmax's, as the tape added them; single_head sums the heads
-        after that add."""
+        One loop over ``blocks`` on the calling thread that makes its own
+        block arrays: the chain's sums over the batch are carried from
+        block to block in numpy's row order (``ad._add_rows``).
+        """
+        hurst, tau, mix, period, gain = self.inputs
         unb = ad._unbroadcast
-        mixed_phase = m2 * head_kernels()[0]
-        # mean_square's backward scale, g * inv_n * 2.0 in its order
-        c = None if g_score is None else g_score * inv_n * 2.0
-        gP = None if gP is None else gP.reshape(P.shape)
+        m0, m1, m2 = self._m
+        shape = self._mixed_phase.shape
         # G and, for the mixture, G times each kernel summed over the batch
-        g_sum = np.zeros(mixed_phase.shape)
-        fr_sum = np.zeros(mixed_phase.shape) if mix.requires_grad else None
-        ga_sum = np.zeros(mixed_phase.shape) if mix.requires_grad else None
+        g_sum = np.zeros(shape)
+        fr_sum = np.zeros(shape) if mix.requires_grad else None
+        ga_sum = np.zeros(shape) if mix.requires_grad else None
         g_tau = np.empty(tau.shape) if tau.requires_grad else None
         g_hurst = np.empty(hurst.shape) if hurst.requires_grad else None
+        log_lag, neg_sq = self._log_lag, self._neg_sq
+        tau_row = self._tau_row
 
-        for sl in ad._blocks(P):
-            fractal, gaussian = block_arrays(sl, (1, 1))
-            tau_sq2 = kernels(sl, fractal, gaussian)
-            Gb = None
-            if c is not None:
-                Gb = mixture(fractal, gaussian, mixed_phase,
-                             *block_arrays(sl, (n_ph, n_ph)))
-                if broadcast is not None:
-                    Gb = Gb + broadcast
-                np.multiply(c, Gb, out=Gb)
-            if gP is not None:
-                sm = ad._softmax_grad_into(gP[sl], P[sl],
-                                           np.empty(P[sl].shape))
-                Gb = sm if Gb is None else np.add(Gb, sm, out=Gb)
-                sm = None
-            if broadcast is not None:
-                Gb = Gb.sum(axis=-3, keepdims=True)
+        for sl in blocks:
+            fractal, gaussian, product, z = self._arrays(
+                sl, (1, 1, self.heads, self.heads))
+            self.logits_into(sl, z, fractal, gaussian, product)
+            product = None
+            Gb = logits_grad(sl, z)
+            z = None
+            tau_sq2 = 2.0 * (tau_row[sl] * tau_row[sl])
             ad._add_rows(g_sum, Gb)
             if mix.requires_grad:
                 ad._add_rows(fr_sum, Gb * fractal)
@@ -463,17 +442,18 @@ def prior_softmax(fields: PriorFields, lags: np.ndarray, mask: np.ndarray,
             if tau.requires_grad:
                 g = unb(Gb * m1, gaussian.shape)
                 g = unb(-g * neg_sq / (tau_sq2 * tau_sq2), tau_sq2.shape)
-                g_tau.reshape(row)[sl] = g * 2.0 * 2.0 * tau_row[sl]
+                g_tau.reshape(self._row)[sl] = g * 2.0 * 2.0 * tau_row[sl]
             if hurst.requires_grad:
                 # neg, then sub from 2.0: two exact negations
                 g = unb(unb(Gb * m0, fractal.shape) * log_lag, tau_sq2.shape)
-                g_hurst.reshape(row)[sl] = g * 2.0
+                g_hurst.reshape(self._row)[sl] = g * 2.0
             # the block's arrays: freed before the next block's are made
             Gb = fractal = gaussian = None
         # made after the loop, so that they add nothing to its peak
-        phase, angle, wave = head_kernels()
+        phase, angle, wave = self._head_kernels()
         g_phase = unb(g_sum, phase.shape)  # the phase term has no batch
         g_mix = g_period = g_gain = None
+        head = self._head
         if mix.requires_grad:
             # the chain summed one zero-filled getitem scatter per column,
             # which turns a -0.0 into +0.0, as + 0.0 does
@@ -484,22 +464,55 @@ def prior_softmax(fields: PriorFields, lags: np.ndarray, mask: np.ndarray,
         if gain.requires_grad:
             g_gain = unb(g * wave, head).reshape(gain.shape)
         if period.requires_grad:
-            g = -(g * gain_h) * np.sin(angle)
-            g = -g * turns / (period_h * period_h)
+            g = -(g * self._gain) * np.sin(angle)
+            g = -g * self._turns / (self._period * self._period)
             g_period = unb(g, head).reshape(period.shape)
         return g_hurst, g_tau, g_mix, g_period, g_gain
 
-    def score_backward(g):
-        # runs only when P got no gradient, so its node was skipped
-        return backward(None, g)
 
-    def p_backward(g):
-        g_score, score.grad = score.grad, None
-        return backward(g, g_score)
+def prior_softmax(fields: PriorFields, lags: np.ndarray, mask: np.ndarray,
+                  heads: int):
+    """The prior attention P [..., heads, L, L], the causal row softmax of
+    ``KernelPrior``'s logits, and the score mean(logits²), both whole: with
+    ``ad.attention_scores`` and ``ad.sym_kl_rows`` the chain that
+    ``ad.dual_attention`` is checked against. With one prior head
+    (single_head) the logits are broadcast over the ``heads`` series heads,
+    and the mean runs over the broadcast logits.
 
-    inputs = (hurst, tau, mix, period, gain)
-    ad._record(score, inputs, score_backward)
-    return ad._record(out, inputs, p_backward), score
+    Replaces the prior kernel chain, the single_head broadcast ``add``,
+    ``masked_softmax_rows`` and ``mean_square``. P is computed in the
+    logits' memory, and the backward recomputes them block by block
+    (``KernelPrior.backward``). The score is the whole-array sum the
+    chain's ``mean_square`` took; a blocked sum would round differently.
+    A block holding a non-finite logit raises NumericError once written.
+
+    P and the score are two tape nodes over the fields, recorded score
+    first, that share one backward (``ad._record_outputs``).
+    """
+    prior = KernelPrior(fields, lags)
+    logits = ad._prior_logits(prior, heads)
+    inv_n = 1.0 / float(logits.size)
+    score = Tensor((logits * logits).sum() * inv_n)
+    P = ad._softmax_rows_(logits, mask)  # P owns the logits' memory
+    out = Tensor(P.reshape(fields.hurst.shape[:-1] + P.shape[1:]))
+
+    def backward(grads):
+        g_score, gP = grads
+        # mean_square's backward scale, g * inv_n * 2.0 in its order
+        c = None if g_score is None else g_score * inv_n * 2.0
+        gP = None if gP is None else gP.reshape(P.shape)
+
+        def logits_grad(sl, z):
+            sm = None if gP is None else ad._softmax_grad_into(
+                gP[sl], P[sl], np.empty(P[sl].shape))
+            return ad._prior_logits_grad(ad._broadcast_heads(z, heads), c,
+                                         sm, prior.heads)
+
+        return prior.backward(ad._blocks(P), logits_grad)
+
+    ad._record_outputs([(score, prior.inputs), (out, prior.inputs)],
+                       prior.inputs, backward)
+    return out, score
 
 
 def _swap_axes(ndim: int, a: int, b: int) -> tuple:

@@ -85,15 +85,15 @@ class ScoreSeries:
 # ---------------------------------------------------------------------------
 
 
-def mismatch_delta(attn, temperature: float) -> np.ndarray:
-    """Delta_i = T * mean over layers/heads of symmetric row KL, [..., L]."""
+def mismatch_delta(attention, temperature: float) -> np.ndarray:
+    """Delta_i = T * mean over layers/heads of symmetric row KL, [..., L],
+    from the KL rows of each layer's ``ad.dual_attention``."""
     total = None
     n_mats = 0
-    for S, P in zip(attn.series, attn.prior):
-        s, p = Tensor(S.data), Tensor(P.data)
-        kl = ad.sym_kl_rows(s, p).data  # [..., H, L]
+    for att in attention:
+        kl = att.kl_series.data  # [..., H, L]
         term = kl.sum(axis=-2)
-        n_mats += S.data.shape[-3]
+        n_mats += kl.shape[-2]
         total = term if total is None else total + term
     return temperature * total / n_mats
 
@@ -183,7 +183,8 @@ def window_streams(model: PiModel, series: np.ndarray, cfg: ScoringConfig):
         b = np.ascontiguousarray(wins[i : i + cfg.batch_size])
         out = model.forward(Tensor(b))
         r = ((out.recon.data - b) ** 2).mean(axis=-1)
-        delta = mismatch_delta(out.attn, cfg.temperature)
+        delta = mismatch_delta(out.attention, cfg.temperature)
+        del out  # the next batch's forward runs with none of this one's
         w = alignment_weights(delta)
         for stream, per_window in zip(streams, (r, delta, w, energy(w, r))):
             if i == 0:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, Tape, OptimizerState, stop_gradient
+from .autodiff import Tensor, Tape, OptimizerState
 from .model import (HURST_MIN_BLOCK, ConfigError, PiModel, ModelConfig,
                     ReconOutput, check_fields, estimate_hurst_rs)
 from .data import split_min_rows, split_train_val, windows, write_csv
@@ -107,22 +107,23 @@ def loss_reconstruction(x: Tensor, recon: Tensor) -> Tensor:
     return ad.mean_square(x - recon)
 
 
-def loss_sym_kl(attn, frozen: str) -> Tensor:
-    """Symmetric series-prior KL, summed over layers, heads, and rows.
+def loss_sym_kl(attention, frozen: str) -> Tensor:
+    """Symmetric series-prior KL, summed over layers, heads, and rows, from
+    the KL rows of each layer's ``ad.dual_attention``.
 
     ``frozen`` selects the stop-gradiented side: "prior" for the series
-    update pass, "series" for the prior update pass. Either way the value
-    is the same. Leading (batch) axes are averaged.
+    update pass takes the rows whose gradient reaches S only, "series" for
+    the prior update pass those whose gradient reaches P only. Either way
+    the value is the same. Leading (batch) axes are averaged.
     """
     total = None
-    for S, P in zip(attn.series, attn.prior):
+    for att in attention:
         if frozen == "prior":
-            a, b = S, stop_gradient(P)
+            per_row = att.kl_series  # [..., H, L]
         elif frozen == "series":
-            a, b = P, stop_gradient(S)
+            per_row = att.kl_prior
         else:
             raise ValueError(f"unknown frozen side {frozen!r}")
-        per_row = ad.sym_kl_rows(a, b)  # [..., H, L]
         summed = ad.tmean(ad.tsum(per_row, axis=(-2, -1)))
         total = summed if total is None else total + summed
     return total
@@ -157,7 +158,7 @@ def loss_hurst_distill(fields_per_layer, target: float) -> Tensor:
 def loss_prior_score_l2(prior_scores) -> Tensor:
     """Mean squared magnitude of the unnormalized prior scores, summed over
     layers: each layer's mean is ``ReconOutput.prior_scores``' entry, which
-    the model's prior op computes beside P."""
+    the layer's ``ad.dual_attention`` computes beside P."""
     total = None
     for term in prior_scores:
         total = term if total is None else total + term
@@ -201,16 +202,16 @@ def minmax_step(batch: np.ndarray, model: PiModel, opt: OptimizerState,
             total, sym = recon, None
             for coef, frozen in ((k_s, "prior"), (k_p, "series")):
                 if coef:
-                    sym = loss_sym_kl(out.attn, frozen=frozen)
+                    sym = loss_sym_kl(out.attention, frozen=frozen)
                     total = total + coef * sym
             reg, smooth, hurst, score = _regularizer(out, cfg, hurst_target)
             total = total + reg
         if sym is None:  # off the tape: logged, never differentiated
-            sym = loss_sym_kl(out.attn, frozen="prior")
+            sym = loss_sym_kl(out.attention, frozen="prior")
         terms = dict(recon=recon.item(), sym_kl=sym.item(),
                      smooth=smooth.item(), hurst=hurst.item(),
                      score_l2=score.item())
-        # from here the tape alone holds this pass's S and P, and frees
+        # from here the tape alone holds this pass's activations, and frees
         # each as its backward passes it, so none is alive in the next pass
         del out
         _check_finite(**terms)
@@ -225,8 +226,8 @@ def validation_recon_loss(model: PiModel, val_windows: np.ndarray) -> float:
     total, count = 0.0, 0
     for i in range(0, len(val_windows), VAL_BATCH):
         b = np.ascontiguousarray(val_windows[i : i + VAL_BATCH])
-        out = model.forward(Tensor(b))
-        err = (out.recon.data - b) ** 2
+        # only the reconstruction outlives the forward
+        err = (model.forward(Tensor(b)).recon.data - b) ** 2
         total += err.mean(axis=(1, 2)).sum()
         count += len(b)
     return total / max(count, 1)
@@ -323,7 +324,8 @@ def load_checkpoint(path) -> Checkpoint:
     Raises ConfigError naming the file if it is not an .npz archive that
     reads whole, its format version is not FORMAT_VERSION, a config or
     field is missing or invalid, or the stored parameters do not match the
-    model's names and shapes.
+    model's names and shapes or are not finite real float arrays (the
+    error names the parameter).
     """
     def fail(problem):
         return ConfigError(f"checkpoint {path}: {problem}")
@@ -363,5 +365,10 @@ def load_checkpoint(path) -> Checkpoint:
         if value.shape != model.params[name].shape:
             raise fail(f"parameter {name!r} has shape {value.shape}, the "
                        f"model expects {model.params[name].shape}")
+        if value.dtype.kind != "f":
+            raise fail(f"parameter {name!r} has dtype {value.dtype}, "
+                       f"not a real float dtype")
+        if not np.isfinite(value).all():
+            raise fail(f"parameter {name!r} holds a non-finite value")
         model.params[name].data = np.array(value, dtype=np.float64)
     return ckpt

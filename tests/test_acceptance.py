@@ -22,6 +22,8 @@ from priorad.training import (TrainConfig, loss_reconstruction, loss_sym_kl,
                               train, save_checkpoint, load_checkpoint,
                               _regularizer)
 
+from chains import reference_dual_attention
+
 
 def report(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -77,57 +79,68 @@ class _FrozenStopGrad:
 
 
 def test_criterion_01_gradient_suite(monkeypatch):
+    """The fused op's parameter gradients equal the chain of single ops'
+    bitwise, and the chain's match finite differences. The differences run
+    through the chain, whose stop_gradient outputs are replayed at their
+    values at the base point, so that the frozen side stays constant."""
     start = time.time()
     model = tiny_model()
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(2, 16, 3)))
     tcfg = TrainConfig(k=3.0)
 
-    import priorad.model as pmodel
-    import priorad.training as ptraining
-
     def full_loss(sign, frozen):
         out = model.forward(x)
         recon = loss_reconstruction(x, out.recon)
-        sym = loss_sym_kl(out.attn, frozen=frozen)
+        sym = loss_sym_kl(out.attention, frozen=frozen)
         reg, *_ = _regularizer(out, tcfg, hurst_target=0.5)
         return recon + sign * tcfg.k * sym + reg
 
-    worst = 0.0
-    step = 1e-5
-    for sign, frozen in ((-1.0, "prior"), (+1.0, "series")):
-        shim = _FrozenStopGrad()
-        monkeypatch.setattr(pmodel.ad, "stop_gradient", shim)
-        monkeypatch.setattr(ptraining, "stop_gradient", shim)
+    def gradients(sign, frozen):
         for p in model.parameters():
             p.grad = None
         with Tape() as tape:
             loss = full_loss(sign, frozen)
         tape.backward(loss)
-        shim.recording = False
-        grads = {name: (p.grad.copy() if p.grad is not None
-                        else np.zeros_like(p.data))
-                 for name, p in model.params.items()}
-        for name, p in model.params.items():
-            flat = p.data.reshape(-1)
-            for idx in rng.choice(flat.size, size=min(2, flat.size),
-                                  replace=False):
-                orig = flat[idx]
-                shim.pos = 0
-                flat[idx] = orig + step
-                up = full_loss(sign, frozen).item()
-                shim.pos = 0
-                flat[idx] = orig - step
-                down = full_loss(sign, frozen).item()
-                flat[idx] = orig
-                fd = (up - down) / (2 * step)
-                got = grads[name].reshape(-1)[idx]
-                # mixed tolerance: below ~1e-5 the FD quotient itself is
-                # dominated by roundoff, so floor the denominator there
-                worst = max(worst, abs(got - fd) / max(abs(fd), abs(got), 1e-5))
+        return {name: (p.grad.copy() if p.grad is not None
+                       else np.zeros_like(p.data))
+                for name, p in model.params.items()}
+
+    worst = 0.0
+    same = True
+    step = 1e-5
+    for sign, frozen in ((-1.0, "prior"), (+1.0, "series")):
+        fused = gradients(sign, frozen)
+        with monkeypatch.context() as m:
+            m.setattr(ad, "dual_attention", reference_dual_attention)
+            shim = _FrozenStopGrad()
+            m.setattr(ad, "stop_gradient", shim)
+            grads = gradients(sign, frozen)
+            same &= all(fused[name].tobytes() == g.tobytes()
+                        for name, g in grads.items())
+            shim.recording = False
+            for name, p in model.params.items():
+                flat = p.data.reshape(-1)
+                for idx in rng.choice(flat.size, size=min(2, flat.size),
+                                      replace=False):
+                    orig = flat[idx]
+                    shim.pos = 0
+                    flat[idx] = orig + step
+                    up = full_loss(sign, frozen).item()
+                    shim.pos = 0
+                    flat[idx] = orig - step
+                    down = full_loss(sign, frozen).item()
+                    flat[idx] = orig
+                    fd = (up - down) / (2 * step)
+                    got = grads[name].reshape(-1)[idx]
+                    # mixed tolerance: below ~1e-5 the FD quotient itself
+                    # is dominated by roundoff, so floor the denominator
+                    worst = max(worst,
+                                abs(got - fd) / max(abs(fd), abs(got), 1e-5))
     elapsed = time.time() - start
-    report(1, "gradient suite", worst < 1e-4 and elapsed < 60,
-           f"max rel err {worst:.2e}, {elapsed:.1f}s")
+    report(1, "gradient suite", worst < 1e-4 and same and elapsed < 60,
+           f"max rel err {worst:.2e}, fused equals chain bitwise: {same}, "
+           f"{elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -135,27 +148,31 @@ def test_criterion_01_gradient_suite(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_02_distribution_invariants():
+def test_criterion_02_distribution_invariants(monkeypatch):
     model = tiny_model()
     rng = np.random.default_rng(1)
     ok = True
     detail = []
     tri = ~causal_mask(16)
     for i in range(4):
-        batch = rng.normal(size=(250, 16, 3))
-        out = model.forward(Tensor(batch))
-        for stack in (out.attn.series, out.attn.prior):
+        batch = Tensor(rng.normal(size=(250, 16, 3)))
+        attn = model.attention_maps(batch)
+        for stack in (attn.series, attn.prior):
             for a in stack:
                 ok &= bool(np.abs(a.data.sum(axis=-1) - 1.0).max() <= 1e-6)
                 ok &= bool(np.all(a.data[..., tri] == 0.0))
-        delta = mismatch_delta(out.attn, temperature=10.0)
+        delta = mismatch_delta(model.forward(batch).attention,
+                               temperature=10.0)
         ok &= bool(np.all(delta >= 0.0))
         w = alignment_weights(delta)
         ok &= bool(np.abs(w.sum(axis=-1) - 1.0).max() <= 1e-9)
-    # forced S = P gives exactly zero mismatch
-    out = model.forward(Tensor(rng.normal(size=(16, 3))))
-    out.attn.prior = [Tensor(S.data.copy()) for S in out.attn.series]
-    forced = mismatch_delta(out.attn, temperature=10.0)
+    # forced S = P gives exactly zero mismatch: each layer's prior is the
+    # constant attention equal to its series attention
+    window = Tensor(rng.normal(size=(16, 3)))
+    series = iter(model.attention_maps(window).series)
+    monkeypatch.setattr(model, "prior_attention",
+                        lambda fields: next(series).data)
+    forced = mismatch_delta(model.forward(window).attention, temperature=10.0)
     ok &= bool(np.abs(forced).max() < 1e-10)
     report(2, "distribution invariants", ok,
            f"1000 windows, forced-delta max {np.abs(forced).max():.1e}")
@@ -177,7 +194,7 @@ def test_criterion_03_stop_gradient_asymmetry():
             p.grad = None
         with Tape() as tape:
             out = model.forward(x)
-            sym = loss_sym_kl(out.attn, frozen=frozen)
+            sym = loss_sym_kl(out.attention, frozen=frozen)
         tape.backward(sym)
         for name in frozen_names:
             g = model.params[name].grad

@@ -22,6 +22,8 @@ from priorad.model import PRIOR_MODES, ModelConfig, PiModel, PriorFields
 from priorad.training import (TrainConfig, minmax_step, loss_reconstruction,
                               loss_sym_kl, _regularizer)
 
+from chains import reference_dual_attention
+
 
 def causal_mask(n):
     return np.tril(np.ones((n, n), dtype=bool))
@@ -566,6 +568,51 @@ def test_fd_gradient_fused_ops(op, name):
     check_grad(build, values[name])
 
 
+# dual_attention's inputs, and the outputs whose gradient reaches each: S
+# depends on q and k, P on the prior's fields, and each KL output sends its
+# gradient to one side only
+DUAL_SIDES = {"q": ("context", "kl_series"), "k": ("context", "kl_series"),
+              "v": ("context",), "hurst": ("kl_prior", "score"),
+              "stiffness": ("kl_prior", "score"),
+              "mix_weights": ("kl_prior", "score"),
+              "phase_period": ("kl_prior", "score"),
+              "phase_gain": ("kl_prior", "score")}
+
+
+@pytest.mark.parametrize("lead", [(2,), ()], ids=["batch", "window"])
+@pytest.mark.parametrize("n_ph", [2, 1], ids=["full", "single_head"])
+@pytest.mark.parametrize("name", DUAL_SIDES)
+def test_fd_gradient_dual_attention(name, n_ph, lead):
+    """Each input's gradient through the outputs that reach it, with one
+    prior head per series head and one shared by both."""
+    rng = np.random.default_rng(20)
+    H, L = 2, 5
+    mix = rng.random((n_ph, 3)) + 0.1
+    values = dict(q=rng.normal(size=lead + (H, L, 3)),
+                  k=rng.normal(size=lead + (H, L, 3)),
+                  v=rng.normal(size=lead + (H, L, 3)),
+                  hurst=rng.uniform(0.1, 0.9, lead + (L,)),
+                  stiffness=rng.uniform(0.6, 3.0, lead + (L,)),
+                  mix_weights=mix / mix.sum(axis=-1, keepdims=True),
+                  phase_period=rng.uniform(2.0, 6.0, n_ph),
+                  phase_gain=rng.uniform(0.0, 1.5, n_ph))
+    weights = {o: Tensor(rng.normal(size=lead + (H, L) + s))
+               for o, s in (("context", (3,)), ("kl_series", ()),
+                            ("kl_prior", ()))}
+    weights["score"] = Tensor(rng.normal())
+
+    def build(x):
+        t = {n: x if n == name else Tensor(v) for n, v in values.items()}
+        prior = pmodel.KernelPrior(PriorFields(*list(t.values())[3:]),
+                                   pmodel.lag_matrix(L))
+        att = ad.dual_attention(t["q"], t["k"], t["v"], causal_mask(L), prior)
+        terms = [ad.tsum(getattr(att, o) * weights[o])
+                 for o in DUAL_SIDES[name]]
+        return sum(terms[1:], terms[0])
+
+    check_grad(build, values[name])
+
+
 def test_fd_gradient_layer_norm_x_beside_another_consumer():
     # x is listed twice among layer_norm's inputs; both of its gradients
     # add to the one a residual consumer left in x.grad first
@@ -729,22 +776,23 @@ REFERENCES = {
 def _training_loss_and_grads(model, x, prior_side):
     """Pass 1's KL side, pass 2's too if ``prior_side``, and every
     regularizer on one tape. Without pass 2's side P gets no gradient, as
-    in pass 1 with series ascent on."""
+    in pass 1 with series ascent on. The values include each layer's S and
+    P, from the inspection call."""
     for p in model.parameters():
         p.grad = None
     with Tape() as tape:
         out = model.forward(x)
-        kls = [ad.sym_kl_rows(S, stop_gradient(P))
-               for S, P in zip(out.attn.series, out.attn.prior)]
         loss = (loss_reconstruction(x, out.recon)
-                - 3.0 * loss_sym_kl(out.attn, frozen="prior")
+                - 3.0 * loss_sym_kl(out.attention, frozen="prior")
                 + _regularizer(out, TrainConfig(), 0.6)[0])
         if prior_side:
-            loss = loss + 3.0 * loss_sym_kl(out.attn, frozen="series")
+            loss = loss + 3.0 * loss_sym_kl(out.attention, frozen="series")
     tape.backward(loss)
-    values = [loss, out.recon] + (out.attn.series + out.attn.prior
-                                  + out.prior_scores + kls)
-    return ([t.data for t in values],
+    values = [loss, out.recon] + [
+        t for a in out.attention
+        for t in (a.context, a.kl_series, a.kl_prior, a.score)]
+    maps = [m for a in out.attention for m in a.maps()]
+    return ([t.data for t in values] + maps,
             {n: p.grad for n, p in model.params.items()})
 
 
@@ -752,6 +800,9 @@ def _training_loss_and_grads(model, x, prior_side):
 @pytest.mark.parametrize("prior_mode", PRIOR_MODES)
 def test_fused_ops_match_primitive_chains_bitwise(prior_mode, lead,
                                                   monkeypatch):
+    """The model's fused ops against the primitive chains: dual_attention
+    is swapped for the chain of attention_scores, matmul, prior_softmax
+    and sym_kl_rows, and each of those for its own primitive chain."""
     x = Tensor(np.random.default_rng(8).normal(size=lead + (10, 2)))
     for prior_side in (True, False):
         model = tiny_model(prior_mode)
@@ -759,12 +810,14 @@ def test_fused_ops_match_primitive_chains_bitwise(prior_mode, lead,
         with monkeypatch.context() as m:
             for name, reference in REFERENCES.items():
                 m.setattr(ad, name, reference)
+            m.setattr(ad, "dual_attention", reference_dual_attention)
             m.setattr(pmodel, "prior_softmax", reference_prior_softmax)
             want_values, want_grads = _training_loss_and_grads(model, x,
                                                                prior_side)
-        assert len(got_values) == 2 + 4 * model.cfg.num_layers
-        for got, want in zip(got_values, want_values):
+        assert len(got_values) == 2 + 6 * model.cfg.num_layers
+        for got, want in zip(got_values, want_values, strict=True):
             # tobytes compares the sign bit of every zero too
+            assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         # no_phase trains no mixture or phase parameter
         unused = {n for n in want_grads if prior_mode == "no_phase" and (
@@ -793,7 +846,9 @@ BLOCK_COUNTS = {(1, "one"): 5, (1, "two"): 3, (1, "four"): 2,
 # prior_softmax_score: the prior whose P is reached only through
 # stop_gradient, so that its backward starts from the score's gradient alone
 BLOCKED_OPS = ["masked_softmax_rows", "attention_scores", "sym_kl_rows",
-               "prior_softmax", "prior_softmax_score"]
+               "prior_softmax", "prior_softmax_score", "dual_attention"]
+# the width of q, k and v in dual_attention and attention_scores
+BLOCK_D = 4
 
 
 def _normalized(x):
@@ -803,21 +858,22 @@ def _normalized(x):
 def _blocked_op_inputs(op, lead, H, L, rng):
     """Leaf tensors for ``op`` over windows ``lead``; only sym_kl_rows' b
     needs no gradient."""
-    if op.startswith("prior_softmax"):
-        values = dict(hurst=rng.uniform(0.1, 0.9, lead + (L,)),
-                      stiffness=rng.uniform(0.6, 3.0, lead + (L,)),
-                      mix_weights=_normalized(rng.random((H, 3)) + 0.1),
-                      phase_period=rng.uniform(2.0, 6.0, H),
-                      phase_gain=rng.uniform(0.0, 1.5, H))
-    elif op == "attention_scores":
-        values = dict(q=rng.normal(size=lead + (H, L, 4)),
-                      k=rng.normal(size=lead + (H, L, 4)))
-    elif op == "sym_kl_rows":
+    if op == "sym_kl_rows":
         # exact zeros above the diagonal, as S and P have
         values = {n: _normalized(np.tril(rng.random(lead + (H, L, L)) + 1e-3))
                   for n in "ab"}
-    else:
+    elif op == "masked_softmax_rows":
         values = dict(logits=rng.normal(scale=3.0, size=lead + (H, L, L)))
+    else:
+        heads = {"attention_scores": "qk", "dual_attention": "qkv"}
+        values = {n: rng.normal(size=lead + (H, L, BLOCK_D))
+                  for n in heads.get(op, "")}
+        if op != "attention_scores":
+            values.update(hurst=rng.uniform(0.1, 0.9, lead + (L,)),
+                          stiffness=rng.uniform(0.6, 3.0, lead + (L,)),
+                          mix_weights=_normalized(rng.random((H, 3)) + 0.1),
+                          phase_period=rng.uniform(2.0, 6.0, H),
+                          phase_gain=rng.uniform(0.0, 1.5, H))
     return {n: Tensor(v, requires_grad=n != "b") for n, v in values.items()}
 
 
@@ -831,6 +887,11 @@ def _blocked_op(op, args, L):
         return (P if op == "prior_softmax" else ad.stop_gradient(P)), score
     if op == "attention_scores":
         return ad.attention_scores(args["q"], args["k"], mask),
+    if op == "dual_attention":
+        q, k, v, *fields = args.values()
+        prior = pmodel.KernelPrior(PriorFields(*fields), pmodel.lag_matrix(L))
+        a = ad.dual_attention(q, k, v, mask, prior)
+        return a.context, a.kl_series, a.kl_prior, a.score
     if op == "sym_kl_rows":
         return ad.sym_kl_rows(args["a"], args["b"]),
     return ad.masked_softmax_rows(args["logits"], mask),
@@ -845,7 +906,8 @@ def test_blocked_ops_bitwise_across_block_sizes(op, lead, monkeypatch):
     rng = np.random.default_rng(12)
     args = _blocked_op_inputs(op, lead, H, L, rng)
     weights = {shape: Tensor(rng.normal(size=shape))
-               for shape in ((), lead + (H, L), lead + (H, L, L))}
+               for shape in ((), lead + (H, L), lead + (H, L, L),
+                             lead + (H, L, BLOCK_D))}
     results, counts = {}, {}
     for workers, (name, budget) in itertools.product((1, 2), BUDGETS.items()):
         monkeypatch.setattr(ad, "WORKERS", workers)
@@ -895,12 +957,14 @@ def test_blocked_backward_allocates_only_a_few_blocks(op):
     rng = np.random.default_rng(14)
     with Tape() as tape:
         outs = _blocked_op(op, _blocked_op_inputs(op, (B,), H, L, rng), L)
-    # the first output with a gradient: the prior's P, unless it is stopped
-    out = next(o for o in outs if o.requires_grad)
-    backward_fn = next(fn for o, _, fn in tape.nodes if o is out)
-    for o in outs:  # the prior's score: P's backward takes its gradient too
-        if o is not out:
-            o.grad = np.array(1.0)
+    # the node recorded last among the outputs': an op of several outputs
+    # runs its backward there with all of their gradients, so each other
+    # output gets one too (the prior's P is left out when it is stopped)
+    out, _, backward_fn = [node for node in tape.nodes
+                           if any(node[0] is o for o in outs)][-1]
+    for o in outs:
+        if o is not out and o.requires_grad:
+            o.grad = rng.normal(size=o.shape)
     g = rng.normal(size=out.shape)
     tracemalloc.start()
     try:
@@ -1119,10 +1183,10 @@ def _root(a):
     return a
 
 
-def _held_arrays(node):
-    """Every array one tape node holds: its output and whatever its backward
-    closure captures, followed through tensors, containers and nested
-    functions."""
+def _reachable_arrays(*roots):
+    """Every array reachable from ``roots``: tape nodes, outputs and what
+    backward closures capture, followed through tensors, containers,
+    nested functions and priorad's own objects (a prior, its fields)."""
     held, seen = [], set()
 
     def visit(obj):
@@ -1136,43 +1200,44 @@ def _held_arrays(node):
         elif isinstance(obj, (tuple, list)):
             for item in obj:
                 visit(item)
-        elif callable(obj):
-            for cell in getattr(obj, "__closure__", None) or ():
+        elif callable(obj) and hasattr(obj, "__closure__"):
+            for cell in obj.__closure__ or ():
                 try:
                     visit(cell.cell_contents)
                 except ValueError:  # a cell not yet filled
                     pass
+        elif type(obj).__module__.startswith("priorad"):
+            for item in vars(obj).values():
+                visit(item)
 
-    out, _, backward_fn = node
-    visit(out)
-    visit(backward_fn)
+    for root in roots:
+        visit(root)
     return held
 
 
-@pytest.mark.parametrize("prior_mode", ["full", "single_head"])
-def test_tape_holds_no_dead_attention_sized_array(prior_mode, monkeypatch):
-    """At the start of each training pass's backward, the [..., H, L, L]
-    arrays the tape can reach are, per layer, exactly S and P."""
-    model = tiny_model(prior_mode)
+def _attention_sized(arrays, model, batch):
+    """The arrays whose memory holds a whole [B, H, L, L] attention's
+    entries or more: a view counts by the array it views, so a broadcast
+    [L, L] array does not."""
     H, L = model.cfg.num_heads, model.cfg.window_length
-    forward, backward = PiModel.forward, Tape.backward
-    outputs, checked = [], []
+    return [a for a in arrays if _root(a).size >= batch * H * L * L]
 
-    def recording_forward(self, window):
-        outputs.append(forward(self, window))
-        return outputs[-1]
+
+@pytest.mark.parametrize("prior_mode", PRIOR_MODES)
+def test_tape_holds_no_dead_attention_sized_array(prior_mode, monkeypatch):
+    """At the start of each training pass's backward, the tape reaches no
+    array as large as an [..., H, L, L] attention: dual_attention keeps
+    neither S nor P, nor their logits or gradients."""
+    model = tiny_model(prior_mode)
+    backward = Tape.backward
+    checked = []
 
     def checking_backward(tape, loss):
-        out = outputs[-1]
-        kept = {id(_root(t.data)) for t in out.attn.series + out.attn.prior}
-        held = {id(_root(a)) for node in tape.nodes
-                for a in _held_arrays(node) if a.shape[-3:] == (H, L, L)}
-        assert len(kept) == 2 * model.cfg.num_layers
-        assert held == kept
+        held = _reachable_arrays(*tape.nodes)
+        assert held and _attention_sized(held, model, 4) == []
         checked.append(loss)
         backward(tape, loss)
 
-    monkeypatch.setattr(PiModel, "forward", recording_forward)
     monkeypatch.setattr(Tape, "backward", checking_backward)
     run_one_step(model)
     assert len(checked) == 2
@@ -1181,22 +1246,24 @@ def test_tape_holds_no_dead_attention_sized_array(prior_mode, monkeypatch):
 @pytest.mark.parametrize("prior_mode", PRIOR_MODES)
 def test_pass_one_attention_freed_before_pass_two_forward(prior_mode,
                                                           monkeypatch):
-    """minmax_step keeps no reference to pass 1's S and P: when pass 2's
-    forward starts, nothing holds them any more."""
+    """Right after each pass's forward, neither its tape nor its output
+    reaches an array as large as an [..., H, L, L] attention, so none of
+    pass 1's is alive when pass 2's forward starts."""
     model = tiny_model(prior_mode)
     forward = PiModel.forward
-    refs, alive = [], []
+    checked = []
 
     def watching_forward(self, window):
-        alive.append([r() is not None for r in refs])
         out = forward(self, window)
-        refs.extend(weakref.ref(_root(t.data))
-                    for t in out.attn.series + out.attn.prior)
+        held = _reachable_arrays(ad._ACTIVE_TAPE.nodes, out.recon,
+                                 out.attention, out.fields)
+        assert held and _attention_sized(held, model, len(window.data)) == []
+        checked.append(window)
         return out
 
     monkeypatch.setattr(PiModel, "forward", watching_forward)
     run_one_step(model)
-    assert alive == [[], [False] * (2 * model.cfg.num_layers)]
+    assert len(checked) == 2
 
 
 @pytest.mark.parametrize("idx", [(..., 0), (..., 1), (..., slice(1, None)),

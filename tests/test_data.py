@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,16 @@ def test_read_table_returns_header_and_checks_its_width(tmp_path):
         read_table(p)
     p.write_text("x,y,z\n1,2\n")
     with pytest.raises(ParseError, match="header has 3 columns, rows have 2"):
+        read_table(p)
+
+
+@pytest.mark.parametrize("content", [
+    b"a,caf\xe9\n1,2\n", b"1,2\n3,4\n" * 5000 + b"5,\xff\n"],
+    ids=["latin1_header", "bad_byte_past_the_first_chunk"])
+def test_read_table_names_a_file_that_is_not_utf8(tmp_path, content):
+    p = tmp_path / "latin.csv"
+    p.write_bytes(content)
+    with pytest.raises(ParseError, match=re.escape(f"{p}: not UTF-8 text")):
         read_table(p)
 
 

@@ -594,6 +594,17 @@ def test_cli_derived_key_in_config_file_is_rejected(tiny_run, tmp_path,
     assert "model.channels" in capsys.readouterr().err
 
 
+def test_cli_train_names_a_csv_that_is_not_utf8(tmp_path, capsys):
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"a,caf\xe9\n" + b"1,2\n" * 300)
+    capsys.readouterr()
+    assert main(["train", "--train-csv", str(latin),
+                 "--out", str(tmp_path)]) == 1
+    assert (f"error: {latin}: not UTF-8 text: invalid continuation byte "
+            f"(byte 0xe9)") in capsys.readouterr().err
+    assert not (tmp_path / "checkpoint.npz").exists()
+
+
 @pytest.mark.parametrize("content, message", [
     (b"{bad", "Expecting property name enclosed in double quotes: line 1 "
               "column 2 (char 1)"),

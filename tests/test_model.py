@@ -5,7 +5,7 @@ import priorad.autodiff as ad
 from priorad.autodiff import Tensor, Tape
 from priorad.model import (
     ModelConfig, PiModel, PriorFields, ConfigError, causal_mask, lag_matrix,
-    sinusoidal_encoding, estimate_hurst_rs, TAU_FLOOR,
+    prior_softmax, sinusoidal_encoding, estimate_hurst_rs, TAU_FLOOR,
 )
 from priorad.training import (
     Checkpoint, TrainConfig, load_checkpoint, save_checkpoint,
@@ -28,6 +28,12 @@ def make_fields(L, hurst, tau, mix, period=8.0, gain=1.0):
         phase_period=Tensor(np.array([period])),
         phase_gain=Tensor(np.array([gain])),
     )
+
+
+def prior_of(model, fields):
+    """The prior attention P of ``fields`` and its score, from the chain
+    the model's dual attention is checked against."""
+    return prior_softmax(fields, model.lags, model.mask, model.cfg.num_heads)
 
 
 def test_config_rejects_indivisible_heads():
@@ -76,8 +82,9 @@ def test_forward_shapes_and_row_stochastic():
     w = Tensor(rng.normal(size=(cfg.window_length, cfg.channels)))
     out = model.forward(w)
     assert out.recon.shape == w.shape
+    attn = model.attention_maps(w)
     tri = ~causal_mask(cfg.window_length)
-    for stack in (out.attn.series, out.attn.prior):
+    for stack in (attn.series, attn.prior):
         assert len(stack) == cfg.num_layers
         for a in stack:
             assert a.shape == (cfg.num_heads, cfg.window_length,
@@ -95,15 +102,16 @@ def test_forward_batched_matches_single():
     out_1 = model.forward(Tensor(batch[1]))
     np.testing.assert_allclose(out_b.recon.data[1], out_1.recon.data,
                                atol=1e-10)
-    np.testing.assert_allclose(out_b.attn.series[0].data[1],
-                               out_1.attn.series[0].data, atol=1e-10)
+    np.testing.assert_allclose(
+        model.attention_maps(Tensor(batch)).series[0].data[1],
+        model.attention_maps(Tensor(batch[1])).series[0].data, atol=1e-10)
 
 
 def test_series_row_zero_is_self():
     model = PiModel(small_cfg())
     rng = np.random.default_rng(2)
-    out = model.forward(Tensor(rng.normal(size=(16, 3))))
-    for a in out.attn.series + out.attn.prior:
+    attn = model.attention_maps(Tensor(rng.normal(size=(16, 3))))
+    for a in attn.series + attn.prior:
         np.testing.assert_array_equal(a.data[:, 0, 0], 1.0)
         assert np.all(a.data[:, 0, 1:] == 0.0)
 
@@ -128,7 +136,7 @@ def test_fractal_kernel_row_fixture():
     cfg = small_cfg(window_length=4)
     model = PiModel(cfg)
     fields = make_fields(4, hurst=0.5, tau=1.0, mix=[1.0, 0.0, 0.0])
-    P, _ = model.prior_attention(fields)
+    P, _ = prior_of(model, fields)
     raw = np.array([0.25, 1 / 3, 0.5, 1.0])
     np.testing.assert_allclose(P.data[0, 3], raw / raw.sum(), atol=1e-12)
 
@@ -138,7 +146,7 @@ def test_fractal_hurst_one_is_causal_uniform():
     cfg = small_cfg(window_length=6)
     model = PiModel(cfg)
     fields = make_fields(6, hurst=1.0, tau=1.0, mix=[1.0, 0.0, 0.0])
-    P, _ = model.prior_attention(fields)
+    P, _ = prior_of(model, fields)
     np.testing.assert_allclose(P.data[0, 5], np.full(6, 1 / 6), atol=1e-12)
 
 
@@ -146,12 +154,12 @@ def test_gaussian_kernel_self_focus_and_flat_limits():
     cfg = small_cfg(window_length=8)
     model = PiModel(cfg)
     tight = make_fields(8, hurst=0.5, tau=0.5, mix=[0.0, 1.0, 0.0])
-    P, _ = model.prior_attention(tight)
+    P, _ = prior_of(model, tight)
     assert np.all(P.data[0, np.arange(8), np.arange(8)] ==
                   P.data[0].max(axis=-1))
 
     flat = make_fields(8, hurst=0.5, tau=10.0 * 8, mix=[0.0, 1.0, 0.0])
-    Pf, _ = model.prior_attention(flat)
+    Pf, _ = prior_of(model, flat)
     uniform = causal_mask(8) / causal_mask(8).sum(axis=-1, keepdims=True)
     tv = 0.5 * np.abs(Pf.data[0] - uniform).sum(axis=-1).max()
     assert tv < 0.02
@@ -164,7 +172,7 @@ def test_phase_kernel_periodicity():
     model = PiModel(cfg)
     fields = make_fields(L, hurst=0.5, tau=1.0, mix=[0.0, 0.0, 1.0],
                          period=4.0, gain=3.0)
-    P, _ = model.prior_attention(fields)
+    P, _ = prior_of(model, fields)
     row = P.data[0, L - 1]
     on_phase = row[[L - 1, L - 5, L - 9]]  # lags 0, 4, 8
     off_phase = row[[L - 3, L - 7]]        # lags 2, 6
@@ -182,7 +190,7 @@ def test_prior_gradients_reach_fields():
 
     def loss_at(hvals, tvals):
         fields = PriorFields(Tensor(hvals), Tensor(tvals), mix, period, gain)
-        P, _ = model.prior_attention(fields)
+        P, _ = prior_of(model, fields)
         return float(ad.tsum(ad.square(P - Tensor(target[None]))).data)
 
     h0 = np.full(6, 0.4)
@@ -191,7 +199,7 @@ def test_prior_gradients_reach_fields():
     t = Tensor(t0.copy(), requires_grad=True)
     with Tape() as tape:
         fields = PriorFields(h, t, mix, period, gain)
-        P, _ = model.prior_attention(fields)
+        P, _ = prior_of(model, fields)
         loss = ad.tsum(ad.square(P - Tensor(target[None])))
     tape.backward(loss)
 
@@ -225,8 +233,8 @@ def test_no_phase_mode_uses_uniform_prior():
     rng = np.random.default_rng(4)
     uniform = causal_mask(16) / causal_mask(16).sum(axis=-1, keepdims=True)
     for shape in ((16, 3), (4, 16, 3)):
-        out = model.forward(Tensor(rng.normal(size=shape)))
-        for P in out.attn.prior:
+        attn = model.attention_maps(Tensor(rng.normal(size=shape)))
+        for P in attn.prior:
             assert P.shape == shape[:-2] + (2, 16, 16)
             assert np.array_equal(P.data, np.broadcast_to(uniform, P.shape))
             # one [L, L] array: every leading axis, heads too, has stride 0
@@ -237,8 +245,8 @@ def test_single_head_mode_shares_prior_across_heads():
     cfg = small_cfg(prior_mode="single_head")
     model = PiModel(cfg)
     rng = np.random.default_rng(5)
-    out = model.forward(Tensor(rng.normal(size=(16, 3))))
-    for P in out.attn.prior:
+    attn = model.attention_maps(Tensor(rng.normal(size=(16, 3))))
+    for P in attn.prior:
         np.testing.assert_array_equal(P.data[0], P.data[1])
 
 

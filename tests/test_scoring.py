@@ -167,20 +167,25 @@ def tiny_scfg(**kw):
     return ScoringConfig(**base)
 
 
-def test_mismatch_delta_zero_when_attentions_equal(tiny_model):
+def test_mismatch_delta_zero_when_attentions_equal(tiny_model, monkeypatch):
+    """Each layer's prior is the constant attention equal to its series
+    attention."""
     rng = np.random.default_rng(3)
-    out = tiny_model.forward(Tensor(rng.normal(size=(12, 2))))
-    out.attn.prior = [Tensor(S.data.copy()) for S in out.attn.series]
-    delta = mismatch_delta(out.attn, temperature=10.0)
+    window = Tensor(rng.normal(size=(12, 2)))
+    series = iter(tiny_model.attention_maps(window).series)
+    monkeypatch.setattr(tiny_model, "prior_attention",
+                        lambda fields: next(series).data.copy())
+    out = tiny_model.forward(window)
+    delta = mismatch_delta(out.attention, temperature=10.0)
     np.testing.assert_allclose(delta, 0.0, atol=1e-10)
-    assert np.all(mismatch_delta(out.attn, 10.0) >= 0.0)
+    assert np.all(mismatch_delta(out.attention, 10.0) >= 0.0)
 
 
 def test_mismatch_delta_nonnegative_and_scales_with_temperature(tiny_model):
     rng = np.random.default_rng(4)
     out = tiny_model.forward(Tensor(rng.normal(size=(12, 2))))
-    d1 = mismatch_delta(out.attn, 1.0)
-    d10 = mismatch_delta(out.attn, 10.0)
+    d1 = mismatch_delta(out.attention, 1.0)
+    d10 = mismatch_delta(out.attention, 10.0)
     assert np.all(d1 >= 0.0)
     np.testing.assert_allclose(d10, 10.0 * d1, atol=1e-12)
 
@@ -196,7 +201,7 @@ def _stacked_streams(model, series, cfg):
         b = wins[i : i + cfg.batch_size]
         out = model.forward(Tensor(b))
         rs.append(((out.recon.data - b) ** 2).mean(axis=-1))
-        deltas.append(mismatch_delta(out.attn, cfg.temperature))
+        deltas.append(mismatch_delta(out.attention, cfg.temperature))
     r, delta = np.concatenate(rs), np.concatenate(deltas)
     w = alignment_weights(delta)
     projected = []

@@ -1,5 +1,6 @@
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,10 +40,15 @@ class FakeFields:
         self.stiffness = Tensor(np.asarray(stiffness, dtype=np.float64))
 
 
-class FakeAttn:
-    def __init__(self, series, prior):
-        self.series = [Tensor(np.asarray(s)[None]) for s in series]
-        self.prior = [Tensor(np.asarray(p)[None]) for p in prior]
+def fake_attention(series, prior):
+    """Per layer, the KL rows of the given S and P, made by sym_kl_rows as
+    dual_attention makes them."""
+    layers = []
+    for s, p in zip(series, prior):
+        kl = ad.sym_kl_rows(Tensor(np.asarray(s)[None]),
+                            Tensor(np.asarray(p)[None]))
+        layers.append(SimpleNamespace(kl_series=kl, kl_prior=kl))
+    return layers
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +104,12 @@ def test_hurst_distill_rejects_bad_target():
 
 def test_sym_kl_identity_and_fixture():
     rows = np.array([[1.0, 0.0], [0.5, 0.5]])
-    attn = FakeAttn([rows], [rows.copy()])
+    attn = fake_attention([rows], [rows.copy()])
     np.testing.assert_allclose(
         loss_sym_kl(attn, frozen="prior").item(), 0.0, atol=1e-9)
 
     other = np.array([[1.0, 0.0], [0.25, 0.75]])
-    attn2 = FakeAttn([rows], [other])
+    attn2 = fake_attention([rows], [other])
     got = loss_sym_kl(attn2, frozen="prior").item()
     np.testing.assert_allclose(got, 0.2746, atol=1e-4)
 
@@ -111,7 +117,7 @@ def test_sym_kl_identity_and_fixture():
 def test_sym_kl_rejects_unknown_side():
     rows = np.array([[1.0, 0.0], [0.5, 0.5]])
     with pytest.raises(ValueError):
-        loss_sym_kl(FakeAttn([rows], [rows]), frozen="both")
+        loss_sym_kl(fake_attention([rows], [rows]), frozen="both")
 
 
 def test_sym_kl_sign_structure():
@@ -123,7 +129,7 @@ def test_sym_kl_sign_structure():
     def losses(k):
         out = model.forward(x)
         recon = loss_reconstruction(x, out.recon)
-        sym = loss_sym_kl(out.attn, frozen="prior")
+        sym = loss_sym_kl(out.attention, frozen="prior")
         return (recon.item() - k * sym.item(),
                 recon.item() + k * sym.item(), sym.item())
 
@@ -143,7 +149,7 @@ def test_stop_gradient_asymmetry_exact_zeros():
         p.grad = None
     with Tape() as tape:
         out = model.forward(x)
-        sym = loss_sym_kl(out.attn, frozen="prior")
+        sym = loss_sym_kl(out.attention, frozen="prior")
     tape.backward(sym)
     for name in model.prior_param_names():
         g = model.params[name].grad
@@ -157,7 +163,7 @@ def test_stop_gradient_asymmetry_exact_zeros():
         p.grad = None
     with Tape() as tape:
         out = model.forward(x)
-        sym = loss_sym_kl(out.attn, frozen="series")
+        sym = loss_sym_kl(out.attention, frozen="series")
     tape.backward(sym)
     for name in model.series_param_names():
         g = model.params[name].grad
@@ -231,7 +237,7 @@ def _reference_step(batch, model, opt, cfg, hurst_target):
         with Tape() as tape:
             out = model.forward(x)
             recon = loss_reconstruction(x, out.recon)
-            sym = loss_sym_kl(out.attn, frozen=frozen)
+            sym = loss_sym_kl(out.attention, frozen=frozen)
             reg = (cfg.lambda_reg * loss_smoothness(out.fields)
                    + cfg.lambda_hurst * loss_hurst_distill(out.fields,
                                                            hurst_target)
@@ -418,6 +424,14 @@ def _unknown_param(meta, arrays):
     arrays["param::layer9.Wq"] = np.zeros((16, 16))
 
 
+def _nan_param(meta, arrays):
+    arrays["param::head.W"][0, 0] = np.nan
+
+
+def _string_param(meta, arrays):
+    arrays["param::head.b"] = np.full(arrays["param::head.b"].shape, "a")
+
+
 def _bad_config(meta, arrays):
     meta["model"]["dropout"] = 0.1
 
@@ -459,13 +473,17 @@ def _rewritten(edit):
     (_rewritten(_drop_param), r"missing parameters \['layer0.Wq'\]"),
     (_rewritten(_unknown_param), r"unknown parameters \['layer9.Wq'\]"),
     (_rewritten(_reshape_param), r"'head.b' has shape \(3,\)"),
+    (_rewritten(_nan_param), "parameter 'head.W' holds a non-finite value"),
+    (_rewritten(_string_param),
+     "parameter 'head.b' has dtype <U1, not a real float dtype"),
     (_rewritten(_bad_config), "dropout"),
     (_meta_not_object, "unreadable __meta__ record: a list, not an object"),
     (_not_npz, "unreadable .npz archive: ValueError"),
     (_truncated, "unreadable .npz archive: BadZipFile"),
     (_empty, "unreadable .npz archive: EOFError"),
 ], ids=["format_1", "dropped_param", "unknown_param", "reshaped_param",
-        "bad_config", "meta_not_object", "not_npz", "truncated", "empty"])
+        "nan_param", "string_param", "bad_config", "meta_not_object",
+        "not_npz", "truncated", "empty"])
 def test_load_checkpoint_rejects(saved_checkpoint, tmp_path, capsys, write,
                                  problem):
     bad = tmp_path / "bad.npz"
@@ -486,7 +504,7 @@ def test_non_collapse_after_training():
     ck = train(series, small_cfg(), quick_tcfg(k=3.0, series_ascent=False))
     w = Tensor(series[:16])
     out = ck.model.forward(w)
-    gap = loss_sym_kl(out.attn, frozen="prior").item()
+    gap = loss_sym_kl(out.attention, frozen="prior").item()
     assert gap > 0.0
 
 
