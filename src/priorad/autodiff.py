@@ -2,9 +2,10 @@
 
 Reverse-mode differentiation over 64-bit numpy arrays with an explicit
 operation tape. The tape is single-threaded: ops are recorded and run
-backward on the thread that holds it. Only the block math of the ops on
-attention-sized arrays may run on one pool thread (``_blockwise``), on
-plain arrays. Tensors created outside a tape are plain immutable values.
+backward on the thread that holds it. Only the block math of
+``dual_attention``, the one op on attention-sized arrays, may run on one
+pool thread (``_blockwise``), on plain arrays. Tensors created outside a
+tape are plain immutable values.
 
 Gradient ownership: a gradient array may be shared (``add`` hands the same
 array to both inputs, and a C-contiguous gradient is stored without a
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 EPS_PROB = 1e-12
-NORM_TOL = 1e-6  # largest |row sum - 1| that sym_kl_rows accepts
+NORM_TOL = 1e-6  # largest |row sum - 1| of S and P dual_attention accepts
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -141,10 +142,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-# Ops on attention-sized arrays [..., H, L, L] work through the leading
-# (batch) axis in blocks of about this many bytes, so that a block's
-# temporaries stay in the L2 cache and no temporary is as large as the
-# whole array. A cache budget, measured once (see README, "Autodiff").
+# dual_attention works through its attention-sized arrays [..., H, L, L]
+# along the leading (batch) axis in blocks of about this many bytes, so
+# that a block's temporaries stay in the L2 cache and no temporary is as
+# large as the whole array. A cache budget, measured once (see README,
+# "Autodiff").
 BLOCK_BYTES = 512 * 1024
 # Threads that run those blocks, the calling thread included: the two cores
 # of the reference machine. With 1, every block runs on the calling thread.
@@ -154,11 +156,7 @@ WORKERS = 2
 def _blocks(x: np.ndarray) -> list:
     """Slices of ``x``'s leading axis, each holding as many entries as fit
     in a WORKERS-th of BLOCK_BYTES and at least one, so that the blocks in
-    flight at once hold what one serial block did. An array of at most
-    three axes, such as one window's [H, L, L], has no batch axis and is one
-    block."""
-    if x.ndim <= 3:
-        return [...]
+    flight at once hold what one serial block did."""
     n = len(x)
     step = max(1, BLOCK_BYTES // WORKERS * n // max(x.nbytes, 1))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
@@ -189,10 +187,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _no_scratch(sl):
-    return []
-
-
 def _pooled(ctx, work, scratch: list):
     """``work(scratch)`` in the caller's context ``ctx`` (numpy's error state
     is a context variable), on the pool thread. The list is emptied first:
@@ -206,10 +200,10 @@ def _pooled(ctx, work, scratch: list):
 def _cut(bufs: list, sl) -> list:
     """A thread's scratch, made for the first (largest) block, cut to the
     length of block ``sl``."""
-    return bufs if sl is ... else [b[:sl.stop - sl.start] for b in bufs]
+    return [b[:sl.stop - sl.start] for b in bufs]
 
 
-def _blockwise(x: np.ndarray, fn, scratch=_no_scratch) -> list:
+def _blockwise(x: np.ndarray, fn, scratch) -> list:
     """``fn(sl, *bufs)`` over the blocks ``sl`` of ``x`` (``_blocks``): the
     one block executor. Returns the results in block order.
 
@@ -517,17 +511,6 @@ def _softmax_block_(zb: np.ndarray, masked) -> np.ndarray:
     return np.divide(zb, zb.sum(axis=-1, keepdims=True), out=zb)
 
 
-def _softmax_rows_(z: np.ndarray, mask) -> np.ndarray:
-    """``_softmax_block_`` over the whole of ``z``, block by block."""
-    masked = np.broadcast_to(_inverse_mask(mask), z.shape)
-
-    def block(sl):
-        _softmax_block_(z[sl], masked[sl])
-
-    _blockwise(z, block)
-    return z
-
-
 def _softmax_grad_into(g: np.ndarray, s: np.ndarray,
                        out: np.ndarray) -> np.ndarray:
     """Gradient of the logits of row softmax ``s`` from its gradient ``g``,
@@ -542,18 +525,13 @@ def _softmax_grad_into(g: np.ndarray, s: np.ndarray,
     return np.multiply(s, out, out=out)
 
 
-def _softmax_rows_grad(g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``_softmax_grad_into`` over whole arrays, block by block."""
-    out = np.empty(s.shape)
-    _blockwise(out, lambda sl: _softmax_grad_into(g[sl], s[sl], out[sl]))
-    return out
-
-
 def masked_softmax_rows(logits: Tensor, mask: np.ndarray) -> Tensor:
-    """Row-wise softmax over the last axis restricted to ``mask`` entries."""
-    s = _softmax_rows_(logits.data.copy(), mask)
+    """Row-wise softmax over the last axis restricted to ``mask`` entries,
+    for small logits such as the prior's [n_ph, 3] mixture: one block."""
+    s = _softmax_block_(logits.data.copy(), _inverse_mask(mask))
     out = Tensor(s)
-    return _record(out, (logits,), lambda g: (_softmax_rows_grad(g, s),))
+    return _record(out, (logits,), lambda g: (
+        _softmax_grad_into(g, s, np.empty(s.shape)),))
 
 
 # ---------------------------------------------------------------------------
@@ -581,45 +559,6 @@ def _attention_grad_into(g, s, scale, q, k, gq, gkT, gz) -> None:
         np.matmul(gz, k, out=gq)
     if gkT is not None:
         np.matmul(np.swapaxes(q, -1, -2), gz, out=gkT)
-
-
-def attention_scores(q: Tensor, k: Tensor, mask: np.ndarray) -> Tensor:
-    """Scaled dot-product attention weights softmax(q k^T / sqrt(d)) over
-    the ``mask`` entries of each row: [..., Lq, d], [..., Lk, d] ->
-    [..., Lq, Lk].
-
-    Replaces matmul(q, transpose(k)), the scaling mul and
-    masked_softmax_rows; keeps q, k and the weights. With ``sym_kl_rows``
-    and the model's ``prior_softmax`` it is the chain ``dual_attention``
-    is checked against.
-    """
-    if q.data.shape[-1] != k.data.shape[-1]:
-        raise ShapeError(f"query and key widths disagree: {q.data.shape} "
-                         f"vs {k.data.shape}")
-    scale = 1.0 / np.sqrt(q.data.shape[-1])
-    z = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-    s = _softmax_rows_(np.multiply(z, scale, out=z), mask)
-    out = Tensor(s)
-
-    def backward(g):
-        # block by block: the logits' gradient is never whole; gk is built
-        # as [..., d, Lk] and handed on transposed, as the matmul left it
-        gq = np.empty(s.shape[:-1] + q.data.shape[-1:]) \
-            if q.requires_grad else None
-        gkT = np.empty(s.shape[:-2] + k.data.shape[-1:] + s.shape[-1:]) \
-            if k.requires_grad else None
-        qs = np.broadcast_to(q.data, s.shape[:-1] + q.data.shape[-1:])
-        ks = np.broadcast_to(k.data, s.shape[:-2] + k.data.shape[-2:])
-
-        def block(sl, gz):
-            _attention_grad_into(g[sl], s[sl], scale, qs[sl], ks[sl],
-                                 None if gq is None else gq[sl],
-                                 None if gkT is None else gkT[sl], gz)
-
-        _blockwise(s, block, lambda sl: [np.empty(s[sl].shape)])
-        return gq, None if gkT is None else np.swapaxes(gkT, -1, -2)
-
-    return _record(out, (q, k), backward)
 
 
 def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
@@ -700,7 +639,7 @@ def _check_normalized(worst: list, names) -> None:
     than NORM_TOL from summing to 1."""
     for name, w in zip(names, zip(*worst)):
         w = np.max(w)
-        if w > NORM_TOL:
+        if not w <= NORM_TOL:  # a NaN row fails too
             raise NormalizationError(
                 f"{name} rows not normalized: max |sum-1| = {w:.3e}"
             )
@@ -734,71 +673,11 @@ def _kl_grad_into(g, a, b, out, inside, pc, d) -> np.ndarray:
     return np.add(rev, d, out=rev)
 
 
-def sym_kl_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Per-row symmetric KL(a_i || b_i) + KL(b_i || a_i) over the last axis.
-
-    Entries are floored at EPS_PROB before the log, so exact zeros shared by
-    both rows contribute nothing and a floored entry of ``a`` gets no
-    gradient. Rows must sum to 1 within NORM_TOL. ``b`` is held constant
-    (pass it through ``stop_gradient``); the gradient flows into ``a`` only.
-
-    Replaces the chain ``clip``, ``log``, ``sub``, ``mul``, ``tsum`` per
-    direction: the forward takes each log once. Keeps a and b; the backward
-    floors them again and recomputes the log-ratio block by block.
-    """
-    if b.requires_grad:
-        raise ContractError("sym_kl_rows holds b constant, but b needs a "
-                            "gradient; pass it through stop_gradient")
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sym_kl_rows needs equal shapes, got "
-                         f"{a.data.shape} and {b.data.shape}")
-    kl = np.empty(a.data.shape[:-1])
-
-    def block(sl, *bufs):
-        return _kl_rows_into(a.data[sl], b.data[sl], kl[sl], *bufs)
-
-    # per block, the worst row of a and of b
-    _check_normalized(_blockwise(a.data, block, lambda sl: [
-        np.empty(a.data[sl].shape) for _ in range(4)]), "ab")
-    out = Tensor(kl)
-
-    def backward(g):
-        # each block works in its share of the result, which is scratch
-        # until it is set
-        ga = np.empty(a.data.shape)
-
-        def block(sl, *bufs):
-            _kl_grad_into(g[sl], a.data[sl], b.data[sl], ga[sl], *bufs)
-
-        _blockwise(ga, block, lambda sl: [
-            np.empty(ga[sl].shape, bool), np.empty(ga[sl].shape),
-            np.empty(ga[sl].shape)])
-        return (ga,)
-
-    return _record(out, (a,), backward)
-
-
 def _broadcast_heads(z: np.ndarray, heads: int) -> np.ndarray:
     """Prior logits z [..., h, L, L] over ``heads`` heads: z itself, or its
     one head broadcast by adding zeros, which also turns a -0.0 into +0.0,
     as the chain's broadcast add did."""
     return z if z.shape[-3] == heads else z + np.zeros((heads, 1, 1))
-
-
-def _prior_logits(prior, heads: int) -> np.ndarray:
-    """The whole logits of a logits prior (see ``dual_attention``) over
-    ``heads`` heads, made block by block on the executor. A block holding a
-    non-finite logit raises NumericError once written."""
-    z = np.empty(prior.shape)
-
-    def block(sl, finite, *bufs):
-        prior.logits_into(sl, z[sl], *bufs)
-        if not np.isfinite(z[sl], out=finite).all():
-            raise NumericError("non-finite prior kernel logits")
-
-    _blockwise(z, block, lambda sl: [np.empty(z[sl].shape, bool),
-                                     *prior.scratch(sl)])
-    return _broadcast_heads(z, heads)
 
 
 def _prior_logits_grad(zb, c, sm, prior_heads: int) -> np.ndarray:
@@ -818,9 +697,9 @@ def _prior_logits_grad(zb, c, sm, prior_heads: int) -> np.ndarray:
 class DualAttention:
     """One layer's ``dual_attention``. Its two KL tensors hold the same
     values: the gradient of ``kl_series`` reaches the series attention S
-    only, as sym_kl_rows(S, stop_gradient(P)) sends it, and that of
+    only, as the KL of S against stop_gradient(P) sends it, and that of
     ``kl_prior`` the prior attention P only. ``maps()`` recomputes S and P
-    whole, off the tape, for inspection."""
+    whole, off the tape, with the op's own block code, for inspection."""
 
     context: Tensor    # S @ v, [..., H, L, dv]
     kl_series: Tensor  # symmetric KL per row, [..., H, L]
@@ -853,12 +732,14 @@ def dual_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
     P is the row softmax of the logits broadcast over the series heads, and
     the score is the mean square of those broadcast logits.
 
-    Replaces the chain attention_scores, matmul(S, v), the model's
-    prior_softmax and sym_kl_rows on either side, evaluating their
-    expressions in their order, so its values and gradients are bitwise
-    theirs: S's gradient is the KL's plus the product's, as the tape added
-    them, and the KL is computed once (KL(S||P) and KL(P||S) are the same
-    bits).
+    Replaces a chain of primitive ops: S as matmul, transpose, the scaling
+    mul and masked_softmax_rows; matmul(S, v); P as the prior's kernel
+    logits, their masked softmax and mean square; and the symmetric KL
+    (clip, log, sub, mul and tsum per direction) on either side of
+    stop_gradient. It evaluates their expressions in their order, so its
+    values and gradients are bitwise theirs: S's gradient is the KL's plus
+    the product's, as the tape added them, and the KL is computed once
+    (KL(S||P) and KL(P||S) are the same bits).
 
     Forward and backward make S and P a block of windows at a time on the
     executor, and the backward recomputes them. Each forward block writes
@@ -890,9 +771,10 @@ def dual_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
     if not const and prior.shape[0] != n:
         raise ShapeError(f"the prior covers {prior.shape[0]} windows, "
                          f"q {n}")
-    # A block here holds about six [H, L, L] arrays at once where a single
-    # op's holds three, so the op's blocks get half the executor's budget:
-    # the stand-in has S's windows at twice S's bytes each.
+    # A block here holds about six [H, L, L] arrays at once, twice the three
+    # of the blocked ops the budget was timed with, so the op's blocks get
+    # half the executor's budget: the stand-in has S's windows at twice S's
+    # bytes each.
     stand = np.broadcast_to(0.0, (n, 2 * H, L, L))
     blocks = _blocks(stand)
 
@@ -1031,9 +913,11 @@ def dual_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
 
     def maps():
         S = np.empty(shape)
+        P = P0 if const else np.empty(shape)
         for sl in blocks:
             scores_into(sl, S[sl])
-        P = P0 if const else _softmax_rows_(_prior_logits(prior, H), mask)
+            if not const:
+                probs_into(sl, P[sl], *probs_scratch(sl))
         return (S.reshape(lead + (H, L, L)), P.reshape(lead + (H, L, L)))
 
     _record_outputs([(context, (q, k, v)), (kl_series, (q, k)),

@@ -335,8 +335,7 @@ class PiModel:
 
 class KernelPrior:
     """The prior attention's logits for one layer's fields, a block of
-    windows at a time: the logits prior ``ad.dual_attention`` takes, and
-    that ``prior_softmax`` softmaxes whole.
+    windows at a time: the logits prior ``ad.dual_attention`` takes.
 
     Per head h and lag delta = i - j >= 0 the logit mixes
     fractal   -(2 - 2 H_i) ln(1 + delta),
@@ -468,51 +467,6 @@ class KernelPrior:
             g = -g * self._turns / (self._period * self._period)
             g_period = unb(g, head).reshape(period.shape)
         return g_hurst, g_tau, g_mix, g_period, g_gain
-
-
-def prior_softmax(fields: PriorFields, lags: np.ndarray, mask: np.ndarray,
-                  heads: int):
-    """The prior attention P [..., heads, L, L], the causal row softmax of
-    ``KernelPrior``'s logits, and the score mean(logits²), both whole: with
-    ``ad.attention_scores`` and ``ad.sym_kl_rows`` the chain that
-    ``ad.dual_attention`` is checked against. With one prior head
-    (single_head) the logits are broadcast over the ``heads`` series heads,
-    and the mean runs over the broadcast logits.
-
-    Replaces the prior kernel chain, the single_head broadcast ``add``,
-    ``masked_softmax_rows`` and ``mean_square``. P is computed in the
-    logits' memory, and the backward recomputes them block by block
-    (``KernelPrior.backward``). The score is the whole-array sum the
-    chain's ``mean_square`` took; a blocked sum would round differently.
-    A block holding a non-finite logit raises NumericError once written.
-
-    P and the score are two tape nodes over the fields, recorded score
-    first, that share one backward (``ad._record_outputs``).
-    """
-    prior = KernelPrior(fields, lags)
-    logits = ad._prior_logits(prior, heads)
-    inv_n = 1.0 / float(logits.size)
-    score = Tensor((logits * logits).sum() * inv_n)
-    P = ad._softmax_rows_(logits, mask)  # P owns the logits' memory
-    out = Tensor(P.reshape(fields.hurst.shape[:-1] + P.shape[1:]))
-
-    def backward(grads):
-        g_score, gP = grads
-        # mean_square's backward scale, g * inv_n * 2.0 in its order
-        c = None if g_score is None else g_score * inv_n * 2.0
-        gP = None if gP is None else gP.reshape(P.shape)
-
-        def logits_grad(sl, z):
-            sm = None if gP is None else ad._softmax_grad_into(
-                gP[sl], P[sl], np.empty(P[sl].shape))
-            return ad._prior_logits_grad(ad._broadcast_heads(z, heads), c,
-                                         sm, prior.heads)
-
-        return prior.backward(ad._blocks(P), logits_grad)
-
-    ad._record_outputs([(score, prior.inputs), (out, prior.inputs)],
-                       prior.inputs, backward)
-    return out, score
 
 
 def _swap_axes(ndim: int, a: int, b: int) -> tuple:

@@ -4,8 +4,8 @@ import pytest
 import priorad.autodiff as ad
 from priorad.autodiff import Tensor, Tape
 from priorad.model import (
-    ModelConfig, PiModel, PriorFields, ConfigError, causal_mask, lag_matrix,
-    prior_softmax, sinusoidal_encoding, estimate_hurst_rs, TAU_FLOOR,
+    ModelConfig, PiModel, PriorFields, ConfigError, KernelPrior, causal_mask,
+    lag_matrix, sinusoidal_encoding, estimate_hurst_rs, TAU_FLOOR,
 )
 from priorad.training import (
     Checkpoint, TrainConfig, load_checkpoint, save_checkpoint,
@@ -30,10 +30,20 @@ def make_fields(L, hurst, tau, mix, period=8.0, gain=1.0):
     )
 
 
+def prior_dual_attention(model, fields):
+    """The model's dual attention with the ``KernelPrior`` of ``fields``
+    (one window), against queries and keys of zeros: its series attention
+    S is uniform over j <= i."""
+    zeros = Tensor(np.zeros((model.cfg.num_heads, model.cfg.window_length,
+                             1)))
+    return ad.dual_attention(zeros, zeros, zeros, model.mask,
+                             KernelPrior(fields, model.lags))
+
+
 def prior_of(model, fields):
-    """The prior attention P of ``fields`` and its score, from the chain
-    the model's dual attention is checked against."""
-    return prior_softmax(fields, model.lags, model.mask, model.cfg.num_heads)
+    """The prior attention P [H, L, L] of ``fields``, as the model's dual
+    attention makes it."""
+    return prior_dual_attention(model, fields).maps()[1]
 
 
 def test_config_rejects_indivisible_heads():
@@ -136,9 +146,9 @@ def test_fractal_kernel_row_fixture():
     cfg = small_cfg(window_length=4)
     model = PiModel(cfg)
     fields = make_fields(4, hurst=0.5, tau=1.0, mix=[1.0, 0.0, 0.0])
-    P, _ = prior_of(model, fields)
+    P = prior_of(model, fields)
     raw = np.array([0.25, 1 / 3, 0.5, 1.0])
-    np.testing.assert_allclose(P.data[0, 3], raw / raw.sum(), atol=1e-12)
+    np.testing.assert_allclose(P[0, 3], raw / raw.sum(), atol=1e-12)
 
 
 def test_fractal_hurst_one_is_causal_uniform():
@@ -146,22 +156,22 @@ def test_fractal_hurst_one_is_causal_uniform():
     cfg = small_cfg(window_length=6)
     model = PiModel(cfg)
     fields = make_fields(6, hurst=1.0, tau=1.0, mix=[1.0, 0.0, 0.0])
-    P, _ = prior_of(model, fields)
-    np.testing.assert_allclose(P.data[0, 5], np.full(6, 1 / 6), atol=1e-12)
+    P = prior_of(model, fields)
+    np.testing.assert_allclose(P[0, 5], np.full(6, 1 / 6), atol=1e-12)
 
 
 def test_gaussian_kernel_self_focus_and_flat_limits():
     cfg = small_cfg(window_length=8)
     model = PiModel(cfg)
     tight = make_fields(8, hurst=0.5, tau=0.5, mix=[0.0, 1.0, 0.0])
-    P, _ = prior_of(model, tight)
-    assert np.all(P.data[0, np.arange(8), np.arange(8)] ==
-                  P.data[0].max(axis=-1))
+    P = prior_of(model, tight)
+    assert np.all(P[0, np.arange(8), np.arange(8)] ==
+                  P[0].max(axis=-1))
 
     flat = make_fields(8, hurst=0.5, tau=10.0 * 8, mix=[0.0, 1.0, 0.0])
-    Pf, _ = prior_of(model, flat)
+    Pf = prior_of(model, flat)
     uniform = causal_mask(8) / causal_mask(8).sum(axis=-1, keepdims=True)
-    tv = 0.5 * np.abs(Pf.data[0] - uniform).sum(axis=-1).max()
+    tv = 0.5 * np.abs(Pf[0] - uniform).sum(axis=-1).max()
     assert tv < 0.02
 
 
@@ -172,36 +182,36 @@ def test_phase_kernel_periodicity():
     model = PiModel(cfg)
     fields = make_fields(L, hurst=0.5, tau=1.0, mix=[0.0, 0.0, 1.0],
                          period=4.0, gain=3.0)
-    P, _ = prior_of(model, fields)
-    row = P.data[0, L - 1]
+    P = prior_of(model, fields)
+    row = P[0, L - 1]
     on_phase = row[[L - 1, L - 5, L - 9]]  # lags 0, 4, 8
     off_phase = row[[L - 3, L - 7]]        # lags 2, 6
     assert on_phase.min() > off_phase.max() * 5
 
 
 def test_prior_gradients_reach_fields():
-    # finite differences through H and tau via hand-built field tensors
+    # finite differences through H and tau via hand-built field tensors, of
+    # the prior KL's distance from P to the uniform causal attention S
     cfg = small_cfg(window_length=6)
     model = PiModel(cfg)
     mix = Tensor(np.array([[0.5, 0.4, 0.1]]))
     period = Tensor(np.array([5.0]))
     gain = Tensor(np.array([0.7]))
-    target = causal_mask(6) / causal_mask(6).sum(axis=-1, keepdims=True)
+
+    def loss(hurst, tau):
+        fields = PriorFields(hurst, tau, mix, period, gain)
+        return ad.tsum(prior_dual_attention(model, fields).kl_prior)
 
     def loss_at(hvals, tvals):
-        fields = PriorFields(Tensor(hvals), Tensor(tvals), mix, period, gain)
-        P, _ = prior_of(model, fields)
-        return float(ad.tsum(ad.square(P - Tensor(target[None]))).data)
+        return loss(Tensor(hvals), Tensor(tvals)).item()
 
     h0 = np.full(6, 0.4)
     t0 = np.full(6, 2.0)
     h = Tensor(h0.copy(), requires_grad=True)
     t = Tensor(t0.copy(), requires_grad=True)
     with Tape() as tape:
-        fields = PriorFields(h, t, mix, period, gain)
-        P, _ = prior_of(model, fields)
-        loss = ad.tsum(ad.square(P - Tensor(target[None])))
-    tape.backward(loss)
+        total = loss(h, t)
+    tape.backward(total)
 
     step = 1e-5
     for i in (0, 3, 5):

@@ -41,12 +41,14 @@ class FakeFields:
 
 
 def fake_attention(series, prior):
-    """Per layer, the KL rows of the given S and P, made by sym_kl_rows as
-    dual_attention makes them."""
+    """Per layer, the KL rows of the given S and P, made by the block code
+    of dual_attention's forward (on copies, which it floors in place)."""
     layers = []
     for s, p in zip(series, prior):
-        kl = ad.sym_kl_rows(Tensor(np.asarray(s)[None]),
-                            Tensor(np.asarray(p)[None]))
+        s, p = np.array(s, dtype=float)[None], np.array(p, dtype=float)[None]
+        kl = np.empty(s.shape[:-1])
+        ad._kl_rows_into(s, p, kl, s, p, np.empty(s.shape), np.empty(s.shape))
+        kl = Tensor(kl)
         layers.append(SimpleNamespace(kl_series=kl, kl_prior=kl))
     return layers
 
