@@ -23,6 +23,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -143,22 +144,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 # dual_attention works through its attention-sized arrays [..., H, L, L]
-# along the leading (batch) axis in blocks of about this many bytes, so
-# that a block's temporaries stay in the L2 cache and no temporary is as
-# large as the whole array. A cache budget, measured once (see README,
-# "Autodiff").
-BLOCK_BYTES = 512 * 1024
+# along the leading (batch) axis in blocks of windows whose slices of the
+# series attention S hold about this many bytes, so that a block's
+# temporaries (about six arrays of S's size) stay in the L2 cache and no
+# temporary is as large as the whole array. A cache budget, measured once
+# (see README, "Autodiff").
+BLOCK_BYTES = 128 * 1024
 # Threads that run those blocks, the calling thread included: the two cores
 # of the reference machine. With 1, every block runs on the calling thread.
 WORKERS = 2
 
 
-def _blocks(x: np.ndarray) -> list:
-    """Slices of ``x``'s leading axis, each holding as many entries as fit
-    in a WORKERS-th of BLOCK_BYTES and at least one, so that the blocks in
-    flight at once hold what one serial block did."""
-    n = len(x)
-    step = max(1, BLOCK_BYTES // WORKERS * n // max(x.nbytes, 1))
+def _blocks(n: int, window_bytes: int) -> list:
+    """Slices of ``n`` windows, each holding as many windows of
+    ``window_bytes`` (a window's slice of S) as fit in BLOCK_BYTES and at
+    least one."""
+    step = max(1, BLOCK_BYTES // max(window_bytes, 1))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
@@ -203,9 +204,9 @@ def _cut(bufs: list, sl) -> list:
     return [b[:sl.stop - sl.start] for b in bufs]
 
 
-def _blockwise(x: np.ndarray, fn, scratch) -> list:
-    """``fn(sl, *bufs)`` over the blocks ``sl`` of ``x`` (``_blocks``): the
-    one block executor. Returns the results in block order.
+def _blockwise(blocks: list, fn, scratch) -> list:
+    """``fn(sl, *bufs)`` over the slices ``sl`` in ``blocks`` (``_blocks``):
+    the one block executor. Returns the results in block order.
 
     The calling thread and the pool thread each take the next block when
     they are free, so at most WORKERS blocks are in flight. ``fn`` takes
@@ -218,7 +219,6 @@ def _blockwise(x: np.ndarray, fn, scratch) -> list:
     it. If a block raises, the error reaches the caller once the blocks in
     flight have finished, and no block starts after it.
     """
-    blocks = _blocks(x)
     results = [None] * len(blocks)
     order = iter(range(len(blocks)))  # shared; next() holds the GIL
     failed = []  # once a block has raised, no block starts
@@ -549,18 +549,6 @@ def masked_softmax_rows(logits: Tensor, mask: np.ndarray) -> Tensor:
 LN_EPS = 1e-6
 
 
-def _attention_grad_into(g, s, scale, q, k, gq, gkT, gz) -> None:
-    """One block of attention weights ``s`` = softmax(q k^T * scale): from
-    their gradient ``g``, the logits' gradient in ``gz``, then q's in ``gq``
-    and k's, as [..., d, Lk], in ``gkT`` (either may be None)."""
-    _softmax_grad_into(g, s, gz)
-    np.multiply(gz, scale, out=gz)
-    if gq is not None:
-        np.matmul(gz, k, out=gq)
-    if gkT is not None:
-        np.matmul(np.swapaxes(q, -1, -2), gz, out=gkT)
-
-
 def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
     """g * (x - mean) / sqrt(var + LN_EPS) + b over the last axis.
 
@@ -673,24 +661,144 @@ def _kl_grad_into(g, a, b, out, inside, pc, d) -> np.ndarray:
     return np.add(rev, d, out=rev)
 
 
-def _broadcast_heads(z: np.ndarray, heads: int) -> np.ndarray:
-    """Prior logits z [..., h, L, L] over ``heads`` heads: z itself, or its
-    one head broadcast by adding zeros, which also turns a -0.0 into +0.0,
-    as the chain's broadcast add did."""
-    return z if z.shape[-3] == heads else z + np.zeros((heads, 1, 1))
+@dataclass(frozen=True)
+class _Attention:
+    """What one ``dual_attention`` makes S and P from, as plain arrays over
+    its n windows, with the blocks it makes them in. v is not here: ``maps``
+    holds this record for as long as the op's outputs live, and must not
+    keep v alive."""
+
+    q: np.ndarray       # [n, H, L, d]
+    k: np.ndarray       # [n, H, L, d]
+    masked: np.ndarray  # True where the mask forbids an entry, [L, L]
+    scale: float        # 1 / sqrt(d)
+    prior: object       # the logits prior, or the constant P [n, H, L, L]
+    blocks: list        # slices of the n windows (``_blocks``)
+
+    @property
+    def constant(self) -> bool:
+        return isinstance(self.prior, np.ndarray)
 
 
-def _prior_logits_grad(zb, c, sm, prior_heads: int) -> np.ndarray:
-    """One block's gradient of the prior logits ``zb`` (broadcast over the
-    series heads) from the score's scale ``c`` and the softmax's part
-    ``sm``, either of which may be None: c * zb, then + sm, as the tape
-    added them, summed over the series heads after that add when one prior
-    head was broadcast over them. Works in zb's memory."""
-    G = None if c is None else np.multiply(c, zb, out=zb)
+def _arrays(a: _Attention, sl, count: int, dtype=np.float64) -> list:
+    """``count`` arrays shaped like S of block ``sl``."""
+    shape = a.q[sl].shape[:-1] + a.k.shape[-2:-1]
+    return [np.empty(shape, dtype) for _ in range(count)]
+
+
+def _scores_into(a: _Attention, sl, s) -> np.ndarray:
+    """S of block ``sl``, in ``s``, which is returned."""
+    np.matmul(a.q[sl], np.swapaxes(a.k[sl], -1, -2), out=s)
+    return _softmax_block_(np.multiply(s, a.scale, out=s), a.masked)
+
+
+def _prior_scratch(a: _Attention, sl) -> list:
+    return [] if a.constant else a.prior.scratch(sl)
+
+
+def _probs_into(a: _Attention, sl, p, *bufs) -> np.ndarray:
+    """P of block ``sl``, in ``p``, which is returned; ``bufs`` are
+    ``_prior_scratch``'s."""
+    if a.constant:
+        np.copyto(p, a.prior[sl])
+        return p
+    return _softmax_block_(a.prior.logits_into(sl, p, *bufs), a.masked)
+
+
+def _forward_scratch(a: _Attention, sl) -> list:
+    return (_arrays(a, sl, 4) + _arrays(a, sl, 1, bool)
+            + _prior_scratch(a, sl))
+
+
+def _forward_block(a: _Attention, v, ctx, kl, z, sl, s, p, d, log_q, finite,
+                   *bufs) -> list:
+    """One forward block: S, its context S @ ``v`` in ``ctx``, P and the KL
+    rows in ``kl``; the prior's logits are also copied into ``z`` (None for
+    a constant prior). Returns the worst row-sum errors of S and P."""
+    _scores_into(a, sl, s)
+    np.matmul(s, v[sl], out=ctx[sl])
+    if a.constant:
+        np.copyto(p, a.prior[sl])
+    else:
+        a.prior.logits_into(sl, p, *bufs)
+        if not np.isfinite(p, out=finite).all():
+            raise NumericError("non-finite prior kernel logits")
+        np.copyto(z[sl], p)
+        _softmax_block_(p, a.masked)
+    # the KL floors S and P in their own blocks: neither is read again
+    return _kl_rows_into(s, p, kl[sl], s, p, d, log_q)
+
+
+def _series_scratch(a: _Attention, with_kl: bool, sl) -> list:
+    if not with_kl:
+        return _arrays(a, sl, 3)
+    return (_arrays(a, sl, 5) + _arrays(a, sl, 1, bool)
+            + _prior_scratch(a, sl))
+
+
+def _series_block(a: _Attention, v, g_ctx, g_kls, gq, gkT, gv, sl, s, gs, d,
+                  *kl_bufs) -> None:
+    """One block of the series side of the backward: v's gradient in
+    ``gv``, and q's and k's, the latter as [..., d, L], in ``gq`` and
+    ``gkT`` (any may be None), from the gradients of the context and, when
+    ``kl_bufs`` (``_series_scratch``'s with the KL) are given, of S's KL
+    rows."""
+    _scores_into(a, sl, s)
+    need_qk = gq is not None or gkT is not None
+    gS = None
+    if kl_bufs:
+        p, pc, inside, *pbufs = kl_bufs
+        gS = _kl_grad_into(g_kls[sl], s, _probs_into(a, sl, p, *pbufs),
+                           gs, inside, pc, d)
+    if g_ctx is not None:
+        gc = g_ctx[sl]
+        if gv is not None:
+            np.matmul(np.swapaxes(s, -1, -2), gc, out=gv[sl])
+        if need_qk:
+            # the product's gradient, added to the KL's as the tape added
+            # S's two
+            gm = np.matmul(gc, np.swapaxes(v[sl], -1, -2),
+                           out=gs if gS is None else d)
+            gS = gm if gS is None else np.add(gS, gm, out=gS)
+    if need_qk:
+        # the logits' gradient, then q's and k's
+        gz = np.multiply(_softmax_grad_into(gS, s, d), a.scale, out=d)
+        if gq is not None:
+            np.matmul(gz, a.k[sl], out=gq[sl])
+        if gkT is not None:
+            np.matmul(np.swapaxes(a.q[sl], -1, -2), gz, out=gkT[sl])
+
+
+def _logits_grad(a: _Attention, g_klp, c, sl, z) -> np.ndarray:
+    """The gradient of the prior logits ``z`` of block ``sl`` (over the
+    series heads) from P's KL rows' gradient ``g_klp`` and the score's
+    scale ``c``, either of which may be None: c * z, then + the softmax's
+    part, as the tape added them. Works in z's memory."""
+    sm = None
+    if g_klp is not None:
+        p, s, gP = _arrays(a, sl, 3)
+        np.copyto(p, z)
+        _kl_grad_into(g_klp[sl], _softmax_block_(p, a.masked),
+                      _scores_into(a, sl, s), gP, *_arrays(a, sl, 1, bool),
+                      *_arrays(a, sl, 2))
+        sm = _softmax_grad_into(gP, p, s)
+        p = gP = None
+    G = None if c is None else np.multiply(c, z, out=z)
     if sm is not None:
         G = sm if G is None else np.add(G, sm, out=G)
-    return G if zb.shape[-3] == prior_heads \
-        else G.sum(axis=-3, keepdims=True)
+    return G
+
+
+def _maps(a: _Attention, shape) -> tuple:
+    """S and P whole, in ``shape``, recomputed block by block off the
+    tape."""
+    S = np.empty((len(a.q),) + shape[-3:])
+    P = a.prior if a.constant else np.empty(S.shape)
+    for sl in a.blocks:
+        _scores_into(a, sl, S[sl])
+        if not a.constant:
+            _probs_into(a, sl, P[sl], *_prior_scratch(a, sl))
+    return S.reshape(shape), P.reshape(shape)
 
 
 @dataclass
@@ -720,17 +828,14 @@ def dual_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
     S's shape (its score is 0 and no input reaches it), or a logits prior,
     an object with
     - ``inputs``, the tensors its logits depend on;
-    - ``heads``, its number of heads: H, or 1 broadcast over the H series
-      heads;
-    - ``shape``, [n, heads, L, L] for n windows (one window is a batch of
-      one);
+    - ``shape``, [n, H, L, L] for n windows (one window is a batch of one);
     - ``scratch(sl)`` and ``logits_into(sl, out, *scratch)``, which writes
-      the logits of the windows in block ``sl`` in ``out`` and returns it;
+      the logits of the windows in block ``sl``, over the H series heads,
+      in ``out`` and returns it;
     - ``backward(blocks, logits_grad)``, the inputs' gradients, from
       ``logits_grad(sl, z)``: the logits' gradient of each of ``blocks`` in
       turn, given its logits z, which it may overwrite.
-    P is the row softmax of the logits broadcast over the series heads, and
-    the score is the mean square of those broadcast logits.
+    P is the row softmax of those logits, and the score their mean square.
 
     Replaces a chain of primitive ops: S as matmul, transpose, the scaling
     mul and masked_softmax_rows; matmul(S, v); P as the prior's kernel
@@ -742,13 +847,14 @@ def dual_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
     (KL(S||P) and KL(P||S) are the same bits).
 
     Forward and backward make S and P a block of windows at a time on the
-    executor, and the backward recomputes them. Each forward block writes
-    its logits into one whole array for the score, whose whole-array sum a
-    blocked sum would round differently; it is freed once the score is
-    taken. The prior side of the backward is one loop on the calling
-    thread, in ``prior.backward``, so that its sums over the batch go in
-    row order; it recomputes S too when P's KL has a gradient. A block
-    holding a non-finite prior logit raises NumericError once written.
+    executor (``_forward_block``, ``_series_block``), and the backward
+    recomputes them. Each forward block writes its logits into one whole
+    array for the score, whose whole-array sum a blocked sum would round
+    differently; it is freed once the score is taken. The prior side of the
+    backward is one loop on the calling thread, in ``prior.backward``, so
+    that its sums over the batch go in row order; it recomputes S too when
+    P's KL has a gradient (``_logits_grad``). A block holding a non-finite
+    prior logit raises NumericError once written.
     """
     if q.data.shape[-1] != k.data.shape[-1]:
         raise ShapeError(f"query and key widths disagree: {q.data.shape} "
@@ -762,73 +868,25 @@ def dual_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
     qd, kd, vd = (t.data.reshape((-1,) + t.shape[-3:]) for t in (q, k, v))
     n = len(qd)
     shape = (n, H, L, L)
-    masked = _inverse_mask(mask)
-    scale = 1.0 / np.sqrt(dk)
     const = isinstance(prior, np.ndarray)
-    P0 = np.broadcast_to(prior, lead + (H, L, L)).reshape(shape) \
-        if const else None
-    pin = () if const else tuple(prior.inputs)
-    if not const and prior.shape[0] != n:
-        raise ShapeError(f"the prior covers {prior.shape[0]} windows, "
-                         f"q {n}")
-    # A block here holds about six [H, L, L] arrays at once, twice the three
-    # of the blocked ops the budget was timed with, so the op's blocks get
-    # half the executor's budget: the stand-in has S's windows at twice S's
-    # bytes each.
-    stand = np.broadcast_to(0.0, (n, 2 * H, L, L))
-    blocks = _blocks(stand)
-
-    def arrays(sl, count, dtype=np.float64):
-        return [np.empty((sl.stop - sl.start, H, L, L), dtype)
-                for _ in range(count)]
-
-    def scores_into(sl, s):
-        np.matmul(qd[sl], np.swapaxes(kd[sl], -1, -2), out=s)
-        return _softmax_block_(np.multiply(s, scale, out=s), masked)
-
-    def probs_scratch(sl):
-        if const:
-            return []
-        own = [] if prior.heads == H else \
-            [np.empty((sl.stop - sl.start, prior.heads, L, L))]
-        return prior.scratch(sl) + own
-
-    def logits_into(sl, out, *bufs):
-        """The prior's logits of block ``sl`` over the series heads, in
-        ``out``; bufs are ``probs_scratch``'s."""
-        if prior.heads == H:
-            return prior.logits_into(sl, out, *bufs)
-        return np.add(prior.logits_into(sl, bufs[-1], *bufs[:-1]),
-                      np.zeros((H, 1, 1)), out=out)
-
-    def probs_into(sl, p, *bufs):
-        """P of block ``sl``, recomputed in p."""
-        if const:
-            np.copyto(p, P0[sl])
-            return p
-        return _softmax_block_(logits_into(sl, p, *bufs), masked)
+    if const:
+        prior = np.broadcast_to(prior, lead + (H, L, L)).reshape(shape)
+        pin = ()
+    else:
+        pin = tuple(prior.inputs)
+        if prior.shape[0] != n:
+            raise ShapeError(f"the prior covers {prior.shape[0]} windows, "
+                             f"q {n}")
+    a = _Attention(qd, kd, _inverse_mask(mask), 1.0 / np.sqrt(dk), prior,
+                   _blocks(n, 8 * H * L * L))
 
     ctx = np.empty((n, H, L, dv))
     kl = np.empty((n, H, L))
     # the whole logits over the series heads, for the score's sum only
     z = None if const else np.empty(shape)
-
-    def forward_block(sl, s, p, d, log_q, finite, *bufs):
-        scores_into(sl, s)
-        np.matmul(s, vd[sl], out=ctx[sl])
-        if const:
-            np.copyto(p, P0[sl])
-        else:
-            logits_into(sl, p, *bufs)
-            if not np.isfinite(p, out=finite).all():
-                raise NumericError("non-finite prior kernel logits")
-            np.copyto(z[sl], p)
-            _softmax_block_(p, masked)
-        # the KL floors S and P in their own blocks: neither is read again
-        return _kl_rows_into(s, p, kl[sl], s, p, d, log_q)
-
-    _check_normalized(_blockwise(stand, forward_block, lambda sl: (
-        arrays(sl, 4) + arrays(sl, 1, bool) + probs_scratch(sl))),
+    _check_normalized(
+        _blockwise(a.blocks, partial(_forward_block, a, vd, ctx, kl, z),
+                   partial(_forward_scratch, a)),
         ("series attention", "prior attention"))
     if const:
         score, inv_n = Tensor(0.0), None
@@ -836,94 +894,47 @@ def dual_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
         # the sum mean_square took over the chain's whole logits
         inv_n = 1.0 / float(z.size)
         score = Tensor(np.multiply(z, z, out=z).sum() * inv_n)
-    z = None  # the logits are freed here
     context = Tensor(ctx.reshape(lead + (H, L, dv)))
     kl_series = Tensor(kl.reshape(lead + (H, L)))
     kl_prior = Tensor(kl_series.data)
 
     def backward(grads):
         g_ctx, g_kls, g_klp, g_score = grads
-        g_ctx = None if g_ctx is None else g_ctx.reshape(ctx.shape)
-        g_kls = None if g_kls is None else g_kls.reshape(kl.shape)
-        g_klp = None if g_klp is None else g_klp.reshape(kl.shape)
+        g_ctx = None if g_ctx is None else g_ctx.reshape((n, H, L, dv))
+        g_kls = None if g_kls is None else g_kls.reshape((n, H, L))
+        g_klp = None if g_klp is None else g_klp.reshape((n, H, L))
         reached = g_ctx is not None or g_kls is not None
-        gq = np.empty(qd.shape) if q.requires_grad and reached else None
+        gq = np.empty(a.q.shape) if q.requires_grad and reached else None
         # built as [..., d, L] and handed on transposed, as the matmul left it
         gkT = np.empty((n, H, dk, L)) if k.requires_grad and reached \
             else None
         gv = np.empty(vd.shape) if v.requires_grad and g_ctx is not None \
             else None
         need_qk = gq is not None or gkT is not None
-
-        def series_block(sl, s, gs, d, *kl_bufs):
-            scores_into(sl, s)
-            gS = None
-            if kl_bufs:  # S's KL has a gradient, and q or k needs one
-                p, pc, inside, *pbufs = kl_bufs
-                gS = _kl_grad_into(g_kls[sl], s, probs_into(sl, p, *pbufs),
-                                   gs, inside, pc, d)
-            if g_ctx is not None:
-                gc = g_ctx[sl]
-                if gv is not None:
-                    np.matmul(np.swapaxes(s, -1, -2), gc, out=gv[sl])
-                if need_qk:
-                    # the product's gradient, added to the KL's as the tape
-                    # added S's two
-                    gm = np.matmul(gc, np.swapaxes(vd[sl], -1, -2),
-                                   out=gs if gS is None else d)
-                    gS = gm if gS is None else np.add(gS, gm, out=gS)
-            if need_qk:
-                _attention_grad_into(
-                    gS, s, scale, qd[sl], kd[sl],
-                    None if gq is None else gq[sl],
-                    None if gkT is None else gkT[sl], d)
-
-        def series_scratch(sl):
-            if g_kls is None or not need_qk:
-                return arrays(sl, 3)
-            return arrays(sl, 5) + arrays(sl, 1, bool) + probs_scratch(sl)
-
         if need_qk or gv is not None:
-            _blockwise(stand, series_block, series_scratch)
+            # S's KL gradient is worked only when it reaches q or k
+            with_kl = g_kls is not None and need_qk
+            _blockwise(a.blocks, partial(_series_block, a, vd, g_ctx, g_kls,
+                                         gq, gkT, gv),
+                       partial(_series_scratch, a, with_kl))
 
         prior_grads = [None] * len(pin)
         if any(t.requires_grad for t in pin) and (
                 g_score is not None or g_klp is not None):
             # mean_square's backward scale, g * inv_n * 2.0 in its order
             c = None if g_score is None else g_score * inv_n * 2.0
-
-            def logits_grad(sl, z):
-                zb = _broadcast_heads(z, H)
-                sm = None
-                if g_klp is not None:
-                    p, s, gP = arrays(sl, 3)
-                    np.copyto(p, zb)
-                    _kl_grad_into(g_klp[sl], _softmax_block_(p, masked),
-                                  scores_into(sl, s), gP,
-                                  *arrays(sl, 1, bool), *arrays(sl, 2))
-                    sm = _softmax_grad_into(gP, p, s)
-                    p = gP = None
-                return _prior_logits_grad(zb, c, sm, prior.heads)
-
-            prior_grads = prior.backward(blocks, logits_grad)
+            prior_grads = a.prior.backward(
+                a.blocks, partial(_logits_grad, a, g_klp, c))
         return (None if gq is None else gq.reshape(q.shape),
                 None if gkT is None
                 else np.swapaxes(gkT, -1, -2).reshape(k.shape),
                 None if gv is None else gv.reshape(v.shape), *prior_grads)
 
-    def maps():
-        S = np.empty(shape)
-        P = P0 if const else np.empty(shape)
-        for sl in blocks:
-            scores_into(sl, S[sl])
-            if not const:
-                probs_into(sl, P[sl], *probs_scratch(sl))
-        return (S.reshape(lead + (H, L, L)), P.reshape(lead + (H, L, L)))
-
     _record_outputs([(context, (q, k, v)), (kl_series, (q, k)),
                      (kl_prior, pin), (score, pin)], (q, k, v, *pin),
                     backward)
-    return DualAttention(context, kl_series, kl_prior, score, maps)
+    return DualAttention(context, kl_series, kl_prior, score,
+                         partial(_maps, a, lead + (H, L, L)))
 
 
 # ---------------------------------------------------------------------------

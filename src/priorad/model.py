@@ -288,7 +288,7 @@ class PiModel:
         """
         if self.cfg.prior_mode == "no_phase":
             return self.mask / self.mask.sum(axis=-1, keepdims=True)
-        return KernelPrior(fields, self.lags)
+        return KernelPrior(fields, self.lags, self.cfg.num_heads)
 
     # full forward -----------------------------------------------------------
 
@@ -343,24 +343,29 @@ class KernelPrior:
     phase     kappa_h cos(2 pi delta / p_h)
     with convex weights. The per-position kernels are built as [n, 1, L, L]
     and broadcast against the per-head parameters shaped [heads, 1, 1]; a
-    single window is a batch of one.
+    single window is a batch of one. The logits cover the ``series_heads``
+    heads of the series attention: its own heads are those, or one head
+    broadcast over them (single_head mode).
 
     Replaces the prior kernel chain (25 primitive nodes: reshape, mul, sub,
-    neg, square, div, cos, getitem, add). The logits are never kept: the
-    backward recomputes them, with the kernels, from ``lags``. It evaluates
-    the chain's backward expressions in reverse tape order, reducing
-    through ``_unbroadcast`` at the same points, so its gradients are
-    bitwise equal to the chain's.
+    neg, square, div, cos, getitem, add) and single_head's broadcast add
+    over the series heads. The logits are never kept: the backward
+    recomputes them, with the kernels, from ``lags``. It evaluates the
+    chain's backward expressions in reverse tape order, reducing through
+    ``_unbroadcast`` at the same points, so its gradients are bitwise equal
+    to the chain's.
     """
 
-    def __init__(self, fields: PriorFields, lags: np.ndarray):
+    def __init__(self, fields: PriorFields, lags: np.ndarray,
+                 series_heads: int):
         hurst, tau, mix = fields.hurst, fields.stiffness, fields.mix_weights
         period, gain = fields.phase_period, fields.phase_gain
         self.inputs = (hurst, tau, mix, period, gain)  # PriorFields' order
         self.heads = period.shape[0]
         L = lags.shape[-1]
         lead = hurst.shape[:-1] or (1,)
-        self.shape = lead + (self.heads, L, L)
+        self.series_heads = series_heads
+        self.shape = lead + (series_heads, L, L)
         self._row = lead + (1, L, 1)  # a per-position field indexes the row
         self._head = (self.heads, 1, 1)
         self._h_row = hurst.data.reshape(self._row)
@@ -393,21 +398,32 @@ class KernelPrior:
                 for h in heads]
 
     def scratch(self, sl) -> list:
-        """The fractal and Gaussian kernels and a product, for block sl."""
-        return self._arrays(sl, (1, 1, self.heads))
+        """The fractal and Gaussian kernels and a product for block sl,
+        and, when one head is broadcast over the series heads, its logits."""
+        heads = (1, 1, self.heads)
+        if self.heads != self.series_heads:
+            heads += (1,)
+        return self._arrays(sl, heads)
 
-    def logits_into(self, sl, out, fractal, gaussian, product):
-        """m0 * fractal + m1 * gaussian + mixed_phase for block ``sl``, in
-        ``out``, which is returned."""
+    def logits_into(self, sl, out, fractal, gaussian, product, own=None):
+        """m0 * fractal + m1 * gaussian + mixed_phase for block ``sl`` over
+        the series heads, in ``out``, which is returned. One head is made in
+        ``own`` and broadcast by adding zeros, which also turns a -0.0 into
+        +0.0, as the chain's broadcast add did."""
+        z = out if own is None else own
         self._kernels(sl, fractal, gaussian)
         m0, m1, _ = self._m
-        np.multiply(m0, fractal, out=out)
-        np.add(out, np.multiply(m1, gaussian, out=product), out=out)
-        return np.add(out, self._mixed_phase, out=out)
+        np.multiply(m0, fractal, out=z)
+        np.add(z, np.multiply(m1, gaussian, out=product), out=z)
+        np.add(z, self._mixed_phase, out=z)
+        if own is None:
+            return out
+        return np.add(own, np.zeros((self.series_heads, 1, 1)), out=out)
 
     def backward(self, blocks, logits_grad):
         """The fields' gradients, from ``logits_grad(sl, z)``: the logits'
-        gradient of block ``sl`` given its logits ``z``.
+        gradient of block ``sl`` given its logits ``z`` over the series
+        heads, summed here over those heads when one head was broadcast.
 
         One loop over ``blocks`` on the calling thread that makes its own
         block arrays: the chain's sums over the batch are carried from
@@ -427,12 +443,14 @@ class KernelPrior:
         tau_row = self._tau_row
 
         for sl in blocks:
-            fractal, gaussian, product, z = self._arrays(
-                sl, (1, 1, self.heads, self.heads))
-            self.logits_into(sl, z, fractal, gaussian, product)
-            product = None
+            fractal, gaussian, *rest = self.scratch(sl)
+            z = self._arrays(sl, (self.series_heads,))[0]
+            self.logits_into(sl, z, fractal, gaussian, *rest)
+            rest = None
             Gb = logits_grad(sl, z)
             z = None
+            if self.heads != self.series_heads:
+                Gb = Gb.sum(axis=-3, keepdims=True)
             tau_sq2 = 2.0 * (tau_row[sl] * tau_row[sl])
             ad._add_rows(g_sum, Gb)
             if mix.requires_grad:

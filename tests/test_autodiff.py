@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import subprocess
@@ -567,7 +568,7 @@ def test_fd_gradient_prior_logits(name):
                                         for k, v in values.items()})
                 att = ad.dual_attention(
                     qk, qk, qk, causal_mask(L),
-                    pmodel.KernelPrior(fields, pmodel.lag_matrix(L)))
+                    pmodel.KernelPrior(fields, pmodel.lag_matrix(L), H))
                 if through == "score":
                     return att.score
                 loss = ad.tsum(att.kl_prior * weights)
@@ -651,7 +652,7 @@ def test_fd_gradient_dual_attention(name, n_ph, lead):
     def build(x):
         t = {n: x if n == name else Tensor(v) for n, v in values.items()}
         prior = pmodel.KernelPrior(PriorFields(*list(t.values())[3:]),
-                                   pmodel.lag_matrix(L))
+                                   pmodel.lag_matrix(L), H)
         att = ad.dual_attention(t["q"], t["k"], t["v"], causal_mask(L), prior)
         terms = [ad.tsum(getattr(att, o) * weights[o])
                  for o in DUAL_SIDES[name]]
@@ -748,17 +749,15 @@ def test_fused_ops_match_primitive_chains_bitwise(prior_mode, lead,
 # ---------------------------------------------------------------------------
 
 BLOCK_H, BLOCK_L = 3, 6
-# one window's share of the stand-in array dual_attention makes its blocks
-# of: the window's [H, L, L] slice of S at twice its bytes
-BLOCK_ROW = 2 * BLOCK_H * BLOCK_L * BLOCK_L * 8
+# one window's [H, L, L] slice of S, the unit dual_attention's block budget
+# counts in
+BLOCK_ROW = BLOCK_H * BLOCK_L * BLOCK_L * 8
 # one entry per block, two (so five entries end in a short block), four,
-# one block; with two workers each block gets half the budget
+# one block
 BUDGETS = {"one": 1, "two": 2 * BLOCK_ROW, "four": 4 * BLOCK_ROW,
            "unbounded": 1 << 62}
-# blocks of a batch of five per (workers, budget)
-BLOCK_COUNTS = {(1, "one"): 5, (1, "two"): 3, (1, "four"): 2,
-                (1, "unbounded"): 1, (2, "one"): 5, (2, "two"): 5,
-                (2, "four"): 3, (2, "unbounded"): 1}
+# blocks of a batch of five per budget, with one worker or two
+BLOCK_COUNTS = {"one": 5, "two": 3, "four": 2, "unbounded": 1}
 # the width of q, k and v
 BLOCK_D = 4
 OUTPUTS = ("context", "kl_series", "kl_prior", "score")
@@ -800,8 +799,11 @@ def _dual_case(case, args, L):
     list."""
     q, k, v, *fields = args.values()
     mask = causal_mask(L)
-    prior = pmodel.KernelPrior(PriorFields(*fields), pmodel.lag_matrix(L)) \
-        if fields else _normalized(mask.astype(float))
+    if fields:
+        prior = pmodel.KernelPrior(PriorFields(*fields), pmodel.lag_matrix(L),
+                                   q.shape[-3])
+    else:
+        prior = _normalized(mask.astype(float))
     att = ad.dual_attention(q, k, v, mask, prior)
     return att, [getattr(att, o) for o in DUAL_CASES[case][0]]
 
@@ -818,8 +820,8 @@ def test_blocked_ops_bitwise_across_block_sizes(op, lead, monkeypatch):
                for shape in ((), lead + (H, L), lead + (H, L, BLOCK_D))}
     blocks, seen = ad._blocks, set()
 
-    def counted(x):  # the blocks dual_attention makes
-        out = blocks(x)
+    def counted(*args):  # the blocks dual_attention makes
+        out = blocks(*args)
         seen.add(len(out))
         return out
 
@@ -839,8 +841,9 @@ def test_blocked_ops_bitwise_across_block_sizes(op, lead, monkeypatch):
         counts[workers, name] = seen.copy()
         results[workers, name] = [getattr(att, o).data for o in OUTPUTS] + [
             *att.maps()] + [t.grad for t in args.values()]
-    assert counts == {key: {n if lead else 1}
-                      for key, n in BLOCK_COUNTS.items()}
+    assert counts == {(workers, name): {n if lead else 1}
+                      for workers in (1, 2)
+                      for name, n in BLOCK_COUNTS.items()}
     want = results.pop((1, "unbounded"))
     for got in results.values():
         for g, w in zip(got, want, strict=True):
@@ -873,7 +876,7 @@ def test_blocked_backward_allocates_only_a_few_blocks(op):
     """A blocked backward builds no whole-array temporary: beyond the
     gradients it returns, it allocates at most a few blocks."""
     B, H, L = 32, 4, 64
-    assert B * H * L * L * 8 >= 8 * ad.BLOCK_BYTES
+    assert B * H * L * L * 8 >= 32 * ad.BLOCK_BYTES
     rng = np.random.default_rng(14)
     with Tape() as tape:
         _, outs = _dual_case(op, _dual_inputs(op, (B,), H, L, rng), L)
@@ -893,12 +896,17 @@ def test_blocked_backward_allocates_only_a_few_blocks(op):
     finally:
         tracemalloc.stop()
     returned = sum(a.nbytes for a in grads if a is not None)
-    assert peak - returned < 4 * ad.BLOCK_BYTES
+    assert peak - returned < 16 * ad.BLOCK_BYTES  # 2 MiB
 
 
 # ---------------------------------------------------------------------------
 # the block executor: two blocks in flight, one on the pool thread
 # ---------------------------------------------------------------------------
+
+
+def _singles(n):
+    """Blocks of one entry each over n entries."""
+    return [slice(i, i + 1) for i in range(n)]
 
 
 @pytest.mark.parametrize("batch", [4, 5])
@@ -924,7 +932,6 @@ def test_blockwise_waits_for_the_other_block_before_raising(pool_fails,
     The other thread's second block is still running then: it finishes
     before the error reaches the caller, and no fifth block starts."""
     monkeypatch.setattr(ad, "WORKERS", 2)
-    monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
     calling = threading.current_thread()
     rounds = {True: threading.Barrier(2), False: threading.Barrier(2)}
     finished = []
@@ -939,16 +946,14 @@ def test_blockwise_waits_for_the_other_block_before_raising(pool_fails,
         finished.append(sl.start)
 
     with pytest.raises(ValueError, match="block failed"):
-        ad._blockwise(np.zeros((6, 1, 1, 1)), fn, lambda sl: [])
+        ad._blockwise(_singles(6), fn, lambda sl: [])
     assert len(finished) == 3 and set(finished) - {2, 3} == {0, 1}
 
 
 def test_blockwise_returns_results_in_block_order(monkeypatch):
     """Whichever thread ran a block."""
     monkeypatch.setattr(ad, "WORKERS", 2)
-    monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
-    x = np.zeros((7, 1, 1, 1))
-    assert ad._blockwise(x, lambda sl: sl.start,
+    assert ad._blockwise(_singles(7), lambda sl: sl.start,
                          lambda sl: []) == list(range(7))
 
 
@@ -957,7 +962,6 @@ def test_pooled_blocks_run_in_the_callers_error_state(monkeypatch):
     each take inf - inf: numpy warns unless the caller's np.errstate says
     otherwise."""
     monkeypatch.setattr(ad, "WORKERS", 2)
-    monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
     calling = threading.current_thread()
     x = np.full((2, 1, 1, 1), np.inf)
 
@@ -969,7 +973,7 @@ def test_pooled_blocks_run_in_the_callers_error_state(monkeypatch):
             pooled.append(threading.current_thread() is not calling)
             np.subtract(x[sl], x[sl], out=out[sl])
 
-        ad._blockwise(x, fn, lambda sl: [])
+        ad._blockwise(_singles(2), fn, lambda sl: [])
         assert sorted(pooled) == [False, True]
         return out
 
@@ -1076,16 +1080,15 @@ class _MeasuredPool:
 
 @pytest.mark.parametrize("op", DUAL_CASES)
 def test_pooled_blocks_allocate_no_block_sized_array(op, monkeypatch):
-    """Blocks of two windows, whose stand-in of twice S's bytes holds 2 MB:
-    a block on the pool thread allocates less than a sixteenth of that,
-    room for its row reductions [..., H, L] but not for a [..., 1, L, L]
-    kernel or a bool mask. The prior side of the backward is a plain loop
-    on the calling thread, so a case with no series output pools no
-    backward block."""
+    """Blocks of two windows, whose S holds 1 MB: a block on the pool
+    thread allocates less than a sixteenth of twice that, room for its row
+    reductions [..., H, L] but not for a [..., 1, L, L] kernel or a bool
+    mask. The prior side of the backward is a plain loop on the calling
+    thread, so a case with no series output pools no backward block."""
     B, H, L = 8, 4, 128
     block = B // 2 * H * L * L * 8
     monkeypatch.setattr(ad, "WORKERS", 2)
-    monkeypatch.setattr(ad, "BLOCK_BYTES", 2 * block)
+    monkeypatch.setattr(ad, "BLOCK_BYTES", block // 2)
     pool = _MeasuredPool(ad._block_pool())
     monkeypatch.setattr(ad, "_block_pool", lambda: pool)
     args = _dual_inputs(op, (B,), H, L, np.random.default_rng(18))
@@ -1119,7 +1122,8 @@ def _root(a):
 def _reachable_arrays(*roots):
     """Every array reachable from ``roots``: tape nodes, outputs and what
     backward closures capture, followed through tensors, containers,
-    nested functions and priorad's own objects (a prior, its fields)."""
+    nested functions, partials and priorad's own objects (a prior, its
+    fields, dual_attention's record of its inputs)."""
     held, seen = [], set()
 
     def visit(obj):
@@ -1133,6 +1137,10 @@ def _reachable_arrays(*roots):
         elif isinstance(obj, (tuple, list)):
             for item in obj:
                 visit(item)
+        elif isinstance(obj, functools.partial):
+            visit(obj.func)
+            visit(obj.args)
+            visit(list(obj.keywords.values()))
         elif callable(obj) and hasattr(obj, "__closure__"):
             for cell in obj.__closure__ or ():
                 try:
@@ -1197,6 +1205,24 @@ def test_pass_one_attention_freed_before_pass_two_forward(prior_mode,
     monkeypatch.setattr(PiModel, "forward", watching_forward)
     run_one_step(model)
     assert len(checked) == 2
+
+
+@pytest.mark.parametrize("case", ["dual_attention",
+                                  "dual_attention_no_phase"],
+                         ids=["kernel_prior", "constant_prior"])
+def test_tape_free_output_keeps_no_reference_to_v(case):
+    """A tape-free forward (validation, scoring) keeps each layer's output,
+    maps() included, while later layers run: it may hold q, k and the
+    prior, which maps() reads, but not v."""
+    args = _dual_inputs(case, (3,), BLOCK_H, BLOCK_L,
+                        np.random.default_rng(22))
+    att, _ = _dual_case(case, args, BLOCK_L)
+    v = args.pop("v")
+    alive = weakref.ref(v.data)
+    del v
+    assert alive() is None
+    S, P = att.maps()
+    assert S.shape == P.shape == (3, BLOCK_H, BLOCK_L, BLOCK_L)
 
 
 @pytest.mark.parametrize("idx", [(..., 0), (..., 1), (..., slice(1, None)),

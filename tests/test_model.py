@@ -37,7 +37,8 @@ def prior_dual_attention(model, fields):
     zeros = Tensor(np.zeros((model.cfg.num_heads, model.cfg.window_length,
                              1)))
     return ad.dual_attention(zeros, zeros, zeros, model.mask,
-                             KernelPrior(fields, model.lags))
+                             KernelPrior(fields, model.lags,
+                                         model.cfg.num_heads))
 
 
 def prior_of(model, fields):

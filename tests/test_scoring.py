@@ -291,15 +291,24 @@ def test_desk_detect_bitwise_with_one_and_two_workers(monkeypatch):
     workers run two at a time."""
     model_cfg, _, cfg = benchmark_configs()
     model = PiModel(model_cfg)
-    H, L = model_cfg.num_heads, model_cfg.window_length
     rng = np.random.default_rng(19)
     train, thresh, test = (rng.normal(size=(n, 3)) for n in (300, 200, 300))
+    blocks, made = ad._blocks, []
+
+    def counted(n, window_bytes):  # the blocks dual_attention makes
+        out = blocks(n, window_bytes)
+        made.append((n, len(out)))
+        return out
+
+    monkeypatch.setattr(ad, "_blocks", counted)
     runs = []
     for workers in (1, 2):
         monkeypatch.setattr(ad, "WORKERS", workers)
-        assert len(ad._blocks(np.empty((cfg.batch_size, H, L, L)))) > 2
+        made.clear()
         scores = detect(model, train, thresh, test, cfg)
         runs.append(scores.f.tobytes() + scores.y_hat.tobytes())
+        full = [count for n, count in made if n == cfg.batch_size]
+        assert full and min(full) > 2
     assert runs[0] == runs[1]
 
 
