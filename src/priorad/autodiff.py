@@ -13,6 +13,13 @@ copy), so no gradient is ever modified in place. A tape is consumed by its
 one backward pass, which frees each intermediate gradient and node as it
 goes; only the gradients of leaves (tensors created outside the tape, such
 as parameters) survive it.
+
+What the tape keeps: a backward closure captures the arrays its backward
+reads, and the shapes and flags it needs, and reads no Tensor's data.
+When the walk starts the tape drops the data of every recorded output, so
+an activation that no backward reads is freed then, and one that a
+backward reads lives until that node has run. Reading a dropped tensor's
+``data`` raises ContractError.
 """
 
 from __future__ import annotations
@@ -68,14 +75,18 @@ class Tape:
             loss = ...
         tape.backward(loss)
 
-    ``backward`` consumes the tape: it pops the nodes as it walks them and
-    a second call raises ContractError. Gradients are accumulated
-    out-of-place (``t.grad + g``, never ``+=``), because a gradient array
-    may be shared between inputs and with the tensors that received it.
+    ``backward`` consumes the tape: it drops every recorded output's data,
+    pops the nodes as it walks them, and a second call raises
+    ContractError. Gradients are accumulated out-of-place (``t.grad + g``,
+    never ``+=``), because a gradient array may be shared between inputs
+    and with the tensors that received it.
     """
 
     def __init__(self):
         self.nodes = []  # list of (output, inputs, backward_fn)
+        # per node, its inputs' shapes, for _unbroadcast once the walk has
+        # dropped the outputs' data
+        self.shapes = []
         self.consumed = False
 
     def __enter__(self):
@@ -92,33 +103,37 @@ class Tape:
 
     def record(self, out, inputs, backward_fn):
         self.nodes.append((out, inputs, backward_fn))
+        self.shapes.append([t.data.shape for t in inputs])
 
     def backward(self, loss: "Tensor"):
         """Accumulate d(loss)/d(x) into ``x.grad`` for every leaf tensor.
 
-        Intermediate gradients are dropped once their node has run, so
-        afterwards only leaves hold a ``grad``.
+        First drops the data of every recorded output, ``loss`` included:
+        read any value needed later before calling this. Intermediate
+        gradients are dropped once their node has run, so afterwards only
+        leaves hold a ``grad``.
         """
         if self.consumed:
             raise ContractError("tape already consumed")
-        if loss.data.ndim != 0 and loss.data.size != 1:
-            raise ContractError(
-                f"backward requires a scalar loss, got shape {loss.shape}"
-            )
+        loss.grad = np.ones_like(_one_element(loss, "backward"))
         self.consumed = True
-        loss.grad = np.ones_like(loss.data)
+        # from here each backward reads only what its closure captured, so
+        # an output that no backward reads is freed now
+        for out, _, _ in self.nodes:
+            del out.data
         # Reverse execution order; each node visited exactly once, and no
         # node visited later can add to the output of one already run.
         while self.nodes:
             out, inputs, backward_fn = self.nodes.pop()
+            shapes = self.shapes.pop()
             if out.grad is None:
                 continue
             grads = backward_fn(out.grad)
             out.grad = None
-            for t, g in zip(inputs, grads):
+            for t, shape, g in zip(inputs, shapes, grads):
                 if g is None:
                     continue
-                g = _unbroadcast(g, t.data.shape)
+                g = _unbroadcast(g, shape)
                 t.grad = _stored(g) if t.grad is None else t.grad + g
             # a gradient already added into t.grad is dead: release it
             # before the next node's backward runs
@@ -279,10 +294,23 @@ class Tensor:
         return self.data.ndim
 
     def item(self) -> float:
-        return float(self.data)
+        """The value of a one-element tensor of any shape: what
+        ``Tape.backward`` takes as a loss."""
+        return _one_element(self, "item()").item()
+
+    def __getattr__(self, name):
+        # reached only when a slot is unset: the data a tape's walk dropped
+        if name == "data":
+            raise ContractError("this tensor's data was dropped when its "
+                                "tape's backward started; read it before")
+        raise AttributeError(name)
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        try:
+            shape = self.data.shape
+        except ContractError:
+            shape = "dropped"
+        return f"Tensor(shape={shape}, requires_grad={self.requires_grad})"
 
     # operator sugar -------------------------------------------------------
     def __add__(self, other):
@@ -312,6 +340,14 @@ class Tensor:
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _one_element(t: Tensor, what: str) -> np.ndarray:
+    """``t.data``, after checking that it holds exactly one entry."""
+    if t.data.size != 1:
+        raise ContractError(f"{what} takes a one-element tensor, got shape "
+                            f"{t.shape}")
+    return t.data
 
 
 def _record(out: Tensor, inputs, backward_fn):
@@ -355,34 +391,40 @@ def _record_outputs(outs, inputs, backward):
 
 # Binary backward functions return None for an input that needs no
 # gradient (a constant or a stop-gradient side) instead of computing it.
+# Every backward closure captures the arrays, shapes and flags it reads,
+# not its input Tensors: the walk drops the data of every recorded output
+# when it starts, so an array lives on only in the closures that read it.
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward(g):
-        return (g if a.requires_grad else None,
-                g if b.requires_grad else None)
+        return (g if need_a else None, g if need_b else None)
 
     return _record(out, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward(g):
-        return (g if a.requires_grad else None,
-                -g if b.requires_grad else None)
+        return (g if need_a else None, -g if need_b else None)
 
     return _record(out, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
+    # each input's gradient reads the other's data
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def backward(g):
-        return (g * b.data if a.requires_grad else None,
-                g * a.data if b.requires_grad else None)
+        return (None if b_data is None else g * b_data,
+                None if a_data is None else g * a_data)
 
     return _record(out, (a, b), backward)
 
@@ -394,12 +436,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}"
         )
     out = Tensor(np.matmul(a.data, b.data))
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2)) \
-            if a.requires_grad else None
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g) \
-            if b.requires_grad else None
+        ga = None if b_data is None \
+            else np.matmul(g, np.swapaxes(b_data, -1, -2))
+        gb = None if a_data is None \
+            else np.matmul(np.swapaxes(a_data, -1, -2), g)
         return ga, gb
 
     return _record(out, (a, b), backward)
@@ -428,9 +472,11 @@ def getitem(a: Tensor, idx) -> Tensor:
         raise ContractError(f"getitem takes a basic index (ints, slices, "
                             f"... and None), got {idx!r}")
     out = Tensor(a.data[idx])
+    shape = a.data.shape
 
     def backward(g):
-        ga = np.zeros_like(a.data)
+        # C-ordered, as the tape stores every first gradient (``_stored``)
+        ga = np.zeros(shape)
         # a basic index reaches each entry once; + 0.0 turns a -0.0 into
         # +0.0, as adding into the zeros did
         ga[idx] = g + 0.0
@@ -441,11 +487,12 @@ def getitem(a: Tensor, idx) -> Tensor:
 
 def tsum(a: Tensor, axis=None) -> Tensor:
     out = Tensor(a.data.sum(axis=axis))
+    shape = a.data.shape
 
     def backward(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape),)
+        return (np.broadcast_to(g, shape),)
 
     return _record(out, (a,), backward)
 
@@ -456,26 +503,30 @@ def tmean(a: Tensor) -> Tensor:
 
 
 def square(a: Tensor) -> Tensor:
-    out = Tensor(a.data * a.data)
-    return _record(out, (a,), lambda g: (g * 2.0 * a.data,))
+    x = a.data
+    out = Tensor(x * x)
+    return _record(out, (a,), lambda g: (g * 2.0 * x,))
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0))
-    return _record(out, (a,), lambda g: (g * (a.data > 0.0),))
+    x = a.data
+    out = Tensor(np.maximum(x, 0.0))
+    return _record(out, (a,), lambda g: (g * (x > 0.0),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = Tensor(1.0 / (1.0 + np.exp(-a.data)))
-    return _record(out, (a,), lambda g: (g * out.data * (1.0 - out.data),))
+    s = 1.0 / (1.0 + np.exp(-a.data))
+    out = Tensor(s)
+    return _record(out, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def softplus(a: Tensor) -> Tensor:
     # log(1 + e^x), computed stably for large |x|
-    out = Tensor(np.logaddexp(0.0, a.data))
+    x = a.data
+    out = Tensor(np.logaddexp(0.0, x))
 
     def backward(g):
-        sig = 1.0 / (1.0 + np.exp(-a.data))
+        sig = 1.0 / (1.0 + np.exp(-x))
         return (g * sig,)
 
     return _record(out, (a,), backward)
@@ -560,14 +611,16 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
     xc = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
     sd = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * inv_n + LN_EPS)
     out = Tensor(g.data * (xc / sd) + b.data)
+    need_b, need_g = b.requires_grad, g.requires_grad
+    g_data = g.data if x.requires_grad else None
 
     def backward(G):
-        gb = G if b.requires_grad else None
+        gb = G if need_b else None
         G = _stored(G)
-        gg = G * (xc / sd) if g.requires_grad else None
-        if not x.requires_grad:
+        gg = G * (xc / sd) if need_g else None
+        if g_data is None:
             return None, None, gg, gb
-        gn = G * g.data
+        gn = G * g_data
         gvar = _unbroadcast(-gn * xc / (sd * sd), sd.shape) * 0.5 / sd * inv_n
         gxc = gn / sd + gvar * 2.0 * xc
         gmean = _unbroadcast(-gxc, sd.shape) * inv_n
@@ -584,14 +637,17 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
         )
     y = np.matmul(x.data, W.data)
     out = Tensor(np.add(y, b.data, out=y))
+    need_b = b.requires_grad
+    x_data = x.data if W.requires_grad else None
+    W_data = W.data if x.requires_grad else None
 
     def backward(G):
-        gb = G if b.requires_grad else None
+        gb = G if need_b else None
         G = _stored(G)
-        gx = np.matmul(G, np.swapaxes(W.data, -1, -2)) \
-            if x.requires_grad else None
-        gW = np.matmul(np.swapaxes(x.data, -1, -2), G) \
-            if W.requires_grad else None
+        gx = None if W_data is None \
+            else np.matmul(G, np.swapaxes(W_data, -1, -2))
+        gW = None if x_data is None \
+            else np.matmul(np.swapaxes(x_data, -1, -2), G)
         return gx, gW, gb
 
     return _record(out, (x, W, b), backward)
@@ -599,10 +655,11 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
 
 def mean_square(a: Tensor) -> Tensor:
     """Mean of a * a over every entry. Replaces square and tmean; keeps a."""
-    inv_n = 1.0 / float(a.data.size)
-    out = Tensor((a.data * a.data).sum() * inv_n)
+    x = a.data
+    inv_n = 1.0 / float(x.size)
+    out = Tensor((x * x).sum() * inv_n)
     # the chain's broadcast gradient times 2.0 is this scalar times 2.0
-    return _record(out, (a,), lambda g: (g * inv_n * 2.0 * a.data,))
+    return _record(out, (a,), lambda g: (g * inv_n * 2.0 * x,))
 
 
 def _kl_rows_into(a, b, kl, pc, qc, d, log_q) -> list:
@@ -897,6 +954,9 @@ def dual_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
     context = Tensor(ctx.reshape(lead + (H, L, dv)))
     kl_series = Tensor(kl.reshape(lead + (H, L)))
     kl_prior = Tensor(kl_series.data)
+    need_q, need_k, need_v = (t.requires_grad for t in (q, k, v))
+    need_prior, n_prior = any(t.requires_grad for t in pin), len(pin)
+    q_shape, k_shape, v_shape = q.shape, k.shape, v.shape
 
     def backward(grads):
         g_ctx, g_kls, g_klp, g_score = grads
@@ -904,12 +964,10 @@ def dual_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
         g_kls = None if g_kls is None else g_kls.reshape((n, H, L))
         g_klp = None if g_klp is None else g_klp.reshape((n, H, L))
         reached = g_ctx is not None or g_kls is not None
-        gq = np.empty(a.q.shape) if q.requires_grad and reached else None
+        gq = np.empty(a.q.shape) if need_q and reached else None
         # built as [..., d, L] and handed on transposed, as the matmul left it
-        gkT = np.empty((n, H, dk, L)) if k.requires_grad and reached \
-            else None
-        gv = np.empty(vd.shape) if v.requires_grad and g_ctx is not None \
-            else None
+        gkT = np.empty((n, H, dk, L)) if need_k and reached else None
+        gv = np.empty(vd.shape) if need_v and g_ctx is not None else None
         need_qk = gq is not None or gkT is not None
         if need_qk or gv is not None:
             # S's KL gradient is worked only when it reaches q or k
@@ -918,17 +976,16 @@ def dual_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
                                          gq, gkT, gv),
                        partial(_series_scratch, a, with_kl))
 
-        prior_grads = [None] * len(pin)
-        if any(t.requires_grad for t in pin) and (
-                g_score is not None or g_klp is not None):
+        prior_grads = [None] * n_prior
+        if need_prior and (g_score is not None or g_klp is not None):
             # mean_square's backward scale, g * inv_n * 2.0 in its order
             c = None if g_score is None else g_score * inv_n * 2.0
             prior_grads = a.prior.backward(
                 a.blocks, partial(_logits_grad, a, g_klp, c))
-        return (None if gq is None else gq.reshape(q.shape),
+        return (None if gq is None else gq.reshape(q_shape),
                 None if gkT is None
-                else np.swapaxes(gkT, -1, -2).reshape(k.shape),
-                None if gv is None else gv.reshape(v.shape), *prior_grads)
+                else np.swapaxes(gkT, -1, -2).reshape(k_shape),
+                None if gv is None else gv.reshape(v_shape), *prior_grads)
 
     _record_outputs([(context, (q, k, v)), (kl_series, (q, k)),
                      (kl_prior, pin), (score, pin)], (q, k, v, *pin),

@@ -361,6 +361,9 @@ class KernelPrior:
         hurst, tau, mix = fields.hurst, fields.stiffness, fields.mix_weights
         period, gain = fields.phase_period, fields.phase_gain
         self.inputs = (hurst, tau, mix, period, gain)  # PriorFields' order
+        # the inputs' shapes, taken now: the tape's walk drops their data
+        # before backward runs
+        self._shapes = [t.shape for t in self.inputs]
         self.heads = period.shape[0]
         L = lags.shape[-1]
         lead = hurst.shape[:-1] or (1,)
@@ -430,6 +433,8 @@ class KernelPrior:
         block to block in numpy's row order (``ad._add_rows``).
         """
         hurst, tau, mix, period, gain = self.inputs
+        hurst_shape, tau_shape, mix_shape, period_shape, gain_shape = \
+            self._shapes
         unb = ad._unbroadcast
         m0, m1, m2 = self._m
         shape = self._mixed_phase.shape
@@ -437,8 +442,8 @@ class KernelPrior:
         g_sum = np.zeros(shape)
         fr_sum = np.zeros(shape) if mix.requires_grad else None
         ga_sum = np.zeros(shape) if mix.requires_grad else None
-        g_tau = np.empty(tau.shape) if tau.requires_grad else None
-        g_hurst = np.empty(hurst.shape) if hurst.requires_grad else None
+        g_tau = np.empty(tau_shape) if tau.requires_grad else None
+        g_hurst = np.empty(hurst_shape) if hurst.requires_grad else None
         log_lag, neg_sq = self._log_lag, self._neg_sq
         tau_row = self._tau_row
 
@@ -476,14 +481,15 @@ class KernelPrior:
             # which turns a -0.0 into +0.0, as + 0.0 does
             g_mix = np.concatenate(
                 [unb(fr_sum, head), unb(ga_sum, head),
-                 unb(g_phase * phase, head)], axis=-1).reshape(mix.shape) + 0.0
+                 unb(g_phase * phase, head)],
+                axis=-1).reshape(mix_shape) + 0.0
         g = g_phase * m2
         if gain.requires_grad:
-            g_gain = unb(g * wave, head).reshape(gain.shape)
+            g_gain = unb(g * wave, head).reshape(gain_shape)
         if period.requires_grad:
             g = -(g * self._gain) * np.sin(angle)
             g = -g * self._turns / (self._period * self._period)
-            g_period = unb(g, head).reshape(period.shape)
+            g_period = unb(g, head).reshape(period_shape)
         return g_hurst, g_tau, g_mix, g_period, g_gain
 
 

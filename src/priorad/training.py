@@ -211,6 +211,8 @@ def minmax_step(batch: np.ndarray, model: PiModel, opt: OptimizerState,
         terms = dict(recon=recon.item(), sym_kl=sym.item(),
                      smooth=smooth.item(), hurst=hurst.item(),
                      score_l2=score.item())
+        # read before the walk, which drops every value the tape recorded
+        totals.append(total.item())
         # from here the tape alone holds this pass's activations, and frees
         # each as its backward passes it, so none is alive in the next pass
         del out
@@ -218,7 +220,6 @@ def minmax_step(batch: np.ndarray, model: PiModel, opt: OptimizerState,
         tape.backward(total)
         opt.step()
         logged = logged or terms
-        totals.append(total.item())
     return LossBreakdown(**logged, total_L1=totals[0], total_L2=totals[1])
 
 

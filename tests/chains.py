@@ -12,19 +12,26 @@ import priorad.model as pmodel
 from priorad.autodiff import EPS_PROB, Tensor
 
 
+# Each backward captures the arrays it reads, as the tape requires: the
+# walk drops every recorded output's data before any backward runs.
+
+
 def _ref_clip(a, lo):
-    out = Tensor(np.clip(a.data, lo, None))
-    return ad._record(out, (a,), lambda g: (g * (a.data >= lo),))
+    x = a.data
+    out = Tensor(np.clip(x, lo, None))
+    return ad._record(out, (a,), lambda g: (g * (x >= lo),))
 
 
 def _ref_log(a):
-    out = Tensor(np.log(a.data))
-    return ad._record(out, (a,), lambda g: (g / a.data,))
+    x = a.data
+    out = Tensor(np.log(x))
+    return ad._record(out, (a,), lambda g: (g / x,))
 
 
 def _ref_cos(a):
-    out = Tensor(np.cos(a.data))
-    return ad._record(out, (a,), lambda g: (-g * np.sin(a.data),))
+    x = a.data
+    out = Tensor(np.cos(x))
+    return ad._record(out, (a,), lambda g: (-g * np.sin(x),))
 
 
 def _ref_neg(a):
@@ -33,25 +40,28 @@ def _ref_neg(a):
 
 
 def _ref_div(a, b):
-    out = Tensor(a.data / b.data)
+    x, y = a.data, b.data
+    out = Tensor(x / y)
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward(g):
-        return (g / b.data if a.requires_grad else None,
-                -g * a.data / (b.data * b.data) if b.requires_grad else None)
+        return (g / y if need_a else None,
+                -g * x / (y * y) if need_b else None)
 
     return ad._record(out, (a, b), backward)
 
 
 def _ref_sqrt(a):
-    out = Tensor(np.sqrt(a.data))
-    return ad._record(out, (a,), lambda g: (g * 0.5 / out.data,))
+    r = np.sqrt(a.data)
+    return ad._record(Tensor(r), (a,), lambda g: (g * 0.5 / r,))
 
 
 def _ref_sum_last(a):
     """Sum over the last axis, kept as an axis of one."""
+    shape = a.data.shape
     out = Tensor(a.data.sum(axis=-1, keepdims=True))
     return ad._record(out, (a,),
-                      lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
+                      lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 def reference_masked_softmax_rows(logits, mask):

@@ -302,6 +302,26 @@ def test_backward_requires_scalar():
         tape.backward(y)
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1), (3,)],
+                         ids=["0d", "one", "one_by_one", "three"])
+def test_item_takes_what_backward_takes(shape):
+    """item() reads a one-element tensor of any shape, which backward takes
+    as a loss, and rejects what backward rejects."""
+    w = Tensor(np.array(2.0), requires_grad=True)
+    with Tape() as tape:
+        y = w * Tensor(np.full(shape, 3.0))
+    if np.prod(shape) != 1:
+        with pytest.raises(ContractError, match="one-element"):
+            y.item()
+        with pytest.raises(ContractError, match="one-element"):
+            tape.backward(y)
+        return
+    value = y.item()
+    assert type(value) is float and value == 6.0
+    tape.backward(y)
+    assert w.grad == 3.0
+
+
 def test_tapes_do_not_nest():
     with Tape():
         with pytest.raises(ContractError):
@@ -704,13 +724,14 @@ def _training_loss_and_grads(model, x, prior_side):
                 + _regularizer(out, TrainConfig(), 0.6)[0])
         if prior_side:
             loss = loss + 3.0 * loss_sym_kl(out.attention, frozen="series")
-    tape.backward(loss)
     values = [loss, out.recon] + [
         t for a in out.attention
         for t in (a.context, a.kl_series, a.kl_prior, a.score)]
-    maps = [m for a in out.attention for m in a.maps()]
-    return ([t.data for t in values] + maps,
-            {n: p.grad for n, p in model.params.items()})
+    # read before the walk, which drops every recorded output's data
+    values = [t.data for t in values] + [
+        m for a in out.attention for m in a.maps()]
+    tape.backward(loss)
+    return values, {n: p.grad for n, p in model.params.items()}
 
 
 @pytest.mark.parametrize("lead", [(3,), ()], ids=["batch", "window"])
@@ -837,9 +858,11 @@ def test_blocked_ops_bitwise_across_block_sizes(op, lead, monkeypatch):
             att, outs = _dual_case(op, args, L)
             terms = [ad.tsum(o * weights[o.shape]) for o in outs]
             loss = sum(terms[1:], terms[0])
+        # read before the walk, which drops every recorded output's data
+        values = [getattr(att, o).data for o in OUTPUTS]
         tape.backward(loss)
         counts[workers, name] = seen.copy()
-        results[workers, name] = [getattr(att, o).data for o in OUTPUTS] + [
+        results[workers, name] = values + [
             *att.maps()] + [t.grad for t in args.values()]
     assert counts == {(workers, name): {n if lead else 1}
                       for workers in (1, 2)
@@ -1133,7 +1156,10 @@ def _reachable_arrays(*roots):
         if isinstance(obj, np.ndarray):
             held.append(obj)
         elif isinstance(obj, Tensor):
-            visit(obj.data)
+            try:
+                visit(obj.data)
+            except ContractError:  # dropped when its tape's walk started
+                pass
         elif isinstance(obj, (tuple, list)):
             for item in obj:
                 visit(item)
@@ -1205,6 +1231,100 @@ def test_pass_one_attention_freed_before_pass_two_forward(prior_mode,
     monkeypatch.setattr(PiModel, "forward", watching_forward)
     run_one_step(model)
     assert len(checked) == 2
+
+
+class _CheckedBackward:
+    """A node's backward that, on the first call of its tape's walk, runs
+    ``check(nodes)`` over the tape's nodes with their own backwards, the
+    node being run included: the walk has started and no node has run. It
+    is no function, so ``_reachable_arrays`` does not follow it."""
+
+    def __init__(self, tape, out, inputs, fn, checked, check):
+        self.tape, self.out, self.inputs, self.fn = tape, out, inputs, fn
+        self.checked, self.check = checked, check
+
+    def __call__(self, g):
+        if all(t is not self.tape for t in self.checked):
+            self.checked.append(self.tape)
+            nodes = [(o, i, n.fn) for o, i, n in self.tape.nodes]
+            self.check(nodes + [(self.out, self.inputs, self.fn)])
+        return self.fn(g)
+
+
+@pytest.mark.parametrize("prior_mode", PRIOR_MODES)
+def test_walk_starts_holding_only_what_backward_reads(prior_mode,
+                                                      monkeypatch):
+    """Once either pass's walk has started, the tape reaches no array but
+    those a backward closure captured and the leaves' (parameters,
+    constants and the batch): every recorded output's data is gone."""
+    record = Tape.record
+    checked = []
+
+    def check(nodes):
+        outs = {id(o) for o, _, _ in nodes}
+        read = _reachable_arrays(*(fn for _, _, fn in nodes))
+        leaves = _reachable_arrays(*(t for _, inputs, _ in nodes
+                                     for t in inputs if id(t) not in outs))
+        allowed = {id(a) for a in read + leaves}
+        held = _reachable_arrays(*nodes)
+        assert read and held
+        assert [a.shape for a in held if id(a) not in allowed] == []
+
+    def spy(tape, out, inputs, backward_fn):
+        record(tape, out, inputs, _CheckedBackward(tape, out, inputs,
+                                                   backward_fn, checked,
+                                                   check))
+
+    monkeypatch.setattr(Tape, "record", spy)
+    run_one_step(tiny_model(prior_mode))
+    assert len(checked) == 2
+
+
+@pytest.mark.parametrize("prior_mode", PRIOR_MODES)
+def test_reading_a_recorded_output_after_backward_raises(prior_mode):
+    """backward drops every recorded output's data, the loss's too, and a
+    later read raises ContractError. Leaves keep theirs, and maps() still
+    recomputes S and P."""
+    model = tiny_model(prior_mode)
+    x = Tensor(np.random.default_rng(23).normal(size=(3, 10, 2)))
+    with Tape() as tape:
+        out = model.forward(x)
+        loss = (loss_reconstruction(x, out.recon)
+                + loss_sym_kl(out.attention, frozen="series"))
+    outs = [o for o, _, _ in tape.nodes]
+    assert out.recon in outs and loss in outs
+    tape.backward(loss)
+    for t in outs:
+        with pytest.raises(ContractError, match="dropped"):
+            t.data
+        with pytest.raises(ContractError, match="dropped"):
+            t.item()
+        assert "dropped" in repr(t)
+    assert all(np.isfinite(p.data).all() for p in model.parameters())
+    assert np.isfinite(x.data).all()
+    for att in out.attention:
+        S, P = att.maps()
+        assert S.shape == P.shape == (3, 2, 10, 10)
+
+
+def test_add_output_freed_when_the_walk_starts():
+    """An add's output, which no backward reads, is freed before the first
+    node runs, not when the walk reaches its node."""
+    x = Tensor(np.ones(3), requires_grad=True)
+    seen = []
+    with Tape() as tape:
+        y = x + x
+        alive = weakref.ref(y.data)
+
+        def backward(g):
+            seen.append(alive())
+            return (np.broadcast_to(g, (3,)),)
+
+        loss = ad._record(Tensor(y.data.sum()), (y,), backward)
+    assert alive() is not None
+    tape.backward(loss)
+    assert seen == [None]
+    assert np.array_equal(x.grad, np.full(3, 2.0))
 
 
 @pytest.mark.parametrize("case", ["dual_attention",
