@@ -15,11 +15,14 @@ goes; only the gradients of leaves (tensors created outside the tape, such
 as parameters) survive it.
 
 What the tape keeps: a backward closure captures the arrays its backward
-reads, and the shapes and flags it needs, and reads no Tensor's data.
-When the walk starts the tape drops the data of every recorded output, so
-an activation that no backward reads is freed then, and one that a
-backward reads lives until that node has run. Reading a dropped tensor's
-``data`` raises ContractError.
+reads, and the shapes and flags it needs, and reads no Tensor's data. A
+node holds no Tensor but a leaf: it holds its output's gradient cell
+(``_Cell``), which refers to the output only weakly, and per input that
+input's cell, the leaf itself, or None for an input that takes no
+gradient. So an activation that no backward reads is freed as soon as the
+program drops it, and one that a backward reads lives until that node has
+run. When the walk starts the tape drops the data of every recorded output
+still alive; reading a dropped tensor's ``data`` raises ContractError.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import contextvars
 import numbers
 import os
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
@@ -75,17 +79,19 @@ class Tape:
             loss = ...
         tape.backward(loss)
 
-    ``backward`` consumes the tape: it drops every recorded output's data,
-    pops the nodes as it walks them, and a second call raises
-    ContractError. Gradients are accumulated out-of-place (``t.grad + g``,
+    ``backward`` consumes the tape: it drops the data of every recorded
+    output still alive, pops the nodes as it walks them, and a second call
+    raises ContractError. Gradients are accumulated out-of-place (``t.grad + g``,
     never ``+=``), because a gradient array may be shared between inputs
     and with the tensors that received it.
     """
 
     def __init__(self):
-        self.nodes = []  # list of (output, inputs, backward_fn)
-        # per node, its inputs' shapes, for _unbroadcast once the walk has
-        # dropped the outputs' data
+        # list of (output's cell, one handle per input, backward_fn): a
+        # handle is the input's cell, a leaf, or None (``_handle``)
+        self.nodes = []
+        # per node, its inputs' shapes, for _unbroadcast: an input may be
+        # freed, or its data dropped, before the node runs
         self.shapes = []
         self.consumed = False
 
@@ -102,36 +108,44 @@ class Tape:
         return False
 
     def record(self, out, inputs, backward_fn):
-        self.nodes.append((out, inputs, backward_fn))
+        """Record ``out``, which has been given its cell, as computed from
+        the tensors ``inputs`` by an op whose backward is
+        ``backward_fn``."""
+        self.nodes.append((out._cell, tuple(_handle(t) for t in inputs),
+                           backward_fn))
         self.shapes.append([t.data.shape for t in inputs])
 
     def backward(self, loss: "Tensor"):
         """Accumulate d(loss)/d(x) into ``x.grad`` for every leaf tensor.
 
-        First drops the data of every recorded output, ``loss`` included:
-        read any value needed later before calling this. Intermediate
-        gradients are dropped once their node has run, so afterwards only
-        leaves hold a ``grad``.
+        First drops the data of every recorded output still alive,
+        ``loss`` included: read any value needed later before calling this.
+        Intermediate gradients live in the nodes' cells and are dropped
+        once their node has run, so afterwards only leaves hold a ``grad``.
         """
         if self.consumed:
             raise ContractError("tape already consumed")
-        loss.grad = np.ones_like(_one_element(loss, "backward"))
+        seed = np.ones_like(_one_element(loss, "backward"))
+        # a loss that no op recorded starts no node
+        (loss if loss._cell is None else loss._cell).grad = seed
         self.consumed = True
         # from here each backward reads only what its closure captured, so
         # an output that no backward reads is freed now
-        for out, _, _ in self.nodes:
-            del out.data
+        for cell, _, _ in self.nodes:
+            out = cell.tensor()
+            if out is not None:
+                del out.data
         # Reverse execution order; each node visited exactly once, and no
         # node visited later can add to the output of one already run.
         while self.nodes:
-            out, inputs, backward_fn = self.nodes.pop()
+            cell, handles, backward_fn = self.nodes.pop()
             shapes = self.shapes.pop()
-            if out.grad is None:
+            if cell.grad is None:
                 continue
-            grads = backward_fn(out.grad)
-            out.grad = None
-            for t, shape, g in zip(inputs, shapes, grads):
-                if g is None:
+            grads = backward_fn(cell.grad)
+            cell.grad = None
+            for t, shape, g in zip(handles, shapes, grads):
+                if g is None or t is None:
                     continue
                 g = _unbroadcast(g, shape)
                 t.grad = _stored(g) if t.grad is None else t.grad + g
@@ -276,14 +290,17 @@ def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
 
 
 class Tensor:
-    """Dense float64 array participating in recorded computation."""
+    """Dense float64 array participating in recorded computation. A leaf
+    (a tensor no op recorded) that requires a gradient gets it in
+    ``grad``; a recorded output's gradient lives in its cell."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_cell", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self._cell = None  # set when a tape records this tensor
 
     @property
     def shape(self):
@@ -350,9 +367,36 @@ def _one_element(t: Tensor, what: str) -> np.ndarray:
     return t.data
 
 
+class _Cell:
+    """A recorded output as the tape holds it: the gradient it has gathered,
+    and a weak reference to the output, so that the tape keeps no
+    activation alive. ``data`` is the output's array while the output
+    lives, and an empty array once it is freed."""
+
+    __slots__ = ("grad", "tensor")
+
+    def __init__(self, out: Tensor):
+        self.grad = None
+        self.tensor = weakref.ref(out)
+
+    @property
+    def data(self) -> np.ndarray:
+        out = self.tensor()
+        return np.empty(0) if out is None else out.data
+
+
+def _handle(t: Tensor):
+    """What a node holds of its input ``t``: t's cell when an op recorded
+    t, t itself when it is a leaf that requires a gradient, else None."""
+    if not t.requires_grad:
+        return None
+    return t if t._cell is None else t._cell
+
+
 def _record(out: Tensor, inputs, backward_fn):
     if _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
+        out._cell = _Cell(out)
         _ACTIVE_TAPE.record(out, inputs, backward_fn)
     return out
 
@@ -366,21 +410,27 @@ def _record_outputs(outs, inputs, backward):
     output none of whose inputs needs a gradient is not recorded. The node
     recorded last among those whose output gets a gradient runs
     ``backward`` with every output's gradient: each is final by then,
-    because every consumer of an output is recorded after the op. It clears
-    the others, so the tape skips their nodes.
+    because every consumer of an output is recorded after the op. It reads
+    them from the outputs' cells, which it clears, so the tape skips their
+    nodes; no node holds another output.
     """
-    tensors = [out for out, _ in outs]
+    if _ACTIVE_TAPE is None:
+        return
+    # an output that is not recorded keeps no cell: its own never gets a
+    # gradient
+    cells = [_Cell(out) for out, _ in outs]
     for i, (out, needs) in enumerate(outs):
-        if _ACTIVE_TAPE is None or not any(t.requires_grad for t in needs):
+        if not any(t.requires_grad for t in needs):
             continue
 
         def run(g, i=i):
-            grads = [t.grad for t in tensors[:i]] + [g]
-            for t in tensors[:i]:
-                t.grad = None
-            return backward(grads + [None] * (len(tensors) - 1 - i))
+            grads = [c.grad for c in cells[:i]] + [g]
+            for c in cells[:i]:
+                c.grad = None
+            return backward(grads + [None] * (len(cells) - 1 - i))
 
         out.requires_grad = True
+        out._cell = cells[i]
         _ACTIVE_TAPE.record(out, inputs, run)
 
 
@@ -392,8 +442,9 @@ def _record_outputs(outs, inputs, backward):
 # Binary backward functions return None for an input that needs no
 # gradient (a constant or a stop-gradient side) instead of computing it.
 # Every backward closure captures the arrays, shapes and flags it reads,
-# not its input Tensors: the walk drops the data of every recorded output
-# when it starts, so an array lives on only in the closures that read it.
+# not its input Tensors: the tape holds no output, and its walk drops the
+# data of every output still alive when it starts, so once the program has
+# let go of it an array lives on only in the closures that read it.
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

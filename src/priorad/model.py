@@ -109,9 +109,20 @@ class AttentionStack:
 
 
 @dataclass
+class LayerAttention:
+    """What a forward keeps of one layer's ``ad.dual_attention``: its KL
+    rows and prior score, all that training and scoring read. It holds no
+    context, q, k or prior; ``PiModel.attention_maps`` remakes S and P."""
+
+    kl_series: Tensor  # symmetric KL per row, [..., H, L]
+    kl_prior: Tensor   # the same rows, whose gradient reaches P only
+    score: Tensor      # mean square of the prior logits, a scalar
+
+
+@dataclass
 class ReconOutput:
     recon: Tensor              # [..., L, C]
-    attention: list            # ad.DualAttention per layer
+    attention: list            # LayerAttention per layer
     fields: list               # PriorFields per layer
 
     @property
@@ -248,16 +259,19 @@ class PiModel:
         """Causal multi-head scaled dot-product attention, met with the
         ``prior`` in ``ad.dual_attention``.
 
-        Returns the layer's DualAttention, whose context heads are merged
-        and projected here into the second value, [..., L, D].
+        Returns the layer's LayerAttention, the op's ``maps`` and its
+        context with the heads merged and projected, [..., L, D]. The
+        context itself is freed on return, once its heads are copied out.
         """
         p = f"layer{layer}."
         q = self._split_heads(ad.matmul(features, self.params[p + "Wq"]))
         k = self._split_heads(ad.matmul(features, self.params[p + "Wk"]))
         v = self._split_heads(ad.matmul(features, self.params[p + "Wv"]))
         att = ad.dual_attention(q, k, v, self.mask, prior)
-        return att, ad.linear(self._merge_heads(att.context),
-                              self.params[p + "Wo"], self.params[p + "bo"])
+        out = ad.linear(self._merge_heads(att.context), self.params[p + "Wo"],
+                        self.params[p + "bo"])
+        return (LayerAttention(att.kl_series, att.kl_prior, att.score),
+                att.maps, out)
 
     def prior_fields(self, features: Tensor, layer: int) -> PriorFields:
         """Predict per-position H/tau and expose per-head kernel parameters.
@@ -292,29 +306,40 @@ class PiModel:
 
     # full forward -----------------------------------------------------------
 
+    def _attention(self, x: Tensor, l: int) -> tuple:
+        """Layer ``l``'s attention on ``x``: returns x plus its projected
+        context, the layer's LayerAttention and PriorFields, and its dual
+        attention's ``maps``, which holds q and k. The layer's normed input
+        and context are freed on return."""
+        p = f"layer{l}."
+        normed = ad.layer_norm(x, self.params[p + "ln1.g"],
+                               self.params[p + "ln1.b"])
+        fields = self.prior_fields(normed, l)
+        att, maps, ctx = self.series_attention(normed, l,
+                                               self.prior_attention(fields))
+        return x + ctx, att, fields, maps
+
+    def _feed_forward(self, x: Tensor, l: int) -> Tensor:
+        """Layer ``l``'s feed-forward on ``x``, added to it."""
+        p = f"layer{l}."
+        normed = ad.layer_norm(x, self.params[p + "ln2.g"],
+                               self.params[p + "ln2.b"])
+        hidden = ad.relu(ad.linear(normed, self.params[p + "ff.W1"],
+                                   self.params[p + "ff.b1"]))
+        return x + ad.linear(hidden, self.params[p + "ff.W2"],
+                             self.params[p + "ff.b2"])
+
     def forward(self, window: Tensor) -> ReconOutput:
         """Run the encoder stack and reconstruction head on windows
-        [..., L, C]: one window [L, C] or a batch [B, L, C]."""
-        cfg = self.cfg
+        [..., L, C]: one window [L, C] or a batch [B, L, C]. The output
+        keeps of each layer only its KL rows, score and fields."""
         x = self.embed_window(window)
         attention = []
         all_fields = []
-        for l in range(cfg.num_layers):
-            p = f"layer{l}."
-            normed = ad.layer_norm(
-                x, self.params[p + "ln1.g"], self.params[p + "ln1.b"]
-            )
-            fields = self.prior_fields(normed, l)
-            att, ctx = self.series_attention(normed, l,
-                                             self.prior_attention(fields))
-            x = x + ctx
-            normed2 = ad.layer_norm(
-                x, self.params[p + "ln2.g"], self.params[p + "ln2.b"]
-            )
-            hidden = ad.relu(ad.linear(normed2, self.params[p + "ff.W1"],
-                                       self.params[p + "ff.b1"]))
-            x = x + ad.linear(hidden, self.params[p + "ff.W2"],
-                              self.params[p + "ff.b2"])
+        for l in range(self.cfg.num_layers):
+            x, att, fields, maps = self._attention(x, l)
+            del maps  # q and k: freed before the feed-forward runs
+            x = self._feed_forward(x, l)
             attention.append(att)
             all_fields.append(fields)
 
@@ -323,13 +348,18 @@ class PiModel:
 
     def attention_maps(self, window: Tensor) -> AttentionStack:
         """The series and prior attention S and P [..., H, L, L] of every
-        layer for ``window``, recomputed whole off the tape, for inspection:
-        training and scoring never make them whole."""
+        layer for ``window``, for inspection: training and scoring never
+        make them whole. The layers run through ``forward``'s code, and each
+        layer's S and P are recomputed whole, off the tape, before the next
+        layer runs."""
         stack = AttentionStack()
-        for att in self.forward(window).attention:
-            S, P = att.maps()
+        x = self.embed_window(window)
+        for l in range(self.cfg.num_layers):
+            x, _, _, maps = self._attention(x, l)
+            S, P = maps()
             stack.series.append(Tensor(S))
             stack.prior.append(Tensor(P))
+            x = self._feed_forward(x, l)
         return stack
 
 

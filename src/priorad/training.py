@@ -213,9 +213,6 @@ def minmax_step(batch: np.ndarray, model: PiModel, opt: OptimizerState,
                      score_l2=score.item())
         # read before the walk, which drops every value the tape recorded
         totals.append(total.item())
-        # from here the tape alone holds this pass's activations, and frees
-        # each as its backward passes it, so none is alive in the next pass
-        del out
         _check_finite(**terms)
         tape.backward(total)
         opt.step()

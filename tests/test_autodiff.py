@@ -407,18 +407,22 @@ def run_one_step(model):
     minmax_step(batch, model, opt, TrainConfig(series_ascent=True), 0.6)
 
 
-def reference_backward(nodes, loss):
+def reference_backward(tape, loss):
     """The backward loop before gradients were skipped and freed: every node
-    in reverse, nothing released, a copy of every first gradient."""
-    loss.grad = np.ones_like(loss.data)
-    for out, inputs, backward_fn in reversed(nodes):
+    of ``tape`` in reverse, nothing released, a copy of every first
+    gradient. A node holds its output's gradient cell and, per input, the
+    input's cell, a leaf, or None for an input that needs no gradient; the
+    inputs' shapes are the tape's."""
+    loss._cell.grad = np.ones_like(loss.data)
+    for (out, inputs, backward_fn), shapes in zip(reversed(tape.nodes),
+                                                  reversed(tape.shapes)):
         if out.grad is None:
             continue
         grads = backward_fn(out.grad)
-        for t, g in zip(inputs, grads):
-            if g is None or not t.requires_grad:
+        for t, shape, g in zip(inputs, shapes, grads):
+            if g is None or t is None:
                 continue
-            g = ad._unbroadcast(g, t.data.shape)
+            g = ad._unbroadcast(g, shape)
             if t.grad is None:
                 t.grad = g.copy()
             else:
@@ -436,7 +440,7 @@ def test_backward_matches_reference_loop_bitwise(prior_mode, monkeypatch):
         # the reference walks the same nodes first, then every gradient is
         # cleared and the real backward runs on the untouched tape
         outs = [out for out, _, _ in tape.nodes]
-        reference_backward(tape.nodes, loss)
+        reference_backward(tape, loss)
         want = [p.grad for p in params]
         for t in outs + params:
             t.grad = None
@@ -710,26 +714,45 @@ REFERENCES = {
 }
 
 
-def _training_loss_and_grads(model, x, prior_side):
+def _keep_dual_attentions(monkeypatch) -> list:
+    """Wrap ``ad.dual_attention``, whichever op it is now, so that each
+    call appends its DualAttention to the list returned: a forward's output
+    keeps of each layer only the KL rows and the score, not the context or
+    ``maps``."""
+    kept, op = [], ad.dual_attention
+
+    def keeping(*args):
+        kept.append(op(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(ad, "dual_attention", keeping)
+    return kept
+
+
+def _training_loss_and_grads(model, x, prior_side, monkeypatch):
     """Pass 1's KL side, pass 2's too if ``prior_side``, and every
     regularizer on one tape. Without pass 2's side P gets no gradient, as
-    in pass 1 with series ascent on. The values include each layer's S and
-    P, from the inspection call."""
+    in pass 1 with series ascent on. The values include each layer's
+    context, KL rows, score, S and P, from the dual attention the layer ran
+    in the forward, S and P from its inspection call."""
     for p in model.parameters():
         p.grad = None
-    with Tape() as tape:
-        out = model.forward(x)
-        loss = (loss_reconstruction(x, out.recon)
-                - 3.0 * loss_sym_kl(out.attention, frozen="prior")
-                + _regularizer(out, TrainConfig(), 0.6)[0])
-        if prior_side:
-            loss = loss + 3.0 * loss_sym_kl(out.attention, frozen="series")
+    with monkeypatch.context() as m:
+        layers = _keep_dual_attentions(m)
+        with Tape() as tape:
+            out = model.forward(x)
+            loss = (loss_reconstruction(x, out.recon)
+                    - 3.0 * loss_sym_kl(out.attention, frozen="prior")
+                    + _regularizer(out, TrainConfig(), 0.6)[0])
+            if prior_side:
+                loss = loss + 3.0 * loss_sym_kl(out.attention,
+                                                frozen="series")
     values = [loss, out.recon] + [
-        t for a in out.attention
+        t for a in layers
         for t in (a.context, a.kl_series, a.kl_prior, a.score)]
     # read before the walk, which drops every recorded output's data
     values = [t.data for t in values] + [
-        m for a in out.attention for m in a.maps()]
+        m for a in layers for m in a.maps()]
     tape.backward(loss)
     return values, {n: p.grad for n, p in model.params.items()}
 
@@ -744,13 +767,14 @@ def test_fused_ops_match_primitive_chains_bitwise(prior_mode, lead,
     x = Tensor(np.random.default_rng(8).normal(size=lead + (10, 2)))
     for prior_side in (True, False):
         model = tiny_model(prior_mode)
-        got_values, got_grads = _training_loss_and_grads(model, x, prior_side)
+        got_values, got_grads = _training_loss_and_grads(model, x, prior_side,
+                                                         monkeypatch)
         with monkeypatch.context() as m:
             for name, reference in REFERENCES.items():
                 m.setattr(ad, name, reference)
             m.setattr(ad, "dual_attention", reference_dual_attention)
-            want_values, want_grads = _training_loss_and_grads(model, x,
-                                                               prior_side)
+            want_values, want_grads = _training_loss_and_grads(
+                model, x, prior_side, monkeypatch)
         assert len(got_values) == 2 + 6 * model.cfg.num_layers
         for got, want in zip(got_values, want_values, strict=True):
             # tobytes compares the sign bit of every zero too
@@ -905,12 +929,12 @@ def test_blocked_backward_allocates_only_a_few_blocks(op):
         _, outs = _dual_case(op, _dual_inputs(op, (B,), H, L, rng), L)
     # the node recorded last among the outputs': an op of several outputs
     # runs its backward there with all of their gradients, so each other
-    # output the case takes gets one too
-    out, _, backward_fn = [node for node in tape.nodes
-                           if any(node[0] is o for o in outs)][-1]
+    # output the case takes gets one too, in its cell
+    out, backward_fn = [(o, fn) for cell, _, fn in tape.nodes
+                        for o in outs if o._cell is cell][-1]
     for o in outs:
         if o is not out and o.requires_grad:
-            o.grad = rng.normal(size=o.shape)
+            o._cell.grad = rng.normal(size=o.shape)
     g = rng.normal(size=out.shape)
     tracemalloc.start()
     try:
@@ -1146,7 +1170,8 @@ def _reachable_arrays(*roots):
     """Every array reachable from ``roots``: tape nodes, outputs and what
     backward closures capture, followed through tensors, containers,
     nested functions, partials and priorad's own objects (a prior, its
-    fields, dual_attention's record of its inputs)."""
+    fields, dual_attention's record of its inputs, a node's gradient
+    cell)."""
     held, seen = [], set()
 
     def visit(obj):
@@ -1174,7 +1199,11 @@ def _reachable_arrays(*roots):
                 except ValueError:  # a cell not yet filled
                     pass
         elif type(obj).__module__.startswith("priorad"):
-            for item in vars(obj).values():
+            # a slotted object (a tape node's gradient cell) by its slots;
+            # a weak reference is no function and is not followed
+            slots = getattr(type(obj), "__slots__", None)
+            for item in (vars(obj).values() if slots is None
+                         else [getattr(obj, n, None) for n in slots]):
                 visit(item)
 
     for root in roots:
@@ -1281,17 +1310,21 @@ def test_walk_starts_holding_only_what_backward_reads(prior_mode,
 
 
 @pytest.mark.parametrize("prior_mode", PRIOR_MODES)
-def test_reading_a_recorded_output_after_backward_raises(prior_mode):
-    """backward drops every recorded output's data, the loss's too, and a
-    later read raises ContractError. Leaves keep theirs, and maps() still
-    recomputes S and P."""
+def test_reading_a_recorded_output_after_backward_raises(prior_mode,
+                                                         monkeypatch):
+    """backward drops the data of every recorded output still alive, the
+    loss's too, and a later read raises ContractError. Leaves keep theirs,
+    and each layer's maps() still recomputes S and P."""
     model = tiny_model(prior_mode)
     x = Tensor(np.random.default_rng(23).normal(size=(3, 10, 2)))
+    layers = _keep_dual_attentions(monkeypatch)
     with Tape() as tape:
         out = model.forward(x)
         loss = (loss_reconstruction(x, out.recon)
                 + loss_sym_kl(out.attention, frozen="series"))
-    outs = [o for o, _, _ in tape.nodes]
+    # the outputs the program still holds; the tape refers to them weakly
+    outs = [o for o in (cell.tensor() for cell, _, _ in tape.nodes)
+            if o is not None]
     assert out.recon in outs and loss in outs
     tape.backward(loss)
     for t in outs:
@@ -1302,7 +1335,8 @@ def test_reading_a_recorded_output_after_backward_raises(prior_mode):
         assert "dropped" in repr(t)
     assert all(np.isfinite(p.data).all() for p in model.parameters())
     assert np.isfinite(x.data).all()
-    for att in out.attention:
+    assert len(layers) == model.cfg.num_layers
+    for att in layers:
         S, P = att.maps()
         assert S.shape == P.shape == (3, 2, 10, 10)
 
@@ -1327,13 +1361,58 @@ def test_add_output_freed_when_the_walk_starts():
     assert np.array_equal(x.grad, np.full(3, 2.0))
 
 
+def test_add_output_freed_when_the_program_drops_it():
+    """The tape refers to a recorded output only weakly: an add's output,
+    which no backward reads, is freed as soon as the program drops it, with
+    the tape still unwalked."""
+    x = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as tape:
+        y = x + x
+        alive = weakref.ref(y.data)
+        loss = ad.tsum(y)
+    del y
+    assert alive() is None
+    tape.backward(loss)
+    assert np.array_equal(x.grad, np.full(3, 2.0))
+
+
+@pytest.mark.parametrize("prior_mode", PRIOR_MODES)
+def test_forward_tape_holds_only_parameters_and_captured_arrays(prior_mode):
+    """Right after a taped forward, before backward is called, the tape
+    reaches no array but the leaves' (the parameters) and those a backward
+    closure captured: it holds no recorded output's data."""
+    model = tiny_model(prior_mode)
+    x = Tensor(np.random.default_rng(24).normal(size=(3, 10, 2)))
+    with Tape() as tape:
+        out = model.forward(x)
+    read = _reachable_arrays(*(fn for _, _, fn in tape.nodes))
+    allowed = {id(a) for a in read + _reachable_arrays(model.parameters())}
+    held = _reachable_arrays(*tape.nodes)
+    assert read and held and out.recon.requires_grad
+    assert [a.shape for a in held if id(a) not in allowed] == []
+
+
+@pytest.mark.parametrize("prior_mode", PRIOR_MODES)
+def test_tape_free_forward_output_holds_nothing_as_large_as_q(prior_mode):
+    """A tape-free forward's output (validation, scoring) keeps each
+    layer's KL rows, score and fields: no array of q's [B, H, L, d] size or
+    larger, so neither the context nor q, k or the prior."""
+    model = tiny_model(prior_mode)
+    cfg, B = model.cfg, 3
+    out = model.forward(Tensor(np.random.default_rng(25).normal(
+        size=(B, cfg.window_length, cfg.channels))))
+    q_size = B * cfg.num_heads * cfg.window_length * cfg.head_dim
+    held = _reachable_arrays(out)
+    assert held
+    assert [a.shape for a in held if _root(a).size >= q_size] == []
+
+
 @pytest.mark.parametrize("case", ["dual_attention",
                                   "dual_attention_no_phase"],
                          ids=["kernel_prior", "constant_prior"])
 def test_tape_free_output_keeps_no_reference_to_v(case):
-    """A tape-free forward (validation, scoring) keeps each layer's output,
-    maps() included, while later layers run: it may hold q, k and the
-    prior, which maps() reads, but not v."""
+    """A tape-free dual_attention's output, maps() included, may hold q, k
+    and the prior, which maps() reads, but not v."""
     args = _dual_inputs(case, (3,), BLOCK_H, BLOCK_L,
                         np.random.default_rng(22))
     att, _ = _dual_case(case, args, BLOCK_L)
