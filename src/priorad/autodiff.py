@@ -480,24 +480,30 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward)
 
 
+def _check_inner(a_shape: tuple, b_shape: tuple) -> None:
+    """Raise ShapeError unless arrays of these shapes can be multiplied."""
+    if a_shape[-1] != b_shape[-2]:
+        raise ShapeError(
+            f"matmul inner dimensions disagree: {a_shape} vs {b_shape}")
+
+
+def _matmul_grads(g, a_data, b_data) -> tuple:
+    """The gradients of a and b in a @ b from the product's gradient g:
+    a's reads b's data and b's a's, and each is None where that data is."""
+    ga = None if b_data is None \
+        else np.matmul(g, np.swapaxes(b_data, -1, -2))
+    gb = None if a_data is None \
+        else np.matmul(np.swapaxes(a_data, -1, -2), g)
+    return ga, gb
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes (leading axes broadcast)."""
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(
-            f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}"
-        )
+    _check_inner(a.data.shape, b.data.shape)
     out = Tensor(np.matmul(a.data, b.data))
     a_data = a.data if b.requires_grad else None
     b_data = b.data if a.requires_grad else None
-
-    def backward(g):
-        ga = None if b_data is None \
-            else np.matmul(g, np.swapaxes(b_data, -1, -2))
-        gb = None if a_data is None \
-            else np.matmul(np.swapaxes(a_data, -1, -2), g)
-        return ga, gb
-
-    return _record(out, (a, b), backward)
+    return _record(out, (a, b), lambda g: _matmul_grads(g, a_data, b_data))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -682,10 +688,7 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
 
 def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """x @ W + b. Replaces matmul and add; keeps x and W."""
-    if x.data.shape[-1] != W.data.shape[-2]:
-        raise ShapeError(
-            f"matmul inner dimensions disagree: {x.data.shape} vs {W.data.shape}"
-        )
+    _check_inner(x.data.shape, W.data.shape)
     y = np.matmul(x.data, W.data)
     out = Tensor(np.add(y, b.data, out=y))
     need_b = b.requires_grad
@@ -694,14 +697,58 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
 
     def backward(G):
         gb = G if need_b else None
-        G = _stored(G)
-        gx = None if W_data is None \
-            else np.matmul(G, np.swapaxes(W_data, -1, -2))
-        gW = None if x_data is None \
-            else np.matmul(np.swapaxes(x_data, -1, -2), G)
-        return gx, gW, gb
+        return (*_matmul_grads(_stored(G), x_data, W_data), gb)
 
     return _record(out, (x, W, b), backward)
+
+
+def _pre_activation(x, W1, b1) -> np.ndarray:
+    """x @ W1 + b1, as ``linear`` makes it, in a new array."""
+    pre = np.matmul(x, W1)
+    return np.add(pre, b1, out=pre)
+
+
+def feed_forward(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor,
+                 b2: Tensor) -> Tensor:
+    """relu(x @ W1 + b1) @ W2 + b2, the position-wise feed-forward.
+
+    Replaces linear, relu and linear; keeps x and the weights. The backward
+    recomputes the hidden layer, as ``dual_attention`` recomputes S and P,
+    and follows ``linear``'s backward through both layers: the hidden
+    gradient is (G @ W2^T) * (pre > 0.0), as relu's node returned it, and
+    b1's gradient is that array. Beyond the gradients it returns it holds
+    one hidden-sized array and its bool mask at once.
+    """
+    _check_inner(x.data.shape, W1.data.shape)
+    _check_inner(x.data.shape[:-1] + W1.data.shape[-1:], W2.data.shape)
+    pre = _pre_activation(x.data, W1.data, b1.data)
+    y = np.matmul(np.maximum(pre, 0.0, out=pre), W2.data)
+    pre = None
+    out = Tensor(np.add(y, b2.data, out=y))
+    need_x, need_W1, need_b1, need_W2, need_b2 = (
+        t.requires_grad for t in (x, W1, b1, W2, b2))
+    need_hidden = need_x or need_W1 or need_b1
+    x_data, W1_data, b1_data, W2_data = x.data, W1.data, b1.data, W2.data
+
+    def backward(G):
+        gb2 = G if need_b2 else None
+        G = _stored(G)
+        pre = _pre_activation(x_data, W1_data, b1_data)
+        mask = pre > 0.0 if need_hidden else None
+        # W2's gradient reads the hidden layer, made in pre's memory
+        gW2 = None if not need_W2 else np.matmul(
+            np.swapaxes(np.maximum(pre, 0.0, out=pre), -1, -2), G)
+        pre = None
+        if not need_hidden:
+            return None, None, None, gW2, gb2
+        gh = np.matmul(G, np.swapaxes(W2_data, -1, -2))
+        gh = np.multiply(gh, mask, out=gh)
+        mask = None
+        gx, gW1 = _matmul_grads(gh, x_data if need_W1 else None,
+                                W1_data if need_x else None)
+        return gx, gW1, gh if need_b1 else None, gW2, gb2
+
+    return _record(out, (x, W1, b1, W2, b2), backward)
 
 
 def mean_square(a: Tensor) -> Tensor:
@@ -975,6 +1022,9 @@ def dual_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
     lead, (H, L, dk), dv = q.shape[:-3], q.shape[-3:], v.shape[-1]
     qd, kd, vd = (t.data.reshape((-1,) + t.shape[-3:]) for t in (q, k, v))
     n = len(qd)
+    if n == 0:
+        raise ShapeError(f"dual_attention takes at least one window, got q "
+                         f"{q.shape}")
     shape = (n, H, L, L)
     const = isinstance(prior, np.ndarray)
     if const:

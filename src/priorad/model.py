@@ -324,10 +324,8 @@ class PiModel:
         p = f"layer{l}."
         normed = ad.layer_norm(x, self.params[p + "ln2.g"],
                                self.params[p + "ln2.b"])
-        hidden = ad.relu(ad.linear(normed, self.params[p + "ff.W1"],
-                                   self.params[p + "ff.b1"]))
-        return x + ad.linear(hidden, self.params[p + "ff.W2"],
-                             self.params[p + "ff.b2"])
+        ff = [self.params[p + "ff." + n] for n in ("W1", "b1", "W2", "b2")]
+        return x + ad.feed_forward(normed, *ff)
 
     def forward(self, window: Tensor) -> ReconOutput:
         """Run the encoder stack and reconstruction head on windows

@@ -1,6 +1,9 @@
 """The primitive chains that the fused ops replace, kept as their reference:
 each fused op must give its chain's values and gradients bit for bit.
-``reference_dual_attention`` is the chain of single ops that
+``reference_feed_forward`` is the chain ``autodiff.feed_forward`` replaces,
+two linear layers around a relu, whose nodes keep the relu's input and the
+hidden layer that the op recomputes. ``reference_dual_attention`` is the
+chain of single ops that
 ``autodiff.dual_attention`` replaces. It shares no block code with the op,
 and finite differences run through it, where ``stop_gradient`` marks the
 side each KL holds constant."""
@@ -96,6 +99,10 @@ def reference_layer_norm(x, g, b):
 
 def reference_linear(x, W, b):
     return ad.matmul(x, W) + b
+
+
+def reference_feed_forward(x, W1, b1, W2, b2):
+    return reference_linear(ad.relu(reference_linear(x, W1, b1)), W2, b2)
 
 
 def reference_mean_square(a):

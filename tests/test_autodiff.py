@@ -23,9 +23,9 @@ from priorad.model import PRIOR_MODES, ModelConfig, PiModel, PriorFields
 from priorad.training import (TrainConfig, minmax_step, loss_reconstruction,
                               loss_sym_kl, _regularizer)
 
-from chains import (reference_dual_attention, reference_layer_norm,
-                    reference_linear, reference_masked_softmax_rows,
-                    reference_mean_square)
+from chains import (reference_dual_attention, reference_feed_forward,
+                    reference_layer_norm, reference_linear,
+                    reference_masked_softmax_rows, reference_mean_square)
 
 
 def causal_mask(n):
@@ -617,10 +617,13 @@ FUSED_INPUTS = {
     "attention_scores": dict(q=(2, 2, 5, 3), k=(2, 2, 5, 3)),
     "layer_norm": dict(x=(2, 4, 6), g=(6,), b=(6,)),
     "linear": dict(x=(2, 4, 3), W=(3, 5), b=(5,)),
+    "feed_forward": dict(x=(2, 4, 3), W1=(3, 5), b1=(5,), W2=(5, 3),
+                         b2=(3,)),
     "mean_square": dict(a=(2, 4, 3)),
 }
 FUSED_OPS = {"attention_scores": attention_scores, "layer_norm": ad.layer_norm,
-             "linear": ad.linear, "mean_square": ad.mean_square}
+             "linear": ad.linear, "feed_forward": ad.feed_forward,
+             "mean_square": ad.mean_square}
 
 
 @pytest.mark.parametrize("op,name", [(op, name) for op, shapes
@@ -699,6 +702,54 @@ def test_fd_gradient_layer_norm_x_beside_another_consumer():
     check_grad(build, rng.normal(size=(2, 4, 6)))
 
 
+def test_fd_gradient_feed_forward_x_beside_another_consumer():
+    # x's gradient from the op adds to the one a residual consumer left in
+    # x.grad first, as in the model's x + feed_forward(layer_norm(x))
+    rng = np.random.default_rng(11)
+    weights = [Tensor(rng.normal(size=s)) for s in ((6, 8), (8,), (8, 6),
+                                                    (6,))]
+    out_weights = Tensor(rng.normal(size=(2, 4, 6)))
+
+    def build(x):
+        return ad.tsum((x + ad.feed_forward(x, *weights)) * out_weights)
+
+    check_grad(build, rng.normal(size=(2, 4, 6)))
+
+
+def test_feed_forward_matches_its_chain_at_relu_ties():
+    """Where x @ W1 + b1 is exactly zero (a zero row of x, a zero bias) the
+    relu passes no gradient, as the chain's (pre > 0.0) mask does: values
+    and every input's gradient are the chain's by bytes."""
+    rng = np.random.default_rng(28)
+    x = rng.normal(size=(2, 4, 3))
+    x[0, 1] = 0.0
+    x[1, 2] = -0.0
+    values = [x, rng.normal(size=(3, 5)), np.zeros(5), rng.normal(size=(5, 3)),
+              rng.normal(size=3)]
+    weights = Tensor(rng.normal(size=(2, 4, 3)))
+    runs = []
+    for op in (ad.feed_forward, reference_feed_forward):
+        args = [Tensor(v, requires_grad=True) for v in values]
+        with Tape() as tape:
+            out = op(*args)
+            loss = ad.tsum(out * weights)
+        value = out.data
+        tape.backward(loss)
+        runs.append([value] + [a.grad for a in args])
+    for got, want in zip(*runs, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shapes", [((2, 3), (4, 5), (5, 3)),
+                                    ((2, 3), (3, 5), (4, 3))],
+                         ids=["first", "second"])
+def test_feed_forward_shape_mismatch(shapes):
+    x, W1, W2 = (Tensor(np.zeros(s)) for s in shapes)
+    with pytest.raises(ShapeError, match="inner dimensions"):
+        ad.feed_forward(x, W1, Tensor(np.zeros(W1.shape[-1])), W2,
+                        Tensor(np.zeros(3)))
+
+
 # ---------------------------------------------------------------------------
 # fused ops against the primitive chains they replace, bitwise
 # ---------------------------------------------------------------------------
@@ -710,6 +761,7 @@ REFERENCES = {
     "masked_softmax_rows": reference_masked_softmax_rows,
     "layer_norm": reference_layer_norm,
     "linear": reference_linear,
+    "feed_forward": reference_feed_forward,
     "mean_square": reference_mean_square,
 }
 
@@ -944,6 +996,42 @@ def test_blocked_backward_allocates_only_a_few_blocks(op):
         tracemalloc.stop()
     returned = sum(a.nbytes for a in grads if a is not None)
     assert peak - returned < 16 * ad.BLOCK_BYTES  # 2 MiB
+
+
+# the feed-forward's inputs, (x, W1, b1, W2, b2), that need a gradient: with
+# all of them the returned gradients outweigh what the backward holds at its
+# peak, so the other two cases bound it
+FF_NEEDS = {"all": (True,) * 5, "x": (True, False, False, False, False),
+            "W2": (False, False, False, True, False)}
+
+
+@pytest.mark.parametrize("needs", FF_NEEDS)
+def test_feed_forward_backward_allocates_one_hidden_layer_and_its_mask(
+        needs):
+    """At paper shape the feed-forward's backward allocates, beyond the
+    gradients it returns, one hidden-sized array and its bool mask: the
+    recomputed layer becomes the hidden layer in its own memory for W2's
+    gradient and is freed, and the hidden gradient is masked in place."""
+    B, L, D, F = 32, 100, 64, 128
+    rng = np.random.default_rng(26)
+    args = [Tensor(rng.normal(size=s), requires_grad=need) for s, need
+            in zip(((B, L, D), (D, F), (F,), (F, D), (D,)), FF_NEEDS[needs])]
+    with Tape() as tape:
+        ad.feed_forward(*args)
+    (_, _, backward_fn), = tape.nodes
+    g = rng.normal(size=(B, L, D))
+    tracemalloc.start()
+    try:
+        grads = backward_fn(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [a is not None for a in grads] == list(FF_NEEDS[needs])
+    # b2's gradient is g itself, which was allocated before
+    returned = sum(a.nbytes for a in grads if a is not None and a is not g)
+    hidden = B * L * F * 8
+    # the hidden layer, its mask and 64 KiB for numpy's iteration buffers
+    assert peak - returned <= hidden + hidden // 8 + 64 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -1390,6 +1478,23 @@ def test_forward_tape_holds_only_parameters_and_captured_arrays(prior_mode):
     held = _reachable_arrays(*tape.nodes)
     assert read and held and out.recon.requires_grad
     assert [a.shape for a in held if id(a) not in allowed] == []
+
+
+@pytest.mark.parametrize("prior_mode", PRIOR_MODES)
+def test_forward_tape_holds_no_hidden_layer(prior_mode):
+    """Right after a taped forward the tape reaches no feed-forward hidden
+    layer [..., L, F], nor the relu's input: ``feed_forward`` keeps its
+    input and recomputes them."""
+    model = tiny_model(prior_mode)
+    cfg = model.cfg
+    x = Tensor(np.random.default_rng(27).normal(size=(3, 10, 2)))
+    with Tape() as tape:
+        model.forward(x)
+    params = {id(a) for a in _reachable_arrays(model.parameters())}
+    held = _reachable_arrays(*tape.nodes)
+    assert held
+    assert [a.shape for a in held if id(a) not in params and a.shape[-2:]
+            == (cfg.window_length, cfg.feedforward_dim)] == []
 
 
 @pytest.mark.parametrize("prior_mode", PRIOR_MODES)

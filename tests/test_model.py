@@ -104,6 +104,14 @@ def test_forward_shapes_and_row_stochastic():
             assert np.all(a.data[..., tri] == 0.0)
 
 
+@pytest.mark.parametrize("prior_mode", ["full", "no_phase"])
+def test_forward_rejects_a_batch_of_no_windows(prior_mode):
+    cfg = small_cfg(prior_mode=prior_mode)
+    window = Tensor(np.zeros((0, cfg.window_length, cfg.channels)))
+    with pytest.raises(ad.ShapeError, match="at least one window"):
+        PiModel(cfg).forward(window)
+
+
 def test_forward_batched_matches_single():
     cfg = small_cfg()
     model = PiModel(cfg)
