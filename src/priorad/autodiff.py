@@ -827,12 +827,8 @@ class _Attention:
     k: np.ndarray       # [n, H, L, d]
     masked: np.ndarray  # True where the mask forbids an entry, [L, L]
     scale: float        # 1 / sqrt(d)
-    prior: object       # the logits prior, or the constant P [n, H, L, L]
+    prior: object       # the logits prior object (``dual_attention``)
     blocks: list        # slices of the n windows (``_blocks``)
-
-    @property
-    def constant(self) -> bool:
-        return isinstance(self.prior, np.ndarray)
 
 
 def _arrays(a: _Attention, sl, count: int, dtype=np.float64) -> list:
@@ -847,39 +843,29 @@ def _scores_into(a: _Attention, sl, s) -> np.ndarray:
     return _softmax_block_(np.multiply(s, a.scale, out=s), a.masked)
 
 
-def _prior_scratch(a: _Attention, sl) -> list:
-    return [] if a.constant else a.prior.scratch(sl)
-
-
 def _probs_into(a: _Attention, sl, p, *bufs) -> np.ndarray:
     """P of block ``sl``, in ``p``, which is returned; ``bufs`` are
-    ``_prior_scratch``'s."""
-    if a.constant:
-        np.copyto(p, a.prior[sl])
-        return p
+    ``a.prior.scratch(sl)``."""
     return _softmax_block_(a.prior.logits_into(sl, p, *bufs), a.masked)
 
 
 def _forward_scratch(a: _Attention, sl) -> list:
     return (_arrays(a, sl, 4) + _arrays(a, sl, 1, bool)
-            + _prior_scratch(a, sl))
+            + a.prior.scratch(sl))
 
 
 def _forward_block(a: _Attention, v, ctx, kl, z, sl, s, p, d, log_q, finite,
                    *bufs) -> list:
     """One forward block: S, its context S @ ``v`` in ``ctx``, P and the KL
-    rows in ``kl``; the prior's logits are also copied into ``z`` (None for
-    a constant prior). Returns the worst row-sum errors of S and P."""
+    rows in ``kl``; the prior's logits are also copied into ``z``. Returns
+    the worst row-sum errors of S and P."""
     _scores_into(a, sl, s)
     np.matmul(s, v[sl], out=ctx[sl])
-    if a.constant:
-        np.copyto(p, a.prior[sl])
-    else:
-        a.prior.logits_into(sl, p, *bufs)
-        if not np.isfinite(p, out=finite).all():
-            raise NumericError("non-finite prior kernel logits")
-        np.copyto(z[sl], p)
-        _softmax_block_(p, a.masked)
+    a.prior.logits_into(sl, p, *bufs)
+    if not np.isfinite(p, out=finite).all():
+        raise NumericError("non-finite prior kernel logits")
+    np.copyto(z[sl], p)
+    _softmax_block_(p, a.masked)
     # the KL floors S and P in their own blocks: neither is read again
     return _kl_rows_into(s, p, kl[sl], s, p, d, log_q)
 
@@ -888,7 +874,7 @@ def _series_scratch(a: _Attention, with_kl: bool, sl) -> list:
     if not with_kl:
         return _arrays(a, sl, 3)
     return (_arrays(a, sl, 5) + _arrays(a, sl, 1, bool)
-            + _prior_scratch(a, sl))
+            + a.prior.scratch(sl))
 
 
 def _series_block(a: _Attention, v, g_ctx, g_kls, gq, gkT, gv, sl, s, gs, d,
@@ -948,11 +934,10 @@ def _maps(a: _Attention, shape) -> tuple:
     """S and P whole, in ``shape``, recomputed block by block off the
     tape."""
     S = np.empty((len(a.q),) + shape[-3:])
-    P = a.prior if a.constant else np.empty(S.shape)
+    P = np.empty(S.shape)
     for sl in a.blocks:
         _scores_into(a, sl, S[sl])
-        if not a.constant:
-            _probs_into(a, sl, P[sl], *_prior_scratch(a, sl))
+        _probs_into(a, sl, P[sl], *a.prior.scratch(sl))
     return S.reshape(shape), P.reshape(shape)
 
 
@@ -979,18 +964,19 @@ def dual_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
     window or a batch) and the prior's inputs, which keeps no array as
     large as S.
 
-    ``prior`` is either a constant attention, an array that broadcasts to
-    S's shape (its score is 0 and no input reaches it), or a logits prior,
-    an object with
-    - ``inputs``, the tensors its logits depend on;
+    ``prior`` is a logits prior, an object with
+    - ``inputs``, the tensors its logits depend on, which may be none;
     - ``shape``, [n, H, L, L] for n windows (one window is a batch of one);
     - ``scratch(sl)`` and ``logits_into(sl, out, *scratch)``, which writes
       the logits of the windows in block ``sl``, over the H series heads,
       in ``out`` and returns it;
     - ``backward(blocks, logits_grad)``, the inputs' gradients, from
       ``logits_grad(sl, z)``: the logits' gradient of each of ``blocks`` in
-      turn, given its logits z, which it may overwrite.
+      turn, given its logits z, which it may overwrite. It is called only
+      when an input needs a gradient, so a prior with no inputs has none.
     P is the row softmax of those logits, and the score their mean square.
+    ``mask`` must be [L, L] and the prior's shape S's, or ShapeError names
+    both shapes.
 
     Replaces a chain of primitive ops: S as matmul, transpose, the scaling
     mul and masked_softmax_rows; matmul(S, v); P as the prior's kernel
@@ -1026,32 +1012,25 @@ def dual_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
         raise ShapeError(f"dual_attention takes at least one window, got q "
                          f"{q.shape}")
     shape = (n, H, L, L)
-    const = isinstance(prior, np.ndarray)
-    if const:
-        prior = np.broadcast_to(prior, lead + (H, L, L)).reshape(shape)
-        pin = ()
-    else:
-        pin = tuple(prior.inputs)
-        if prior.shape[0] != n:
-            raise ShapeError(f"the prior covers {prior.shape[0]} windows, "
-                             f"q {n}")
+    if np.shape(mask) != (L, L):
+        raise ShapeError(f"the mask is {np.shape(mask)}, not {(L, L)}")
+    if tuple(prior.shape) != shape:
+        raise ShapeError(f"the prior is {tuple(prior.shape)}, not {shape}")
+    pin = tuple(prior.inputs)
     a = _Attention(qd, kd, _inverse_mask(mask), 1.0 / np.sqrt(dk), prior,
                    _blocks(n, 8 * H * L * L))
 
     ctx = np.empty((n, H, L, dv))
     kl = np.empty((n, H, L))
     # the whole logits over the series heads, for the score's sum only
-    z = None if const else np.empty(shape)
+    z = np.empty(shape)
     _check_normalized(
         _blockwise(a.blocks, partial(_forward_block, a, vd, ctx, kl, z),
                    partial(_forward_scratch, a)),
         ("series attention", "prior attention"))
-    if const:
-        score, inv_n = Tensor(0.0), None
-    else:
-        # the sum mean_square took over the chain's whole logits
-        inv_n = 1.0 / float(z.size)
-        score = Tensor(np.multiply(z, z, out=z).sum() * inv_n)
+    # the sum mean_square took over the chain's whole logits
+    inv_n = 1.0 / float(z.size)
+    score = Tensor(np.multiply(z, z, out=z).sum() * inv_n)
     context = Tensor(ctx.reshape(lead + (H, L, dv)))
     kl_series = Tensor(kl.reshape(lead + (H, L)))
     kl_prior = Tensor(kl_series.data)

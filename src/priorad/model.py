@@ -297,11 +297,12 @@ class PiModel:
         """The prior that ``ad.dual_attention`` meets the series attention
         with: the kernel mixture of ``fields`` (``KernelPrior``), with one
         prior head per series head, or in ``single_head`` mode one head
-        broadcast over them. In ``no_phase`` mode it is the uniform causal
-        attention over j <= i, one [L, L] array that no parameter reaches.
+        broadcast over them. In ``no_phase`` mode it is ``UniformPrior``:
+        zero logits, whose P is uniform over j <= i, that no parameter reaches.
         """
         if self.cfg.prior_mode == "no_phase":
-            return self.mask / self.mask.sum(axis=-1, keepdims=True)
+            return UniformPrior((fields.hurst.shape[:-1] or (1,))
+                                + (self.cfg.num_heads,) + self.mask.shape)
         return KernelPrior(fields, self.lags, self.cfg.num_heads)
 
     # full forward -----------------------------------------------------------
@@ -359,6 +360,25 @@ class PiModel:
             stack.prior.append(Tensor(P))
             x = self._feed_forward(x, l)
         return stack
+
+
+@dataclass(frozen=True)
+class UniformPrior:
+    """Zero logits over ``shape`` [n, H, L, L], the logits prior
+    ``ad.dual_attention`` takes in ``no_phase`` mode: their masked softmax
+    is 1.0 / (the row's permitted count), the uniform causal attention, and
+    their score 0.0. With no inputs, the op records no output that depends
+    on it, and never calls a backward."""
+
+    shape: tuple
+    inputs = ()
+
+    def scratch(self, sl) -> list:
+        return []
+
+    def logits_into(self, sl, out):
+        out.fill(0.0)
+        return out
 
 
 class KernelPrior:

@@ -3,10 +3,11 @@ each fused op must give its chain's values and gradients bit for bit.
 ``reference_feed_forward`` is the chain ``autodiff.feed_forward`` replaces,
 two linear layers around a relu, whose nodes keep the relu's input and the
 hidden layer that the op recomputes. ``reference_dual_attention`` is the
-chain of single ops that
-``autodiff.dual_attention`` replaces. It shares no block code with the op,
-and finite differences run through it, where ``stop_gradient`` marks the
-side each KL holds constant."""
+chain of single ops that ``autodiff.dual_attention`` replaces. It shares no
+block code with the op, and finite differences run through it, where
+``stop_gradient`` marks the side each KL holds constant.
+``FixedLogitsPrior`` is a prior that meets a given attention with
+itself."""
 
 import numpy as np
 
@@ -159,14 +160,15 @@ def reference_prior_softmax(fields, lags, mask, heads):
 
 
 def reference_dual_attention(q, k, v, mask, prior):
-    """S, matmul(S, v), P and its score (or the constant P and a score of
-    0), and the symmetric KL on either side of ``ad.stop_gradient``, which
-    is looked up by name when it is called, so that a test can replay its
-    outputs."""
+    """S, matmul(S, v), P and its score (for a ``UniformPrior``, the
+    uniform matrix built from the mask and a score of 0), and the symmetric
+    KL on either side of ``ad.stop_gradient``, which is looked up by name
+    when it is called, so that a test can replay its outputs."""
     S = reference_attention_scores(q, k, mask)
     context = ad.matmul(S, v)
-    if isinstance(prior, np.ndarray):
-        P, score = Tensor(np.broadcast_to(prior, S.shape)), Tensor(0.0)
+    if isinstance(prior, pmodel.UniformPrior):
+        uniform = mask / mask.sum(axis=-1, keepdims=True)
+        P, score = Tensor(np.broadcast_to(uniform, S.shape)), Tensor(0.0)
     else:
         P, score = reference_prior_softmax(
             pmodel.PriorFields(*prior.inputs),
@@ -175,3 +177,25 @@ def reference_dual_attention(q, k, v, mask, prior):
     kl_prior = reference_sym_kl_rows(P, ad.stop_gradient(S))
     return ad.DualAttention(context, kl_series, kl_prior, score,
                             lambda: (S.data, P.data))
+
+
+class FixedLogitsPrior:
+    """A logits prior with no inputs whose P is the row-stochastic
+    ``attention`` [..., H, L, L] (one window or a batch): its logits are
+    log(attention), and 0 where an entry is 0, which the mask leaves out or
+    which underflowed. Only tests use it, to meet S with itself."""
+
+    inputs = ()
+
+    def __init__(self, attention):
+        attention = attention.reshape((-1,) + attention.shape[-3:])
+        self.shape = attention.shape
+        self.logits = np.log(attention, where=attention > 0.0,
+                             out=np.zeros(attention.shape))
+
+    def scratch(self, sl):
+        return []
+
+    def logits_into(self, sl, out):
+        np.copyto(out, self.logits[sl])
+        return out

@@ -22,7 +22,7 @@ from priorad.training import (TrainConfig, loss_reconstruction, loss_sym_kl,
                               train, save_checkpoint, load_checkpoint,
                               _regularizer)
 
-from chains import reference_dual_attention
+from chains import FixedLogitsPrior, reference_dual_attention
 
 
 def report(num, name, ok, detail=""):
@@ -166,12 +166,12 @@ def test_criterion_02_distribution_invariants(monkeypatch):
         ok &= bool(np.all(delta >= 0.0))
         w = alignment_weights(delta)
         ok &= bool(np.abs(w.sum(axis=-1) - 1.0).max() <= 1e-9)
-    # forced S = P gives exactly zero mismatch: each layer's prior is the
-    # constant attention equal to its series attention
+    # forced S = P gives zero mismatch: each layer's prior is the
+    # fixed-logits prior whose P is its series attention
     window = Tensor(rng.normal(size=(16, 3)))
     series = iter(model.attention_maps(window).series)
     monkeypatch.setattr(model, "prior_attention",
-                        lambda fields: next(series).data)
+                        lambda fields: FixedLogitsPrior(next(series).data))
     forced = mismatch_delta(model.forward(window).attention, temperature=10.0)
     ok &= bool(np.abs(forced).max() < 1e-10)
     report(2, "distribution invariants", ok,

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -200,66 +201,70 @@ def test_kl_nonnegative_random():
         assert np.all(kl_rows(p, q) >= 0.0)
 
 
-def uniform_rows(shape):
-    """Rows [..., L, L] uniform over the causal entries j <= i."""
-    mask = causal_mask(shape[-1])
-    return np.broadcast_to(mask / mask.sum(axis=-1, keepdims=True),
-                           shape).copy()
+def uniform_prior(q):
+    """The ``UniformPrior`` that meets the queries ``q`` [..., H, L, d], one
+    window or a batch."""
+    *lead, H, L, _ = q.shape
+    return pmodel.UniformPrior((*lead, H, L, L) if lead else (1, H, L, L))
 
 
-def constant_prior_kl(prior, q=None):
-    """dual_attention's KL rows between S and the constant ``prior``
-    [n, 1, L, L]. S is that of the queries ``q`` against keys of zeros:
-    with q zero too (the default), uniform over j <= i."""
-    zeros = Tensor(np.zeros(prior.shape[:-1] + (1,)))
-    q = zeros if q is None else Tensor(q)
-    return ad.dual_attention(q, zeros, zeros, causal_mask(prior.shape[-1]),
-                             prior).kl_series.data
+def uniform_prior_kl(q):
+    """dual_attention's KL rows between the uniform prior and S of the
+    queries ``q`` [n, 1, L, 1] against keys of zeros, which with q zero is
+    uniform over j <= i too."""
+    zeros = Tensor(np.zeros(q.shape))
+    return ad.dual_attention(Tensor(q), zeros, zeros,
+                             causal_mask(q.shape[-2]),
+                             uniform_prior(q)).kl_series.data
+
+
+# S and P are softmaxes of finite logits, so through dual_attention only a
+# NaN query (in S) can fail the row-sum check. The check takes the worst
+# |row sum - 1| of S and of P per block; P's cases go to it directly
+KL_NAMES = ("series attention", "prior attention")
 
 
 def test_kl_rejects_unnormalized():
-    # S is a softmax, so only a constant prior can be off
-    prior = uniform_rows((1, 1, 2, 2))
-    prior[0, 0, 1] = [0.7, 0.7]
+    ad._check_normalized([(0.0, ad.NORM_TOL)], KL_NAMES)
     with pytest.raises(NormalizationError, match="^prior attention rows"):
-        constant_prior_kl(prior)
-    np.testing.assert_allclose(constant_prior_kl(uniform_rows(prior.shape)),
+        ad._check_normalized([(0.0, 0.4)], KL_NAMES)
+    np.testing.assert_allclose(uniform_prior_kl(np.zeros((1, 1, 2, 1))),
                                0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 62], ids=["one", "unbounded"])
 def test_kl_names_the_worst_row_over_all_blocks(budget, monkeypatch):
-    # five windows, one per block under the budget of one byte; the prior's
-    # worst row is in the last block, and S, checked first, is named when a
-    # NaN query in the first block spoils one of its rows
-    monkeypatch.setattr(ad, "BLOCK_BYTES", budget)
-    prior = uniform_rows((5, 1, 2, 2))
-    prior[0, 0, 1] = [0.5, 0.6]
-    prior[4, 0, 1] = [0.5, 0.8]
+    # P's worst row is in the last of five blocks; S, checked first, is
+    # named when a NaN query in the first of five windows, one per block
+    # under the budget of one byte, spoils one of its rows
     with pytest.raises(NormalizationError,
                        match=r"^prior attention rows not normalized: "
                              r"max \|sum-1\| = 3\.000e-01$"):
-        constant_prior_kl(prior)
+        ad._check_normalized([(0.0, 0.1), (0.0, 0.0), (0.0, 0.2),
+                              (0.0, 0.0), (0.0, 0.3)], KL_NAMES)
+    monkeypatch.setattr(ad, "BLOCK_BYTES", budget)
     q = np.zeros((5, 1, 2, 1))
     q[0, 0, 1] = np.nan
     with pytest.raises(NormalizationError,
                        match=r"^series attention rows .* = nan$"):
-        constant_prior_kl(prior, q)
+        uniform_prior_kl(q)
 
 
 @pytest.mark.parametrize("side", ["series", "prior"])
 def test_kl_rejects_a_nan_row(side):
     """A NaN row fails the row-sum check, which it would pass if compared
-    as |sum - 1| > NORM_TOL: a NaN query spoils a row of S, and a constant
-    prior may hold a NaN row."""
-    prior, q = uniform_rows((2, 1, 3, 3)), np.zeros((2, 1, 3, 1))
+    as |sum - 1| > NORM_TOL: a NaN query spoils a row of S, and a NaN row
+    of P is handed to the check."""
     if side == "series":
+        q = np.zeros((2, 1, 3, 1))
         q[1, 0, 2] = np.nan
+        check = functools.partial(uniform_prior_kl, q)
     else:
-        prior[1, 0, 2] = np.nan
+        check = functools.partial(ad._check_normalized,
+                                  [(0.0, 0.0), (0.0, np.nan)], KL_NAMES)
     with pytest.raises(NormalizationError,
                        match=f"^{side} attention rows .* = nan$"):
-        constant_prior_kl(prior, q)
+        check()
 
 
 def test_kl_floored_entry_gets_zero_gradient():
@@ -551,14 +556,15 @@ def test_fd_gradient_masked_softmax():
 
 def test_fd_gradient_kl():
     # the KL's gradient into S, through dual_attention's queries against a
-    # constant prior; the causal mask leaves exact zeros in S and P, which
-    # the EPS_PROB floor handles
-    rows = RNG.random((4, 4)) + 0.2
+    # kernel prior over fixed fields; the causal mask leaves exact zeros in
+    # S and P, which the EPS_PROB floor handles
+    fields = PriorFields(Tensor(RNG.uniform(0.1, 0.9, 4)),
+                         Tensor(RNG.uniform(0.6, 3.0, 4)),
+                         Tensor([[0.5, 0.3, 0.2]]), Tensor([3.0]),
+                         Tensor([0.8]))
+    prior = pmodel.KernelPrior(fields, pmodel.lag_matrix(4), 1)
     keys = Tensor(RNG.normal(size=(1, 4, 3)))
     for mask in (np.ones((4, 4), dtype=bool), causal_mask(4)):
-        prior = np.where(mask, rows, 0.0)
-        prior /= prior.sum(axis=-1, keepdims=True)
-
         def build(x):
             att = ad.dual_attention(x, keys, keys, mask, prior)
             return ad.tsum(att.kl_series * Tensor(np.arange(1.0, 5.0)))
@@ -604,11 +610,11 @@ def test_fd_gradient_prior_logits(name):
 
 def attention_scores(q, k):
     """S = softmax(q k^T / sqrt(d)) under the causal mask, as dual_attention
-    makes it: its context with an identity v, beside a constant prior."""
+    makes it: its context with an identity v, beside the uniform prior."""
     L = q.shape[-2]
     v = Tensor(np.broadcast_to(np.eye(L), q.shape[:-1] + (L,)).copy())
     return ad.dual_attention(q, k, v, causal_mask(L),
-                             uniform_rows((L, L))).context
+                             uniform_prior(q)).context
 
 
 # every input of every fused model op; a weighted sum makes each output
@@ -750,6 +756,28 @@ def test_feed_forward_shape_mismatch(shapes):
                         Tensor(np.zeros(3)))
 
 
+def test_dual_attention_checks_the_mask_and_prior_shapes():
+    """Before any block runs, a prior or mask that does not fit q [3, 2, 5,
+    4] raises ShapeError naming both shapes: a kernel prior made for 4
+    series heads, a prior over 2 windows, and a mask over 6 positions."""
+    rng = np.random.default_rng(30)
+    q = Tensor(rng.normal(size=(3, 2, 5, 4)))
+    fields = PriorFields(Tensor(rng.uniform(0.1, 0.9, (3, 5))),
+                         Tensor(rng.uniform(0.6, 3.0, (3, 5))),
+                         Tensor(np.full((4, 3), 1.0 / 3.0)),
+                         Tensor(np.full(4, 3.0)), Tensor(np.ones(4)))
+    for mask, prior, message in (
+            (causal_mask(5),
+             pmodel.KernelPrior(fields, pmodel.lag_matrix(5), 4),
+             "the prior is (3, 4, 5, 5), not (3, 2, 5, 5)"),
+            (causal_mask(5), pmodel.UniformPrior((2, 2, 5, 5)),
+             "the prior is (2, 2, 5, 5), not (3, 2, 5, 5)"),
+            (causal_mask(6), uniform_prior(q),
+             "the mask is (6, 6), not (5, 5)")):
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            ad.dual_attention(q, q, q, mask, prior)
+
+
 # ---------------------------------------------------------------------------
 # fused ops against the primitive chains they replace, bitwise
 # ---------------------------------------------------------------------------
@@ -872,20 +900,17 @@ DUAL_CASES = {"dual_attention": (OUTPUTS, "full"),
               "dual_attention_no_phase": (OUTPUTS, "no_phase")}
 
 
-def _normalized(x):
-    return x / x.sum(axis=-1, keepdims=True)
-
-
 def _dual_inputs(case, lead, H, L, rng):
     """Leaf tensors for ``case`` over windows ``lead``: q, k and v, then
-    the prior's fields, which the constant no_phase prior has none of."""
+    the prior's fields, which no_phase's UniformPrior has none of."""
     mode = DUAL_CASES[case][1]
     values = {n: rng.normal(size=lead + (H, L, BLOCK_D)) for n in "qkv"}
     if mode != "no_phase":
         heads = H if mode == "full" else 1
+        mix = rng.random((heads, 3)) + 0.1
         values.update(hurst=rng.uniform(0.1, 0.9, lead + (L,)),
                       stiffness=rng.uniform(0.6, 3.0, lead + (L,)),
-                      mix_weights=_normalized(rng.random((heads, 3)) + 0.1),
+                      mix_weights=mix / mix.sum(axis=-1, keepdims=True),
                       phase_period=rng.uniform(2.0, 6.0, heads),
                       phase_gain=rng.uniform(0.0, 1.5, heads))
     return {n: Tensor(v, requires_grad=True) for n, v in values.items()}
@@ -900,7 +925,7 @@ def _dual_case(case, args, L):
         prior = pmodel.KernelPrior(PriorFields(*fields), pmodel.lag_matrix(L),
                                    q.shape[-3])
     else:
-        prior = _normalized(mask.astype(float))
+        prior = uniform_prior(q)
     att = ad.dual_attention(q, k, v, mask, prior)
     return att, [getattr(att, o) for o in DUAL_CASES[case][0]]
 
@@ -1144,10 +1169,11 @@ def test_importing_starts_no_thread():
     under the default budget."""
     code = "; ".join([
         "import threading, numpy as np, priorad.cli, priorad.autodiff as ad",
+        "from priorad.model import UniformPrior as U",
         "print(threading.active_count())",
         "x = ad.Tensor(np.zeros((2, 1, 256, 1)))",
-        "m, p = np.ones((256, 256), bool), np.full((256, 256), 2**-8)",
-        "ad.dual_attention(x[:1], x[:1], x[:1], m, p)",
+        "m, p = np.ones((256, 256), bool), U((2, 1, 256, 256))",
+        "ad.dual_attention(x[:1], x[:1], x[:1], m, U((1, 1, 256, 256)))",
         "print(threading.active_count())",
         "ad.dual_attention(x, x, x, m, p)",
         "print(threading.active_count())"])
@@ -1621,10 +1647,13 @@ def test_determinism_same_seed_bitwise():
     def run():
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(1, 6, 6)), requires_grad=True)
-        q = masked_softmax_rows(Tensor(rng.normal(size=(6, 6))),
-                                causal_mask(6)).data
+        fields = PriorFields(Tensor(rng.uniform(0.1, 0.9, 6)),
+                             Tensor(rng.uniform(0.6, 3.0, 6)),
+                             Tensor([[0.2, 0.3, 0.5]]), Tensor([4.0]),
+                             Tensor([1.0]))
+        prior = pmodel.KernelPrior(fields, pmodel.lag_matrix(6), 1)
         with Tape() as tape:
-            att = ad.dual_attention(x, x, x, causal_mask(6), q)
+            att = ad.dual_attention(x, x, x, causal_mask(6), prior)
             loss = ad.tsum(att.kl_series)
         tape.backward(loss)
         return x.grad.copy(), att.maps()[0]

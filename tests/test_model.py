@@ -256,8 +256,21 @@ def test_no_phase_mode_uses_uniform_prior():
         for P in attn.prior:
             assert P.shape == shape[:-2] + (2, 16, 16)
             assert np.array_equal(P.data, np.broadcast_to(uniform, P.shape))
-            # one [L, L] array: every leading axis, heads too, has stride 0
-            assert P.data.strides[:-2] == (0,) * (P.data.ndim - 2)
+
+
+@pytest.mark.parametrize("shape", [(16, 3), (4, 16, 3)],
+                         ids=["window", "batch"])
+def test_no_phase_mode_records_nothing_for_the_prior(shape):
+    """UniformPrior has no inputs: a taped forward records neither output
+    that depends on the prior, and the score reads exactly 0.0."""
+    model = PiModel(small_cfg(prior_mode="no_phase", num_layers=2))
+    x = Tensor(np.random.default_rng(6).normal(size=shape))
+    with Tape():
+        out = model.forward(x)
+    for att in out.attention:
+        assert att.kl_series._cell is not None
+        assert att.kl_prior._cell is None and att.score._cell is None
+        assert att.score.data.tobytes() == np.float64(0.0).tobytes()
 
 
 def test_single_head_mode_shares_prior_across_heads():

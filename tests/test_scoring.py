@@ -16,6 +16,8 @@ from priorad.scoring import (
 from priorad.data import ParseError, SplitError
 from priorad.evaluation import benchmark_configs
 
+from chains import FixedLogitsPrior
+
 
 def test_alignment_weights_fixture():
     w = alignment_weights(np.array([0.0, np.log(2.0)]))
@@ -168,13 +170,13 @@ def tiny_scfg(**kw):
 
 
 def test_mismatch_delta_zero_when_attentions_equal(tiny_model, monkeypatch):
-    """Each layer's prior is the constant attention equal to its series
+    """Each layer's prior is the fixed-logits prior whose P is its series
     attention."""
     rng = np.random.default_rng(3)
     window = Tensor(rng.normal(size=(12, 2)))
     series = iter(tiny_model.attention_maps(window).series)
     monkeypatch.setattr(tiny_model, "prior_attention",
-                        lambda fields: next(series).data.copy())
+                        lambda fields: FixedLogitsPrior(next(series).data))
     out = tiny_model.forward(window)
     delta = mismatch_delta(out.attention, temperature=10.0)
     np.testing.assert_allclose(delta, 0.0, atol=1e-10)
