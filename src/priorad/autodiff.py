@@ -506,19 +506,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), lambda g: _matmul_grads(g, a_data, b_data))
 
 
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    out = Tensor(np.transpose(a.data, axes))
-    return _record(out, (a,), lambda g: (np.transpose(g, inv),))
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    old = a.data.shape
-    out = Tensor(a.data.reshape(shape))
-    return _record(out, (a,), lambda g: (g.reshape(old),))
-
-
 _BASIC_INDEX = (numbers.Integral, slice, type(Ellipsis), type(None))
 
 
@@ -563,12 +550,6 @@ def square(a: Tensor) -> Tensor:
     x = a.data
     out = Tensor(x * x)
     return _record(out, (a,), lambda g: (g * 2.0 * x,))
-
-
-def relu(a: Tensor) -> Tensor:
-    x = a.data
-    out = Tensor(np.maximum(x, 0.0))
-    return _record(out, (a,), lambda g: (g * (x > 0.0),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -823,8 +804,8 @@ class _Attention:
     holds this record for as long as the op's outputs live, and must not
     keep v alive."""
 
-    q: np.ndarray       # [n, H, L, d]
-    k: np.ndarray       # [n, H, L, d]
+    q: np.ndarray       # [n, H, L, d], the heads' views of q [..., L, D]
+    k: np.ndarray       # [n, H, L, d], the same of k
     masked: np.ndarray  # True where the mask forbids an entry, [L, L]
     scale: float        # 1 / sqrt(d)
     prior: object       # the logits prior object (``dual_attention``)
@@ -881,9 +862,9 @@ def _series_block(a: _Attention, v, g_ctx, g_kls, gq, gkT, gv, sl, s, gs, d,
                   *kl_bufs) -> None:
     """One block of the series side of the backward: v's gradient in
     ``gv``, and q's and k's, the latter as [..., d, L], in ``gq`` and
-    ``gkT`` (any may be None), from the gradients of the context and, when
-    ``kl_bufs`` (``_series_scratch``'s with the KL) are given, of S's KL
-    rows."""
+    ``gkT`` (any may be None; all [n, H, ...]), from the gradients of the
+    context and, when ``kl_bufs`` (``_series_scratch``'s with the KL) are
+    given, of S's KL rows."""
     _scores_into(a, sl, s)
     need_qk = gq is not None or gkT is not None
     gS = None
@@ -949,20 +930,30 @@ class DualAttention:
     ``kl_prior`` the prior attention P only. ``maps()`` recomputes S and P
     whole, off the tape, with the op's own block code, for inspection."""
 
-    context: Tensor    # S @ v, [..., H, L, dv]
+    context: Tensor    # S @ v with the heads merged, [..., L, D]
     kl_series: Tensor  # symmetric KL per row, [..., H, L]
     kl_prior: Tensor   # the same rows
     score: Tensor      # mean square of the prior logits, a scalar
     maps: object       # () -> (S, P), both [..., H, L, L] arrays
 
 
+def _heads(x: np.ndarray, H: int) -> np.ndarray:
+    """``x`` [..., L, D], one window or a batch, as [n, H, L, D / H] over
+    its n windows: the heads split as strided views, as ``reshape`` and
+    ``transpose`` split them."""
+    L, D = x.shape[-2:]
+    return x.reshape(-1, L, H, D // H).transpose(0, 2, 1, 3)
+
+
 def dual_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
                    prior) -> DualAttention:
-    """One layer's series attention S = softmax(q k^T / sqrt(d)) and prior
-    attention P, over the ``mask`` [L, L] entries of each row, met in their
-    per-row symmetric KL: one tape op over q, k, v [..., H, L, d] (one
-    window or a batch) and the prior's inputs, which keeps no array as
-    large as S.
+    """One layer's multi-head series attention S = softmax(q k^T / sqrt(d))
+    and prior attention P, over the ``mask`` [L, L] entries of each row, met
+    in their per-row symmetric KL: one tape op over the projections q, k, v
+    [..., L, D] (one window or a batch) and the prior's inputs, which keeps
+    no array as large as S. The prior's shape sets the head count H: the op
+    splits q, k and v into H heads of width d = D / H, and returns the
+    context with the heads merged, [..., L, D].
 
     ``prior`` is a logits prior, an object with
     - ``inputs``, the tensors its logits depend on, which may be none;
@@ -975,17 +966,20 @@ def dual_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
       turn, given its logits z, which it may overwrite. It is called only
       when an input needs a gradient, so a prior with no inputs has none.
     P is the row softmax of those logits, and the score their mean square.
-    ``mask`` must be [L, L] and the prior's shape S's, or ShapeError names
-    both shapes.
+    ``mask`` must be [L, L], the prior's windows and L q's, and q's and v's
+    widths multiples of H, or ShapeError names both shapes.
 
-    Replaces a chain of primitive ops: S as matmul, transpose, the scaling
-    mul and masked_softmax_rows; matmul(S, v); P as the prior's kernel
-    logits, their masked softmax and mean square; and the symmetric KL
-    (clip, log, sub, mul and tsum per direction) on either side of
-    stop_gradient. It evaluates their expressions in their order, so its
-    values and gradients are bitwise theirs: S's gradient is the KL's plus
-    the product's, as the tape added them, and the KL is computed once
-    (KL(S||P) and KL(P||S) are the same bits).
+    Replaces a chain of primitive ops: the heads split from q, k and v by
+    reshape and transpose; S as matmul, transpose, the scaling mul and
+    masked_softmax_rows; matmul(S, v) and the heads merged by transpose and
+    reshape; P as the prior's kernel logits, their masked softmax and mean
+    square; and the symmetric KL (clip, log, sub, mul and tsum per
+    direction) on either side of stop_gradient. It evaluates their
+    expressions in their order, so its values and gradients are bitwise
+    theirs: S's gradient is the KL's plus the product's, as the tape added
+    them, the KL is computed once (KL(S||P) and KL(P||S) are the same
+    bits), and q's, k's and v's gradients come back C-contiguous [..., L,
+    D], as the chain's transpose and reshape nodes handed them on.
 
     Forward and backward make S and P a block of windows at a time on the
     executor (``_forward_block``, ``_series_block``), and the backward
@@ -1000,60 +994,75 @@ def dual_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
     if q.data.shape[-1] != k.data.shape[-1]:
         raise ShapeError(f"query and key widths disagree: {q.data.shape} "
                          f"vs {k.data.shape}")
-    if not (q.ndim in (3, 4) and q.shape[:-1] == k.shape[:-1]
+    if not (q.ndim in (2, 3) and q.shape[:-1] == k.shape[:-1]
             == v.shape[:-1]):
-        raise ShapeError(f"dual_attention takes q, k and v [..., H, L, d] "
+        raise ShapeError(f"dual_attention takes q, k and v [..., L, D] "
                          f"over one window or a batch, got {q.shape}, "
                          f"{k.shape} and {v.shape}")
-    lead, (H, L, dk), dv = q.shape[:-3], q.shape[-3:], v.shape[-1]
-    qd, kd, vd = (t.data.reshape((-1,) + t.shape[-3:]) for t in (q, k, v))
-    n = len(qd)
+    lead, L = q.shape[:-2], q.shape[-2]
+    n = lead[0] if lead else 1
     if n == 0:
         raise ShapeError(f"dual_attention takes at least one window, got q "
                          f"{q.shape}")
-    shape = (n, H, L, L)
     if np.shape(mask) != (L, L):
         raise ShapeError(f"the mask is {np.shape(mask)}, not {(L, L)}")
+    H = prior.shape[1]
+    shape = (n, H, L, L)
     if tuple(prior.shape) != shape:
         raise ShapeError(f"the prior is {tuple(prior.shape)}, not {shape}")
+    for name, t in (("q", q), ("v", v)):
+        if t.shape[-1] % H:
+            raise ShapeError(f"{name} is {t.shape}, whose width does not "
+                             f"split into the heads of the prior "
+                             f"{tuple(prior.shape)}")
+    D, Dv = q.shape[-1], v.shape[-1]
+    vd = _heads(v.data, H)
     pin = tuple(prior.inputs)
-    a = _Attention(qd, kd, _inverse_mask(mask), 1.0 / np.sqrt(dk), prior,
-                   _blocks(n, 8 * H * L * L))
+    a = _Attention(_heads(q.data, H), _heads(k.data, H), _inverse_mask(mask),
+                   1.0 / np.sqrt(D // H), prior, _blocks(n, 8 * H * L * L))
 
-    ctx = np.empty((n, H, L, dv))
+    # the context in the merged layout the chain's reshape made, written
+    # through its heads' views
+    ctx = np.empty(lead + (L, Dv))
     kl = np.empty((n, H, L))
     # the whole logits over the series heads, for the score's sum only
     z = np.empty(shape)
     _check_normalized(
-        _blockwise(a.blocks, partial(_forward_block, a, vd, ctx, kl, z),
+        _blockwise(a.blocks, partial(_forward_block, a, vd,
+                                     _heads(ctx, H), kl, z),
                    partial(_forward_scratch, a)),
         ("series attention", "prior attention"))
     # the sum mean_square took over the chain's whole logits
     inv_n = 1.0 / float(z.size)
     score = Tensor(np.multiply(z, z, out=z).sum() * inv_n)
-    context = Tensor(ctx.reshape(lead + (H, L, dv)))
+    context = Tensor(ctx)
     kl_series = Tensor(kl.reshape(lead + (H, L)))
     kl_prior = Tensor(kl_series.data)
     need_q, need_k, need_v = (t.requires_grad for t in (q, k, v))
     need_prior, n_prior = any(t.requires_grad for t in pin), len(pin)
-    q_shape, k_shape, v_shape = q.shape, k.shape, v.shape
+
+    def heads(g):
+        return None if g is None else _heads(g, H)
 
     def backward(grads):
         g_ctx, g_kls, g_klp, g_score = grads
-        g_ctx = None if g_ctx is None else g_ctx.reshape((n, H, L, dv))
+        g_ctx = heads(g_ctx)
         g_kls = None if g_kls is None else g_kls.reshape((n, H, L))
         g_klp = None if g_klp is None else g_klp.reshape((n, H, L))
         reached = g_ctx is not None or g_kls is not None
-        gq = np.empty(a.q.shape) if need_q and reached else None
-        # built as [..., d, L] and handed on transposed, as the matmul left it
-        gkT = np.empty((n, H, dk, L)) if need_k and reached else None
-        gv = np.empty(vd.shape) if need_v and g_ctx is not None else None
+        # q's and v's gradients are made in the merged layout, through
+        # their heads' views
+        gq = np.empty(lead + (L, D)) if need_q and reached else None
+        # built as [..., d, L], as the matmul left it, and merged at the end
+        gkT = np.empty((n, H, D // H, L)) if need_k and reached else None
+        gv = np.empty(lead + (L, Dv)) if need_v and g_ctx is not None \
+            else None
         need_qk = gq is not None or gkT is not None
         if need_qk or gv is not None:
             # S's KL gradient is worked only when it reaches q or k
             with_kl = g_kls is not None and need_qk
             _blockwise(a.blocks, partial(_series_block, a, vd, g_ctx, g_kls,
-                                         gq, gkT, gv),
+                                         heads(gq), gkT, heads(gv)),
                        partial(_series_scratch, a, with_kl))
 
         prior_grads = [None] * n_prior
@@ -1062,10 +1071,9 @@ def dual_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
             c = None if g_score is None else g_score * inv_n * 2.0
             prior_grads = a.prior.backward(
                 a.blocks, partial(_logits_grad, a, g_klp, c))
-        return (None if gq is None else gq.reshape(q_shape),
-                None if gkT is None
-                else np.swapaxes(gkT, -1, -2).reshape(k_shape),
-                None if gv is None else gv.reshape(v_shape), *prior_grads)
+        return (gq, None if gkT is None
+                else gkT.transpose(0, 3, 1, 2).reshape(lead + (L, D)),
+                gv, *prior_grads)
 
     _record_outputs([(context, (q, k, v)), (kl_series, (q, k)),
                      (kl_prior, pin), (score, pin)], (q, k, v, *pin),

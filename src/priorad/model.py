@@ -83,10 +83,6 @@ class ModelConfig:
             raise ConfigError(f"prior_mode must be one of {PRIOR_MODES}, "
                               f"got {self.prior_mode!r}")
 
-    @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.num_heads
-
 
 @dataclass
 class PriorFields:
@@ -230,7 +226,11 @@ class PiModel:
     # forward pieces ---------------------------------------------------------
 
     def embed_window(self, window: Tensor) -> Tensor:
-        """Linear channel projection plus fixed positional encoding."""
+        """Linear channel projection plus fixed positional encoding, of one
+        window [L, C] or a batch [B, L, C]."""
+        if window.ndim not in (2, 3):
+            raise ConfigError(f"window must be [L, C] or [B, L, C], got "
+                              f"shape {window.shape}")
         if window.shape[-1] != self.cfg.channels:
             raise ConfigError(
                 f"window has {window.shape[-1]} channels, "
@@ -244,31 +244,20 @@ class PiModel:
         x = ad.linear(window, self.params["embed.W"], self.params["embed.b"])
         return x + Tensor(self.pos_enc)
 
-    def _split_heads(self, x: Tensor) -> Tensor:
-        """[..., L, D] -> [..., H, L, d]."""
-        H, d = self.cfg.num_heads, self.cfg.head_dim
-        x = ad.reshape(x, x.shape[:-1] + (H, d))
-        return ad.transpose(x, _swap_axes(x.ndim, -3, -2))
-
-    def _merge_heads(self, x: Tensor) -> Tensor:
-        """[..., H, L, d] -> [..., L, D]."""
-        x = ad.transpose(x, _swap_axes(x.ndim, -3, -2))
-        return ad.reshape(x, x.shape[:-2] + (self.cfg.model_dim,))
-
     def series_attention(self, features: Tensor, layer: int, prior):
         """Causal multi-head scaled dot-product attention, met with the
-        ``prior`` in ``ad.dual_attention``.
+        ``prior`` in ``ad.dual_attention``, which splits the projections
+        into the prior's heads and merges them back.
 
         Returns the layer's LayerAttention, the op's ``maps`` and its
-        context with the heads merged and projected, [..., L, D]. The
-        context itself is freed on return, once its heads are copied out.
+        context projected by Wo, [..., L, D]. The context itself is freed
+        on return.
         """
         p = f"layer{layer}."
-        q = self._split_heads(ad.matmul(features, self.params[p + "Wq"]))
-        k = self._split_heads(ad.matmul(features, self.params[p + "Wk"]))
-        v = self._split_heads(ad.matmul(features, self.params[p + "Wv"]))
+        q, k, v = (ad.matmul(features, self.params[p + w])
+                   for w in ("Wq", "Wk", "Wv"))
         att = ad.dual_attention(q, k, v, self.mask, prior)
-        out = ad.linear(self._merge_heads(att.context), self.params[p + "Wo"],
+        out = ad.linear(att.context, self.params[p + "Wo"],
                         self.params[p + "bo"])
         return (LayerAttention(att.kl_series, att.kl_prior, att.score),
                 att.maps, out)
@@ -276,16 +265,14 @@ class PiModel:
     def prior_fields(self, features: Tensor, layer: int) -> PriorFields:
         """Predict per-position H/tau and expose per-head kernel parameters.
 
-        Features are detached so the prior pathway owns its parameters: the
-        symmetric-KL gradients in the prior-update pass never leak into the
-        encoder weights.
+        The field head is a position-wise feed-forward (``ad.feed_forward``)
+        from the features to the raw (H, tau) pair. Features are detached so
+        the prior pathway owns its parameters: the symmetric-KL gradients in
+        the prior-update pass never leak into the encoder weights.
         """
         p = f"layer{layer}."
-        feats = ad.stop_gradient(features)
-        h1 = ad.relu(ad.linear(feats, self.params[p + "field.W1"],
-                               self.params[p + "field.b1"]))
-        raw = ad.linear(h1, self.params[p + "field.W2"],
-                        self.params[p + "field.b2"])
+        raw = ad.feed_forward(ad.stop_gradient(features), *(
+            self.params[p + "field." + n] for n in ("W1", "b1", "W2", "b2")))
         hurst = ad.sigmoid(raw[..., 0])
         stiffness = ad.softplus(raw[..., 1]) + TAU_FLOOR
         mix = ad.masked_softmax_rows(self.params[p + "mix_logits"], True)
@@ -539,13 +526,6 @@ class KernelPrior:
             g = -g * self._turns / (self._period * self._period)
             g_period = unb(g, head).reshape(period_shape)
         return g_hurst, g_tau, g_mix, g_period, g_gain
-
-
-def _swap_axes(ndim: int, a: int, b: int) -> tuple:
-    """Axis permutation of ``ndim`` axes that exchanges axes ``a`` and ``b``."""
-    axes = list(range(ndim))
-    axes[a], axes[b] = axes[b], axes[a]
-    return tuple(axes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """The primitive chains that the fused ops replace, kept as their reference:
 each fused op must give its chain's values and gradients bit for bit.
-``reference_feed_forward`` is the chain ``autodiff.feed_forward`` replaces,
-two linear layers around a relu, whose nodes keep the relu's input and the
-hidden layer that the op recomputes. ``reference_dual_attention`` is the
-chain of single ops that ``autodiff.dual_attention`` replaces. It shares no
-block code with the op, and finite differences run through it, where
+``reshape``, ``transpose`` and ``relu`` are tape ops that only these chains
+use. ``reference_feed_forward`` is the chain ``autodiff.feed_forward``
+replaces, two linear layers around a relu, whose nodes keep the relu's
+input and the hidden layer that the op recomputes.
+``reference_dual_attention`` is the chain of single ops that
+``autodiff.dual_attention`` replaces, from the heads split out of the
+projections to the context with its heads merged. It shares no block code
+with the op, and finite differences run through it, where
 ``stop_gradient`` marks the side each KL holds constant.
-``FixedLogitsPrior`` is a prior that meets a given attention with
-itself."""
+``FixedLogitsPrior`` is a prior that meets a given attention with itself,
+and ``merge_heads`` gives per-head test inputs the layout of a
+projection."""
 
 import numpy as np
 
@@ -18,6 +22,53 @@ from priorad.autodiff import EPS_PROB, Tensor
 
 # Each backward captures the arrays it reads, as the tape requires: the
 # walk drops every recorded output's data before any backward runs.
+
+
+def reshape(a, shape):
+    old = a.data.shape
+    out = Tensor(a.data.reshape(shape))
+    return ad._record(out, (a,), lambda g: (g.reshape(old),))
+
+
+def transpose(a, axes):
+    axes = tuple(axes)
+    inv = tuple(np.argsort(axes))
+    out = Tensor(np.transpose(a.data, axes))
+    return ad._record(out, (a,), lambda g: (np.transpose(g, inv),))
+
+
+def relu(a):
+    x = a.data
+    out = Tensor(np.maximum(x, 0.0))
+    return ad._record(out, (a,), lambda g: (g * (x > 0.0),))
+
+
+def _swap_axes(ndim, a, b):
+    """The permutation of ``ndim`` axes that exchanges axes ``a`` and ``b``."""
+    axes = list(range(ndim))
+    axes[a], axes[b] = axes[b], axes[a]
+    return tuple(axes)
+
+
+def _split_heads(x, heads):
+    """[..., L, D] -> [..., H, L, D / H]."""
+    x = reshape(x, x.shape[:-1] + (heads, x.shape[-1] // heads))
+    return transpose(x, _swap_axes(x.ndim, -3, -2))
+
+
+def _merge_heads(x):
+    """[..., H, L, d] -> [..., L, H * d]."""
+    x = transpose(x, _swap_axes(x.ndim, -3, -2))
+    return reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+
+
+def merge_heads(x):
+    """An array [..., H, L, d] of per-head values as one projection [...,
+    L, H * d], C-contiguous, which ``autodiff.dual_attention`` splits back
+    into the same heads."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.swapaxes(x, -3, -2).reshape(
+        x.shape[:-3] + (x.shape[-2], x.shape[-3] * x.shape[-1]))
 
 
 def _ref_clip(a, lo):
@@ -85,8 +136,7 @@ def reference_masked_softmax_rows(logits, mask):
 
 def reference_attention_scores(q, k, mask):
     scale = 1.0 / np.sqrt(q.shape[-1])
-    logits = ad.matmul(q, ad.transpose(
-        k, pmodel._swap_axes(k.ndim, -2, -1))) * scale
+    logits = ad.matmul(q, transpose(k, _swap_axes(k.ndim, -2, -1))) * scale
     return reference_masked_softmax_rows(logits, mask)
 
 
@@ -103,7 +153,7 @@ def reference_linear(x, W, b):
 
 
 def reference_feed_forward(x, W1, b1, W2, b2):
-    return reference_linear(ad.relu(reference_linear(x, W1, b1)), W2, b2)
+    return reference_linear(relu(reference_linear(x, W1, b1)), W2, b2)
 
 
 def reference_mean_square(a):
@@ -129,10 +179,10 @@ def reference_prior_logits(fields, lags):
     n_ph = fields.phase_period.shape[0]
 
     def row_field(t):
-        return ad.reshape(t, t.shape[:-1] + (1, L, 1))
+        return reshape(t, t.shape[:-1] + (1, L, 1))
 
     def per_head(t):
-        return ad.reshape(t, (n_ph, 1, 1))
+        return reshape(t, (n_ph, 1, 1))
 
     h_row = row_field(fields.hurst)
     tau_row = row_field(fields.stiffness)
@@ -160,12 +210,15 @@ def reference_prior_softmax(fields, lags, mask, heads):
 
 
 def reference_dual_attention(q, k, v, mask, prior):
-    """S, matmul(S, v), P and its score (for a ``UniformPrior``, the
-    uniform matrix built from the mask and a score of 0), and the symmetric
-    KL on either side of ``ad.stop_gradient``, which is looked up by name
-    when it is called, so that a test can replay its outputs."""
+    """The projections q, k and v [..., L, D] split into the prior's heads,
+    S, matmul(S, v) with its heads merged, P and its score (for a
+    ``UniformPrior``, the uniform matrix built from the mask and a score of
+    0), and the symmetric KL on either side of ``ad.stop_gradient``, which
+    is looked up by name when it is called, so that a test can replay its
+    outputs."""
+    q, k, v = (_split_heads(t, prior.shape[1]) for t in (q, k, v))
     S = reference_attention_scores(q, k, mask)
-    context = ad.matmul(S, v)
+    context = _merge_heads(ad.matmul(S, v))
     if isinstance(prior, pmodel.UniformPrior):
         uniform = mask / mask.sum(axis=-1, keepdims=True)
         P, score = Tensor(np.broadcast_to(uniform, S.shape)), Tensor(0.0)

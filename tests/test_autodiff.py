@@ -24,9 +24,11 @@ from priorad.model import PRIOR_MODES, ModelConfig, PiModel, PriorFields
 from priorad.training import (TrainConfig, minmax_step, loss_reconstruction,
                               loss_sym_kl, _regularizer)
 
-from chains import (reference_dual_attention, reference_feed_forward,
-                    reference_layer_norm, reference_linear,
-                    reference_masked_softmax_rows, reference_mean_square)
+import chains
+from chains import (merge_heads, reference_dual_attention,
+                    reference_feed_forward, reference_layer_norm,
+                    reference_linear, reference_masked_softmax_rows,
+                    reference_mean_square)
 
 
 def causal_mask(n):
@@ -201,21 +203,22 @@ def test_kl_nonnegative_random():
         assert np.all(kl_rows(p, q) >= 0.0)
 
 
-def uniform_prior(q):
-    """The ``UniformPrior`` that meets the queries ``q`` [..., H, L, d], one
-    window or a batch."""
-    *lead, H, L, _ = q.shape
-    return pmodel.UniformPrior((*lead, H, L, L) if lead else (1, H, L, L))
+def uniform_prior(q, H):
+    """The ``UniformPrior`` of H heads that meets the queries ``q`` [..., L,
+    D], one window or a batch."""
+    *lead, L, _ = q.shape
+    return pmodel.UniformPrior((*(lead or [1]), H, L, L))
 
 
 def uniform_prior_kl(q):
     """dual_attention's KL rows between the uniform prior and S of the
     queries ``q`` [n, 1, L, 1] against keys of zeros, which with q zero is
     uniform over j <= i too."""
+    q = merge_heads(q)
     zeros = Tensor(np.zeros(q.shape))
     return ad.dual_attention(Tensor(q), zeros, zeros,
                              causal_mask(q.shape[-2]),
-                             uniform_prior(q)).kl_series.data
+                             uniform_prior(q, 1)).kl_series.data
 
 
 # S and P are softmaxes of finite logits, so through dual_attention only a
@@ -398,7 +401,7 @@ def test_backward_releases_added_gradients_before_the_next_node():
 
 
 def tiny_model(prior_mode="full"):
-    # head_dim 3 and model_dim 6: neither 1/sqrt(head_dim) nor 1/model_dim
+    # heads of width 3 and model_dim 6: neither 1/sqrt(3) nor 1/model_dim
     # is a power of two, so scaling earlier or later would round differently
     return PiModel(ModelConfig(window_length=10, channels=2, model_dim=6,
                                num_layers=2, num_heads=2, feedforward_dim=16,
@@ -466,7 +469,7 @@ def test_backward_frees_intermediates_and_owns_leaf_grads():
     shift = Tensor(np.zeros((2, 10)), requires_grad=True)  # gets a view
     x = Tensor(np.random.default_rng(6).normal(size=(3, 10, 2)))
     with Tape() as tape:
-        out = model.forward(x + ad.transpose(shift, (1, 0)))
+        out = model.forward(x + chains.transpose(shift, (1, 0)))
         loss = ad.tmean(ad.square(out.recon - x)) * scale
     outs = [o for o, _, _ in tape.nodes]
     tape.backward(loss)
@@ -516,10 +519,10 @@ RNG = np.random.default_rng(42)
     ("softplus", lambda x: ad.tsum(ad.square(ad.softplus(x)))),
     ("sum_axis", lambda x: ad.tsum(ad.square(ad.tsum(x, axis=0)))),
     ("mean", lambda x: ad.square(ad.tmean(x))),
-    ("reshape", lambda x: ad.tsum(ad.square(ad.reshape(x, (6,))))),
-    ("transpose", lambda x: ad.tsum(ad.square(ad.transpose(x, (1, 0))))),
+    ("reshape", lambda x: ad.tsum(ad.square(chains.reshape(x, (6,))))),
+    ("transpose", lambda x: ad.tsum(ad.square(chains.transpose(x, (1, 0))))),
     ("getitem", lambda x: ad.tsum(ad.square(x[0]))),
-    ("relu", lambda x: ad.tsum(ad.square(ad.relu(x + 0.05)))),
+    ("relu", lambda x: ad.tsum(ad.square(chains.relu(x + 0.05)))),
 ])
 def test_fd_gradients_elementwise(name, build):
     x0 = RNG.normal(size=(2, 3))
@@ -563,13 +566,13 @@ def test_fd_gradient_kl():
                          Tensor([[0.5, 0.3, 0.2]]), Tensor([3.0]),
                          Tensor([0.8]))
     prior = pmodel.KernelPrior(fields, pmodel.lag_matrix(4), 1)
-    keys = Tensor(RNG.normal(size=(1, 4, 3)))
+    keys = Tensor(merge_heads(RNG.normal(size=(1, 4, 3))))
     for mask in (np.ones((4, 4), dtype=bool), causal_mask(4)):
         def build(x):
             att = ad.dual_attention(x, keys, keys, mask, prior)
             return ad.tsum(att.kl_series * Tensor(np.arange(1.0, 5.0)))
 
-        check_grad(build, RNG.normal(size=(1, 4, 3)))
+        check_grad(build, merge_heads(RNG.normal(size=(1, 4, 3))))
 
 
 @pytest.mark.parametrize("name", ["hurst", "stiffness", "mix_weights",
@@ -590,7 +593,7 @@ def test_fd_gradient_prior_logits(name):
                       mix_weights=mix / mix.sum(axis=-1, keepdims=True),
                       phase_period=rng.uniform(2.0, 6.0, n_ph),
                       phase_gain=rng.uniform(0.0, 1.5, n_ph))
-        qk = Tensor(rng.normal(size=lead + (H, L, 3)))
+        qk = Tensor(merge_heads(rng.normal(size=lead + (H, L, 3))))
         weights = Tensor(rng.normal(size=lead + (H, L)))
         for through in ("kl_prior", "score", "both"):
             def build(x):
@@ -608,19 +611,25 @@ def test_fd_gradient_prior_logits(name):
             check_grad(build, values[name])
 
 
+# the heads attention_scores splits its queries and keys into
+SCORE_HEADS = 2
+
+
 def attention_scores(q, k):
-    """S = softmax(q k^T / sqrt(d)) under the causal mask, as dual_attention
-    makes it: its context with an identity v, beside the uniform prior."""
-    L = q.shape[-2]
-    v = Tensor(np.broadcast_to(np.eye(L), q.shape[:-1] + (L,)).copy())
-    return ad.dual_attention(q, k, v, causal_mask(L),
-                             uniform_prior(q)).context
+    """S = softmax(q k^T / sqrt(d)) of SCORE_HEADS heads under the causal
+    mask, with the heads merged, as dual_attention makes it: its context
+    with an identity v per head, beside the uniform prior."""
+    *lead, L, _ = q.shape
+    v = merge_heads(np.broadcast_to(np.eye(L),
+                                    (*lead, SCORE_HEADS, L, L)))
+    return ad.dual_attention(q, k, Tensor(v), causal_mask(L),
+                             uniform_prior(q, SCORE_HEADS)).context
 
 
 # every input of every fused model op; a weighted sum makes each output
 # entry count differently
 FUSED_INPUTS = {
-    "attention_scores": dict(q=(2, 2, 5, 3), k=(2, 2, 5, 3)),
+    "attention_scores": dict(q=(2, 5, 6), k=(2, 5, 6)),
     "layer_norm": dict(x=(2, 4, 6), g=(6,), b=(6,)),
     "linear": dict(x=(2, 4, 3), W=(3, 5), b=(5,)),
     "feed_forward": dict(x=(2, 4, 3), W1=(3, 5), b1=(5,), W2=(5, 3),
@@ -669,9 +678,9 @@ def test_fd_gradient_dual_attention(name, n_ph, lead):
     rng = np.random.default_rng(20)
     H, L = 2, 5
     mix = rng.random((n_ph, 3)) + 0.1
-    values = dict(q=rng.normal(size=lead + (H, L, 3)),
-                  k=rng.normal(size=lead + (H, L, 3)),
-                  v=rng.normal(size=lead + (H, L, 3)),
+    values = dict(q=merge_heads(rng.normal(size=lead + (H, L, 3))),
+                  k=merge_heads(rng.normal(size=lead + (H, L, 3))),
+                  v=merge_heads(rng.normal(size=lead + (H, L, 3))),
                   hurst=rng.uniform(0.1, 0.9, lead + (L,)),
                   stiffness=rng.uniform(0.6, 3.0, lead + (L,)),
                   mix_weights=mix / mix.sum(axis=-1, keepdims=True),
@@ -680,6 +689,7 @@ def test_fd_gradient_dual_attention(name, n_ph, lead):
     weights = {o: Tensor(rng.normal(size=lead + (H, L) + s))
                for o, s in (("context", (3,)), ("kl_series", ()),
                             ("kl_prior", ()))}
+    weights["context"] = Tensor(merge_heads(weights["context"].data))
     weights["score"] = Tensor(rng.normal())
 
     def build(x):
@@ -757,25 +767,38 @@ def test_feed_forward_shape_mismatch(shapes):
 
 
 def test_dual_attention_checks_the_mask_and_prior_shapes():
-    """Before any block runs, a prior or mask that does not fit q [3, 2, 5,
-    4] raises ShapeError naming both shapes: a kernel prior made for 4
-    series heads, a prior over 2 windows, and a mask over 6 positions."""
-    rng = np.random.default_rng(30)
-    q = Tensor(rng.normal(size=(3, 2, 5, 4)))
-    fields = PriorFields(Tensor(rng.uniform(0.1, 0.9, (3, 5))),
-                         Tensor(rng.uniform(0.6, 3.0, (3, 5))),
-                         Tensor(np.full((4, 3), 1.0 / 3.0)),
-                         Tensor(np.full(4, 3.0)), Tensor(np.ones(4)))
+    """Before any block runs, a prior or mask that does not fit q [3, 5, 8]
+    raises ShapeError naming both shapes: a prior over 2 windows, a prior
+    over 6 positions, and a mask over 6 positions."""
+    q = Tensor(np.zeros((3, 5, 8)))
     for mask, prior, message in (
-            (causal_mask(5),
-             pmodel.KernelPrior(fields, pmodel.lag_matrix(5), 4),
-             "the prior is (3, 4, 5, 5), not (3, 2, 5, 5)"),
             (causal_mask(5), pmodel.UniformPrior((2, 2, 5, 5)),
              "the prior is (2, 2, 5, 5), not (3, 2, 5, 5)"),
-            (causal_mask(6), uniform_prior(q),
+            (causal_mask(5), pmodel.UniformPrior((3, 2, 6, 6)),
+             "the prior is (3, 2, 6, 6), not (3, 2, 5, 5)"),
+            (causal_mask(6), uniform_prior(q, 2),
              "the mask is (6, 6), not (5, 5)")):
         with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
             ad.dual_attention(q, q, q, mask, prior)
+
+
+@pytest.mark.parametrize("side", ["q", "v"])
+def test_dual_attention_checks_the_widths_against_the_prior_heads(side):
+    """The prior sets the head count: a kernel prior made for 3 series
+    heads does not split q's or v's width of 8, and ShapeError names both
+    shapes before any block runs."""
+    rng = np.random.default_rng(30)
+    fields = PriorFields(Tensor(rng.uniform(0.1, 0.9, (2, 5))),
+                         Tensor(rng.uniform(0.6, 3.0, (2, 5))),
+                         Tensor(np.full((3, 3), 1.0 / 3.0)),
+                         Tensor(np.full(3, 3.0)), Tensor(np.ones(3)))
+    prior = pmodel.KernelPrior(fields, pmodel.lag_matrix(5), 3)
+    qk, v = (Tensor(np.zeros((2, 5, width)))
+             for width in ((8, 9) if side == "q" else (9, 8)))
+    message = (f"{side} is (2, 5, 8), whose width does not split into the "
+               f"heads of the prior (2, 3, 5, 5)")
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        ad.dual_attention(qk, qk, v, causal_mask(5), prior)
 
 
 # ---------------------------------------------------------------------------
@@ -901,10 +924,12 @@ DUAL_CASES = {"dual_attention": (OUTPUTS, "full"),
 
 
 def _dual_inputs(case, lead, H, L, rng):
-    """Leaf tensors for ``case`` over windows ``lead``: q, k and v, then
-    the prior's fields, which no_phase's UniformPrior has none of."""
+    """Leaf tensors for ``case`` over windows ``lead``: q, k and v [..., L,
+    H * BLOCK_D], then the prior's fields, which no_phase's UniformPrior
+    has none of."""
     mode = DUAL_CASES[case][1]
-    values = {n: rng.normal(size=lead + (H, L, BLOCK_D)) for n in "qkv"}
+    values = {n: merge_heads(rng.normal(size=lead + (H, L, BLOCK_D)))
+              for n in "qkv"}
     if mode != "no_phase":
         heads = H if mode == "full" else 1
         mix = rng.random((heads, 3)) + 0.1
@@ -916,16 +941,16 @@ def _dual_inputs(case, lead, H, L, rng):
     return {n: Tensor(v, requires_grad=True) for n, v in values.items()}
 
 
-def _dual_case(case, args, L):
-    """dual_attention over ``args``, and the outputs of ``case`` in a
-    list."""
+def _dual_case(case, args, H, L):
+    """dual_attention of H heads over ``args``, and the outputs of ``case``
+    in a list."""
     q, k, v, *fields = args.values()
     mask = causal_mask(L)
     if fields:
         prior = pmodel.KernelPrior(PriorFields(*fields), pmodel.lag_matrix(L),
-                                   q.shape[-3])
+                                   H)
     else:
-        prior = uniform_prior(q)
+        prior = uniform_prior(q, H)
     att = ad.dual_attention(q, k, v, mask, prior)
     return att, [getattr(att, o) for o in DUAL_CASES[case][0]]
 
@@ -939,7 +964,7 @@ def test_blocked_ops_bitwise_across_block_sizes(op, lead, monkeypatch):
     rng = np.random.default_rng(12)
     args = _dual_inputs(op, lead, H, L, rng)
     weights = {shape: Tensor(rng.normal(size=shape))
-               for shape in ((), lead + (H, L), lead + (H, L, BLOCK_D))}
+               for shape in ((), lead + (H, L), lead + (L, H * BLOCK_D))}
     blocks, seen = ad._blocks, set()
 
     def counted(*args):  # the blocks dual_attention makes
@@ -956,7 +981,7 @@ def test_blocked_ops_bitwise_across_block_sizes(op, lead, monkeypatch):
         for t in args.values():
             t.grad = None
         with Tape() as tape:
-            att, outs = _dual_case(op, args, L)
+            att, outs = _dual_case(op, args, H, L)
             terms = [ad.tsum(o * weights[o.shape]) for o in outs]
             loss = sum(terms[1:], terms[0])
         # read before the walk, which drops every recorded output's data
@@ -1003,7 +1028,7 @@ def test_blocked_backward_allocates_only_a_few_blocks(op):
     assert B * H * L * L * 8 >= 32 * ad.BLOCK_BYTES
     rng = np.random.default_rng(14)
     with Tape() as tape:
-        _, outs = _dual_case(op, _dual_inputs(op, (B,), H, L, rng), L)
+        _, outs = _dual_case(op, _dual_inputs(op, (B,), H, L, rng), H, L)
     # the node recorded last among the outputs': an op of several outputs
     # runs its backward there with all of their gradients, so each other
     # output the case takes gets one too, in its cell
@@ -1077,10 +1102,10 @@ def test_numeric_error_in_the_last_block_reaches_the_caller(batch,
     monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
     args = _dual_inputs("dual_attention", (batch,), BLOCK_H, BLOCK_L,
                         np.random.default_rng(16))
-    _dual_case("dual_attention", args, BLOCK_L)
+    _dual_case("dual_attention", args, BLOCK_H, BLOCK_L)
     args["hurst"].data[-1, 2] = np.nan
     with pytest.raises(ad.NumericError, match="non-finite prior kernel"):
-        _dual_case("dual_attention", args, BLOCK_L)
+        _dual_case("dual_attention", args, BLOCK_H, BLOCK_L)
 
 
 @pytest.mark.parametrize("pool_fails", [False, True],
@@ -1149,7 +1174,7 @@ def test_block_pool_thread_is_made_once(monkeypatch):
     monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
     args = _dual_inputs("dual_attention", (4,), 2, 5,
                         np.random.default_rng(17))
-    _dual_case("dual_attention", args, 5)  # made here, if not before
+    _dual_case("dual_attention", args, 2, 5)  # made here, if not before
     threads, started = threading.active_count(), []
     start = threading.Thread.start
 
@@ -1159,7 +1184,7 @@ def test_block_pool_thread_is_made_once(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", counted_start)
     for _ in range(50):
-        _dual_case("dual_attention", args, 5)
+        _dual_case("dual_attention", args, 2, 5)
     assert threading.active_count() == threads and started == []
 
 
@@ -1171,7 +1196,7 @@ def test_importing_starts_no_thread():
         "import threading, numpy as np, priorad.cli, priorad.autodiff as ad",
         "from priorad.model import UniformPrior as U",
         "print(threading.active_count())",
-        "x = ad.Tensor(np.zeros((2, 1, 256, 1)))",
+        "x = ad.Tensor(np.zeros((2, 256, 1)))",
         "m, p = np.ones((256, 256), bool), U((2, 1, 256, 256))",
         "ad.dual_attention(x[:1], x[:1], x[:1], m, U((1, 1, 256, 256)))",
         "print(threading.active_count())",
@@ -1195,7 +1220,7 @@ def test_forked_child_makes_its_own_pool_thread(monkeypatch):
                         np.random.default_rng(19))
 
     def run():
-        _, outs = _dual_case("dual_attention", args, 5)
+        _, outs = _dual_case("dual_attention", args, 2, 5)
         return b"".join(o.data.tobytes() for o in outs)
 
     want = run()  # on the parent's pool
@@ -1256,7 +1281,7 @@ def test_pooled_blocks_allocate_no_block_sized_array(op, monkeypatch):
     tracemalloc.start()
     try:
         with Tape() as tape:
-            _, outs = _dual_case(op, args, L)
+            _, outs = _dual_case(op, args, H, L)
             terms = [ad.tsum(o) for o in outs]
             loss = sum(terms[1:], terms[0])
         forward = len(pool.peaks)
@@ -1532,7 +1557,7 @@ def test_tape_free_forward_output_holds_nothing_as_large_as_q(prior_mode):
     cfg, B = model.cfg, 3
     out = model.forward(Tensor(np.random.default_rng(25).normal(
         size=(B, cfg.window_length, cfg.channels))))
-    q_size = B * cfg.num_heads * cfg.window_length * cfg.head_dim
+    q_size = B * cfg.window_length * cfg.model_dim
     held = _reachable_arrays(out)
     assert held
     assert [a.shape for a in held if _root(a).size >= q_size] == []
@@ -1546,7 +1571,7 @@ def test_tape_free_output_keeps_no_reference_to_v(case):
     and the prior, which maps() reads, but not v."""
     args = _dual_inputs(case, (3,), BLOCK_H, BLOCK_L,
                         np.random.default_rng(22))
-    att, _ = _dual_case(case, args, BLOCK_L)
+    att, _ = _dual_case(case, args, BLOCK_H, BLOCK_L)
     v = args.pop("v")
     alive = weakref.ref(v.data)
     del v
@@ -1646,7 +1671,8 @@ def test_adam_converges_on_quadratic():
 def test_determinism_same_seed_bitwise():
     def run():
         rng = np.random.default_rng(11)
-        x = Tensor(rng.normal(size=(1, 6, 6)), requires_grad=True)
+        x = Tensor(merge_heads(rng.normal(size=(1, 6, 6))),
+                   requires_grad=True)
         fields = PriorFields(Tensor(rng.uniform(0.1, 0.9, 6)),
                              Tensor(rng.uniform(0.6, 3.0, 6)),
                              Tensor([[0.2, 0.3, 0.5]]), Tensor([4.0]),

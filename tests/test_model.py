@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 import priorad.autodiff as ad
 from priorad.autodiff import Tensor, Tape
+from priorad.evaluation import benchmark_configs
 from priorad.model import (
-    ModelConfig, PiModel, PriorFields, ConfigError, KernelPrior, causal_mask,
-    lag_matrix, sinusoidal_encoding, estimate_hurst_rs, TAU_FLOOR,
+    PRIOR_MODES, ModelConfig, PiModel, PriorFields, ConfigError, KernelPrior,
+    causal_mask, lag_matrix, sinusoidal_encoding, estimate_hurst_rs,
+    TAU_FLOOR,
 )
 from priorad.training import (
     Checkpoint, TrainConfig, load_checkpoint, save_checkpoint,
@@ -34,8 +38,7 @@ def prior_dual_attention(model, fields):
     """The model's dual attention with the ``KernelPrior`` of ``fields``
     (one window), against queries and keys of zeros: its series attention
     S is uniform over j <= i."""
-    zeros = Tensor(np.zeros((model.cfg.num_heads, model.cfg.window_length,
-                             1)))
+    zeros = Tensor(np.zeros((model.cfg.window_length, model.cfg.num_heads)))
     return ad.dual_attention(zeros, zeros, zeros, model.mask,
                              KernelPrior(fields, model.lags,
                                          model.cfg.num_heads))
@@ -102,6 +105,39 @@ def test_forward_shapes_and_row_stochastic():
                                cfg.window_length)
             np.testing.assert_allclose(a.data.sum(axis=-1), 1.0, atol=1e-6)
             assert np.all(a.data[..., tri] == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(16,), (2, 3, 16, 3)],
+                         ids=["one_axis", "four_axes"])
+def test_forward_rejects_a_window_that_is_not_one_or_a_batch(shape):
+    """Only [L, C] and [B, L, C] are windows: anything else raises
+    ConfigError naming its shape before any op is recorded."""
+    model = PiModel(small_cfg())
+    with Tape() as tape:
+        with pytest.raises(ConfigError, match=re.escape(f"got shape {shape}")):
+            model.forward(Tensor(np.zeros(shape)))
+    assert tape.nodes == []
+
+
+# the nodes a taped forward records at desk shape (benchmark_configs: one
+# layer, two heads), per prior mode
+DESK_FORWARD_NODES = {"full": 26, "no_phase": 24, "single_head": 26}
+
+
+@pytest.mark.parametrize("prior_mode", PRIOR_MODES)
+def test_forward_records_no_head_split_or_relu_node(prior_mode):
+    """dual_attention splits and merges the heads, and the field head is a
+    feed-forward: a taped forward records no reshape, transpose or relu
+    node, each named as the benchmark's tracer names it, by its backward's
+    ``__qualname__``."""
+    cfg = benchmark_configs(prior_mode=prior_mode)[0]
+    model = PiModel(cfg)
+    window = np.zeros((4, cfg.window_length, cfg.channels))
+    with Tape() as tape:
+        model.forward(Tensor(window))
+    ops = {fn.__qualname__.split(".")[0] for _, _, fn in tape.nodes}
+    assert ops & {"reshape", "transpose", "relu"} == set()
+    assert len(tape.nodes) == DESK_FORWARD_NODES[prior_mode]
 
 
 @pytest.mark.parametrize("prior_mode", ["full", "no_phase"])
